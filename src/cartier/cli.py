@@ -58,12 +58,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, format_help):
         sp.add_argument("--config", help="flat key=value config file; flags override")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument(
             "--format", choices=("text", "json", "junit"), default=None,
-            help="output format (default text; junit only for verify)",
+            help=format_help,
         )
 
     sp = sub.add_parser("periods", help="period series F, G, W and the mirror map")
@@ -71,7 +71,7 @@ def build_parser():
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--degree", type=int, default=20, help="t-degree of the series")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp)
+    common(sp, "output format: text or json (default text)")
 
     sp = sub.add_parser("hw", help="level-k Hasse-Witt matrix")
     sp.add_argument("--family", help="catalog family, 'custom', or 'square'")
@@ -83,7 +83,7 @@ def build_parser():
     sp.add_argument("--lift", default="tp", help="tp | excellent | explicit:<file>")
     sp.add_argument("--basis", choices=("omega", "unit"), default="omega")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp)
+    common(sp, "output format: json or text (default json)")
 
     sp = sub.add_parser("lift", help="excellent Frobenius lift and Cartier matrix")
     sp.add_argument("--family", help="catalog family or 'custom'")
@@ -92,7 +92,7 @@ def build_parser():
     sp.add_argument("--precision", type=int, default=6)
     sp.add_argument("--degree", type=int, default=None, help="t-degree (default 3p^2)")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp)
+    common(sp, "output format: text or json (default text)")
 
     sp = sub.add_parser("verify", help="run congruence checks")
     sp.add_argument("suite", choices=VERIFY_SUITES)
@@ -110,7 +110,7 @@ def build_parser():
     sp.add_argument("--junit", action="store_true")
     sp.add_argument("--strict-precision", action="store_true", dest="strict_precision")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp)
+    common(sp, "output format: json, text or junit (default json)")
     return parser
 
 
@@ -227,7 +227,13 @@ def make_lift(spec, family, periods, ctx, Dt):
 # subcommands
 
 
+def _reject_junit(args):
+    if args.format == "junit":
+        raise ConfigError("--format junit is only for verify")
+
+
 def cmd_periods(args):
+    _reject_junit(args)
     family = get_family(args)
     D = args.degree
     if D < 0:
@@ -300,6 +306,7 @@ def _hw_text(hw):
 
 
 def cmd_hw(args):
+    _reject_junit(args)
     if args.prime is None:
         raise ConfigError("--prime is required")
     p = args.prime
@@ -332,6 +339,7 @@ def cmd_hw(args):
 
 
 def cmd_lift(args):
+    _reject_junit(args)
     if args.prime is None:
         raise ConfigError("--prime is required")
     p = args.prime

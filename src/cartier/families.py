@@ -380,26 +380,25 @@ def generic_periods(family, D):
     return RationalSeries(F), RationalSeries(G)
 
 
-def period_F(family, D, cross_check=12):
-    return _periods(family, D, cross_check)[0]
-
-
-def period_G(family, D, cross_check=12):
-    return _periods(family, D, cross_check)[1]
+# (kind, n) -> degree to which the closed form has been checked against the
+# enumeration in this process; an entry is made only after a check passes.
+_CROSS_CHECKED = {}
 
 
 def _periods(family, D, cross_check=12):
     if family.kind == "custom":
         return generic_periods(family, D)
     F, G = _closed_FG(family, D)
-    if cross_check:
-        d = min(D, cross_check)
+    d = min(D, cross_check)
+    key = (family.kind, family.n)
+    if cross_check and _CROSS_CHECKED.get(key, -1) < d:
         Fg, Gg = generic_periods(family, d)
         if F.truncate(d) != Fg or G.truncate(d) != Gg:
             raise DomainError(
                 "closed-form and enumerated periods disagree for %s n=%d"
                 % (family.kind, family.n)
             )
+        _CROSS_CHECKED[key] = d
     return F, G
 
 
@@ -483,11 +482,17 @@ def ab_coefficients(periods, D=None):
 
 
 def canonical_q(periods, D=None):
-    """q(t) = t exp(G(t)/F(t))."""
+    """q(t) = t exp(G(t)/F(t)).  At the full degree it is built once per
+    PeriodData and kept in its cache."""
     F, G = periods.F, periods.G
-    if D is not None and D < F.D:
-        F, G = F.truncate(D), G.truncate(D)
-    return (G * F.invert()).exp().shift(1)
+    if D is not None:
+        if D < F.D:
+            F, G = F.truncate(D), G.truncate(D)
+        return (G * F.invert()).exp().shift(1)
+    q = periods._cache.get("q")
+    if q is None:
+        q = periods._cache["q"] = (G * F.invert()).exp().shift(1)
+    return q
 
 
 def mirror_map(periods, D=None):

@@ -3,7 +3,7 @@ coordinate mod p^N, the excellent Frobenius lift, the coefficients
 lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
 from .errors import ConfigError, DomainError, TheoremViolation
-from .families import ab_coefficients, canonical_q, mirror_map
+from .families import ab_coefficients, canonical_q
 from .padic import PadicInt, padic_log_unit
 from .series import PadicSeries, reduce_mod
 from .sigma import FrobLift
@@ -39,10 +39,6 @@ class FrobeniusData:
         self.A = None
         self.B = None
 
-    def n_theta(self):
-        """N_theta = [[0,1],[A,B]] over exact rationals."""
-        return [[None, None], [self.A, self.B]]
-
 
 def check_lift_hypothesis(family, p):
     """The excellent lift exists when p does not divide
@@ -56,11 +52,11 @@ def check_lift_hypothesis(family, p):
 
 
 def reduced_q(periods, ctx):
-    """q(t) and the mirror map t(q) reduced mod p^N.  Raises ReductionError
-    if either fails to be p-integral."""
-    q = canonical_q(periods)
-    tq = q.reverse()
-    return reduce_mod(q, ctx), reduce_mod(tq, ctx)
+    """q(t) and the mirror map t(q) mod p^N.  q is reduced first and reverted
+    in Z/p^N: the reversion of a p-integral t + O(t^2) is p-integral, so the
+    ReductionError raised on q is the whole integrality check."""
+    q = reduce_mod(canonical_q(periods), ctx)
+    return q, q.reverse()
 
 
 def excellent_lift(family, periods, ctx):

@@ -244,33 +244,6 @@ def extended_basis_division(A, f, b, k, region, polytope=None):
     return Pq, Q
 
 
-def _in_cone(d, P_delta, b):
-    """Is d in the cone C(Delta - b)?  Nonzero d only."""
-    if not any(d):
-        return True
-    from itertools import combinations
-
-    from .exactla import solve
-
-    gens = [tuple(v[i] - b[i] for i in range(P_delta.n)) for v in P_delta.vertices if v != b]
-    # small LP by enumeration of generator subsets
-
-    for rsize in range(1, P_delta.n + 1):
-        for sub in combinations(gens, rsize):
-            rows = [[g[i] for g in sub] for i in range(P_delta.n)]
-            sol = solve(rows, list(d))
-            if sol is not None and all(x >= 0 for x in sol):
-                # check consistency (solve returns one solution of the
-                # possibly underdetermined system)
-                ok = all(
-                    sum(sub[j][i] * sol[j] for j in range(rsize)) == d[i]
-                    for i in range(P_delta.n)
-                )
-                if ok:
-                    return True
-    return False
-
-
 def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     """HW^(k) for the invariant crystal of f = 1 - t g(x), k in {1, 2}.
 

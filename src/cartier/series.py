@@ -206,13 +206,6 @@ class RationalSeries:
             out[n] = s / n
         return RationalSeries(out)
 
-    def evaluate(self, x):
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def to_text(self):
         return "\n".join(
             "%d:%d/%d" % (i, c.numerator, c.denominator)
@@ -229,23 +222,27 @@ class RationalSeries:
         return cls([pairs.get(i, Fraction(0)) for i in range(D + 1)])
 
 
+def _residue(c, ctx):
+    """Residue mod p^N of a coefficient that is not a plain int."""
+    if isinstance(c, PadicInt):
+        ctx.same(c.ctx)
+        return c.residue
+    if isinstance(c, Fraction):
+        return reduce_fraction(c, ctx)
+    return c % ctx.modulus
+
+
 class PadicSeries:
     """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs, D=None):
+        """Reduces each coefficient mod p^N once, so the arithmetic below
+        passes its int results in unreduced."""
         self.ctx = ctx
         m = ctx.modulus
-        cs = []
-        for c in coeffs:
-            if isinstance(c, PadicInt):
-                ctx.same(c.ctx)
-                cs.append(c.residue)
-            elif isinstance(c, Fraction):
-                cs.append(reduce_fraction(c, ctx))
-            else:
-                cs.append(c % m)
+        cs = [c % m if type(c) is int else _residue(c, ctx) for c in coeffs]
         if D is not None:
             cs = cs[: D + 1] + [0] * (D + 1 - len(cs))
         if not cs:
@@ -286,7 +283,7 @@ class PadicSeries:
         if N > self.ctx.N:
             raise ConfigError("cannot raise precision from %d to %d" % (self.ctx.N, N))
         ctx = self.ctx.with_precision(N)
-        return PadicSeries(ctx, [c % ctx.modulus for c in self.coeffs])
+        return PadicSeries(ctx, self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, PadicSeries):
@@ -300,11 +297,7 @@ class PadicSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = min(self.D, o.D)
-        m = self.ctx.modulus
-        return PadicSeries(
-            self.ctx, [(self.coeffs[i] + o.coeffs[i]) % m for i in range(D + 1)]
-        )
+        return PadicSeries(self.ctx, [a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -312,29 +305,22 @@ class PadicSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = min(self.D, o.D)
-        m = self.ctx.modulus
-        return PadicSeries(
-            self.ctx, [(self.coeffs[i] - o.coeffs[i]) % m for i in range(D + 1)]
-        )
+        return PadicSeries(self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        m = self.ctx.modulus
-        return PadicSeries(self.ctx, [(-c) % m for c in self.coeffs])
+        return PadicSeries(self.ctx, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicInt)):
             s = PadicInt(self.ctx, other).residue
-            m = self.ctx.modulus
-            return PadicSeries(self.ctx, [c * s % m for c in self.coeffs])
+            return PadicSeries(self.ctx, [c * s for c in self.coeffs])
         if not isinstance(other, PadicSeries):
             return NotImplemented
         self.ctx.same(other.ctx)
         D = min(self.D, other.D)
-        m = self.ctx.modulus
         a, b = self.coeffs, other.coeffs
         out = [0] * (D + 1)
         for i in range(min(len(a) - 1, D) + 1):
@@ -344,7 +330,7 @@ class PadicSeries:
             for j in range(min(len(b) - 1, D - i) + 1):
                 if b[j]:
                     out[i + j] += ai * b[j]
-        return PadicSeries(self.ctx, [c % m for c in out])
+        return PadicSeries(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -422,8 +408,7 @@ class PadicSeries:
         return PadicSeries(self.ctx, self.coeffs[k:] + [0] * k, self.D)
 
     def theta(self):
-        m = self.ctx.modulus
-        return PadicSeries(self.ctx, [i * c % m for i, c in enumerate(self.coeffs)])
+        return PadicSeries(self.ctx, [i * c for i, c in enumerate(self.coeffs)])
 
     def divide_exact_p(self, k):
         """Divide every coefficient by p^k; precision drops to N - k."""
@@ -439,7 +424,7 @@ class PadicSeries:
                     "coefficient at t^%d not divisible by p^%d" % (i, k), degree=i
                 )
         ctx = self.ctx.with_precision(self.ctx.N - k)
-        return PadicSeries(ctx, [(c // pk) % ctx.modulus for c in self.coeffs])
+        return PadicSeries(ctx, [c // pk for c in self.coeffs])
 
     def log(self):
         """p-adic log of 1 + e with every coefficient of e divisible by p."""
@@ -484,7 +469,7 @@ class PadicSeries:
             for i in range(D + 1):
                 if em[i]:
                     acc[i] = (acc[i] + sgn * (em[i] // pk) * unit_inv) % big
-        return PadicSeries(self.ctx, [c % m0 for c in acc])
+        return PadicSeries(self.ctx, acc)
 
     def to_text(self):
         tag = " (mod %d^%d)" % (self.ctx.p, self.ctx.N)
@@ -503,8 +488,7 @@ def _reverse(a, make):
     else:
         t_of = lambda d: RationalSeries.t(d)
     if isinstance(a, PadicSeries):
-        m = a.ctx.modulus
-        dcs = [(i + 1) * cs[i + 1] % m for i in range(D)] + [0]
+        dcs = [(i + 1) * cs[i + 1] for i in range(D)] + [0]
         aprime = PadicSeries(a.ctx, dcs, D)
     else:
         aprime = a.derivative()

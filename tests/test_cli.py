@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output contracts, config merging."""
 
+import argparse
 import json
+import re
 
 import pytest
 
@@ -158,3 +160,39 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["level"] == 2
+
+
+# one cheap invocation per subcommand, without --format
+DEFAULT_FORMAT_RUNS = {
+    "periods": ["--family", "hypercubic", "--n", "2", "--degree", "6"],
+    "hw": ["--family", "square", "--prime", "3", "--degree", "9"],
+    "lift": ["--family", "hypercubic", "--n", "1", "--prime", "3", "--degree", "12"],
+    "verify": ["pq", "--grid", "smoke"],
+}
+
+
+def _format_help(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == "format").help
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_FORMAT_RUNS))
+def test_format_help_names_the_default_in_use(command, capsys):
+    stated = re.search(r"\(default (\w+)\)", _format_help(command)).group(1)
+    code, out, _ = run(capsys, command, *DEFAULT_FORMAT_RUNS[command])
+    assert code == 0
+    try:
+        json.loads(out)
+        emitted = "json"
+    except ValueError:
+        emitted = "text"
+    assert emitted == stated
+
+
+@pytest.mark.parametrize("command", ["periods", "lift", "hw"])
+def test_junit_only_for_verify(command, capsys):
+    code, out, err = run(capsys, command, *DEFAULT_FORMAT_RUNS[command], "--format", "junit")
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "junit" in err
+    assert "junit" not in _format_help(command)

@@ -5,12 +5,16 @@ from math import comb, factorial
 
 import pytest
 
+from cartier import families
 from cartier.errors import ConfigError, DomainError
 from cartier.families import (
     FamilySpec,
     PeriodData,
+    _closed_FG,
+    _periods,
     ab_coefficients,
     canonical_q,
+    generic_periods,
     mirror_map,
     pq_polynomial,
 )
@@ -143,3 +147,53 @@ def test_catalog_invariants():
     fam = FamilySpec.a_n(1)
     # g = (1+x)(1+1/x) = 2 + x + 1/x
     assert fam.alpha == 2 and fam.gamma == 1
+
+
+# every catalog family the verification grids use
+CATALOG = [(k, n) for k in ("simplicial", "hypercubic", "hyperoctahedral", "an") for n in (1, 2, 3)]
+CATALOG.append(("hyperoctahedral", 4))
+
+
+@pytest.mark.parametrize("kind,n", CATALOG, ids=lambda v: str(v))
+def test_closed_form_matches_enumeration(kind, n):
+    family = FamilySpec.by_name(kind, n)
+    F, G = _closed_FG(family, 12)
+    Fg, Gg = generic_periods(family, 12)
+    assert F.coeffs == Fg.coeffs and G.coeffs == Gg.coeffs
+
+
+def test_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    def perturbed(family, D):
+        F, G = _closed_FG(family, D)
+        return F, G + RationalSeries([0, 0, 1], D)
+
+    monkeypatch.setattr(families, "_CROSS_CHECKED", {})
+    monkeypatch.setattr(families, "_closed_FG", perturbed)
+    with pytest.raises(DomainError):
+        _periods(FamilySpec.hypercubic(2), 20)
+    # a failed check is not recorded, so it fails again
+    with pytest.raises(DomainError):
+        _periods(FamilySpec.hypercubic(2), 20)
+
+
+def test_cross_check_runs_once_per_family(monkeypatch):
+    calls = []
+
+    def counted(family, D):
+        calls.append(D)
+        return generic_periods(family, D)
+
+    monkeypatch.setattr(families, "_CROSS_CHECKED", {})
+    monkeypatch.setattr(families, "generic_periods", counted)
+    family = FamilySpec.hyperoctahedral(2)
+    for D in (6, 20, 30, 9, 12):
+        _periods(family, D)
+    # degree 6 first, then degree 12 once; later requests are covered
+    assert calls == [6, 12]
+
+
+def test_canonical_q_is_cached_at_full_degree():
+    periods = PeriodData(FamilySpec.hypercubic(2), 14)
+    q = canonical_q(periods)
+    assert canonical_q(periods) is q
+    assert canonical_q(periods, 10).coeffs == q.coeffs[:11]

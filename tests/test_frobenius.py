@@ -1,19 +1,22 @@
 """Excellent Frobenius lifts and the 2x2 Cartier matrix."""
 
+from fractions import Fraction
+
 import pytest
 
-from cartier.errors import DomainError
-from cartier.families import FamilySpec, PeriodData, canonical_q
+from cartier.errors import DomainError, ReductionError
+from cartier.families import FamilySpec, PeriodData, canonical_q, mirror_map
 from cartier.frobenius import (
     check_lift_hypothesis,
     excellent_lift,
     frobenius_matrix,
     lambda_det_excess,
     lambda_pair,
+    reduced_q,
     structure_residual,
 )
 from cartier.padic import PadicContext
-from cartier.series import reduce_mod
+from cartier.series import RationalSeries, reduce_mod
 from cartier.sigma import FrobLift
 
 
@@ -119,3 +122,28 @@ def test_frobenius_data_lambda0_constant():
     assert data.lambda0.coeffs[0] == 1
     assert data.lambda1.is_zero()
     assert data.Lambda0 == [[1, 0], [0, p]] or data.Lambda0[1][1] == p
+
+
+@pytest.mark.parametrize("kind", ["hypercubic", "hyperoctahedral"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_reduced_q_reverts_in_Zp_like_over_Q(kind, p):
+    # the mirror map reverted over Q and then reduced is the oracle for the
+    # reversion done in Z/p^N
+    periods = PeriodData(FamilySpec.by_name(kind, 2), 6 * p)
+    ctx = PadicContext(p, 6)
+    assert reduced_q(periods, ctx)[1].coeffs == reduce_mod(mirror_map(periods), ctx).coeffs
+
+
+class _StubPeriods:
+    """F = 1, G = t/p: q = t exp(t/p) is not p-integral."""
+
+    def __init__(self, p, D):
+        self.F = RationalSeries.one(D)
+        self.G = RationalSeries([0, Fraction(1, p)], D)
+        self._cache = {}
+
+
+def test_reduced_q_rejects_non_integral_q():
+    p = 5
+    with pytest.raises(ReductionError):
+        reduced_q(_StubPeriods(p, 12), PadicContext(p, 4))

@@ -13,7 +13,7 @@ from cartier.errors import (
     ReductionError,
     ReversionError,
 )
-from cartier.padic import PadicContext
+from cartier.padic import PadicContext, PadicInt
 from cartier.series import (
     PadicSeries,
     RationalSeries,
@@ -202,3 +202,47 @@ def test_dieudonne_dwork_check_negative():
     ctx = PadicContext(3, 4)
     tp = RationalSeries([0, 0, 0, 1], D)
     assert dieudonne_dwork_check(g, tp, ctx, D) == (False, False)
+
+
+_CTX = PadicContext(5, 3)
+_M = _CTX.modulus
+# coefficients of every kind the constructor accepts: ints far outside
+# [0, p^N) on both sides, fractions with unit denominators, residues, bools
+mixed_coeff = st.one_of(
+    st.integers(-3 * _M, 3 * _M),
+    st.builds(
+        Fraction,
+        st.integers(-3 * _M, 3 * _M),
+        st.integers(1, 400).filter(lambda d: d % 5),
+    ),
+    st.builds(lambda v: PadicInt(_CTX, v), st.integers(-_M, 2 * _M)),
+    st.booleans(),
+)
+mixed_coeffs = st.lists(mixed_coeff, min_size=1, max_size=10)
+
+
+def _in_range(s):
+    return all(type(c) is int and 0 <= c < _M for c in s.coeffs)
+
+
+@given(a=mixed_coeffs, b=mixed_coeffs, k=mixed_coeff)
+@settings(max_examples=80)
+def test_padic_series_reduces_every_coefficient_once(a, b, k):
+    x = PadicSeries(_CTX, a)
+    y = PadicSeries(_CTX, b)
+    # the oracle is PadicInt, which reduces each kind on its own
+    assert x.coeffs == [PadicInt(_CTX, c).residue for c in a]
+    assert _in_range(x) and _in_range(y)
+    D = min(x.D, y.D)
+    ka = PadicInt(_CTX, k).residue
+    xy = [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(D + 1)]
+    for got, want in (
+        (x + y, [(x[i] + y[i]) % _M for i in range(D + 1)]),
+        (x - y, [(x[i] - y[i]) % _M for i in range(D + 1)]),
+        (x * y, [c % _M for c in xy]),
+        (x * k, [c * ka % _M for c in x.coeffs]),
+        (-x, [-c % _M for c in x.coeffs]),
+        (x.theta(), [i * c % _M for i, c in enumerate(x.coeffs)]),
+    ):
+        assert _in_range(got)
+        assert got.coeffs == want
