@@ -10,12 +10,6 @@ from .series import (
     dieudonne_dwork_check,
     divided_power_reverse,
     reduce_mod,
-    series_compose,
-    series_exp,
-    series_invert,
-    series_log,
-    series_mul,
-    series_reverse,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-from .errors import DomainError
-
 
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
@@ -136,44 +134,3 @@ def smith_diagonal(rows):
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
     return diag
-
-
-def det_int(rows):
-    """Determinant of a small integer matrix by cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * rows[0][j] * det_int(minor)
-    return total
-
-
-def mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_inverse_2x2(M):
-    """Inverse of a 2x2 matrix over a series ring with unit determinant."""
-    a, b, c, d = M[0][0], M[0][1], M[1][0], M[1][1]
-    det = a * d - b * c
-    if hasattr(det, "invert"):
-        dinv = det.invert()
-    else:
-        det = Fraction(det)
-        if det == 0:
-            raise DomainError("singular 2x2 matrix")
-        dinv = 1 / det
-    return [[d * dinv, -b * dinv], [-c * dinv, a * dinv]]

@@ -107,7 +107,7 @@ def lambda_pair(family, periods, lift, ctx):
             raise TheoremViolation("gamma^(p-1) q^p / q^sigma != 1 mod p at degree %d" % i)
     lam1 = F * Fs * Ws.invert() * w.log()
     lam0 = (F - lam1 * lift.on_series(F.theta())) * Fs.invert()
-    if lam0.coeffs[0] != 1 % ctx.modulus:
+    if lam0[0] != 1 % ctx.modulus:
         raise TheoremViolation("lambda0(0) != 1")
     for c in lam1.coeffs:
         if c % p:

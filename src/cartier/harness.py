@@ -18,7 +18,6 @@ from .expansion import expand_cy
 from .families import (
     FamilySpec,
     PeriodData,
-    canonical_q,
     pq_polynomial,
 )
 from .frobenius import (
@@ -432,7 +431,7 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     notes = ["vertex direction %r" % (v,)]
     # leading-coefficient bookkeeping: at t^{p^s Q} the two sides differ by
     # the factor (gamma^{p-1}/v(0))^{p^{s-1} Q}, which must be 1 mod p^{2s}
-    v0 = PadicInt(ctx, lift.vsigma.coeffs[0])
+    v0 = PadicInt(ctx, lift.vsigma[0])
     ratio = (PadicInt(ctx, family.gamma) ** (p - 1) * v0.invert()) ** (p ** (s - 1) * Q)
     if (ratio - 1).ord() >= target:
         notes.append("leading-coefficient unit ratio is 1 mod p^%d" % target)
@@ -539,7 +538,7 @@ def verify_hw_congruences(family, p, Dt=None):
     # p coefficients; compare below that degree only
     e2 = (hw2 - pw).truncate(Dt - p).min_excess_ord(1)
     # reported observation: is hw^(2) mod p the p-truncation of W?
-    trunc_W = [W2.coeffs[i] if i < p else 0 for i in range(Dt - p + 1)]
+    trunc_W = [W2[i] if i < p else 0 for i in range(Dt - p + 1)]
     same = all(
         (a - b) % p == 0 for a, b in zip(hw2.coeffs[: Dt - p + 1], trunc_W)
     )
@@ -583,7 +582,7 @@ PHI_5 = {
 }
 
 
-def _eval_phi(phi, X, Y_shift, ctx, Dt):
+def _eval_phi(phi, X, ctx, Dt):
     """phi(X, t) for a series X and Y = t (realized as coefficient shifts)."""
     amax = max(a for a, _ in phi)
     powers = [PadicSeries.one(ctx, Dt)]
@@ -614,12 +613,12 @@ def verify_modular_polynomial(p, Dt=None, control=False):
     periods = get_periods(family, Dt)
     if control:
         X = PadicSeries(ctx, [0] * p + [1], Dt)
-        val = _eval_phi(phi, X, None, ctx, Dt)
+        val = _eval_phi(phi, X, ctx, Dt)
         excess = val.min_excess_ord(target)
         return _control_report(check_id + "!tp-control", params, target, excess, start,
                                notes=["the naive lift t^p is not a root of Phi_p"])
     lift = get_lift("excellent", family, periods, ctx, Dt)
-    val = _eval_phi(phi, lift.tsigma, None, ctx, Dt)
+    val = _eval_phi(phi, lift.tsigma, ctx, Dt)
     excess = val.min_excess_ord(target)
     return _report(check_id, params, target, excess, start)
 

@@ -99,7 +99,7 @@ def _solve_linear(M, rhs):
         for r in range(col, m):
             c = A[r][col]
             if isinstance(c, (PadicInt, PadicSeries)):
-                ok = c.is_unit() if isinstance(c, PadicInt) else (c.coeffs[0] % c.ctx.p != 0)
+                ok = c.is_unit() if isinstance(c, PadicInt) else (c[0] % c.ctx.p != 0)
             else:
                 ok = bool(c)
             if ok:
@@ -136,13 +136,12 @@ def _point_levels(P, k, region):
     return ordered, by_level, counts
 
 
-def hasse_witt_matrix(f, lift, k, region, basis, ctx, polytope=None, scale=None):
+def hasse_witt_matrix(f, lift, k, region, basis, ctx, polytope=None):
     """Matrix of the Cartier operator on the level-k part.
 
     Entry (i, j) is the coefficient of b_j^sigma in Phi(b_i * F^(k)).
     basis: 'monomial' for x^u, u in (k mu), level-major order; or an explicit
     list of LaurentPoly spanning the same coordinate space.
-    scale: optional exponent scaling (unused hook for callers).
     """
     p = ctx.p
     P = polytope or newton_polytope(f)
@@ -210,7 +209,7 @@ def extended_basis_division(A, f, b, k, region, polytope=None):
     fb = f.coeff(b)
     is_unit = fb.is_unit() if isinstance(fb, PadicInt) else bool(fb)
     if isinstance(fb, PadicSeries):
-        is_unit = fb.coeffs[0] % fb.ctx.p != 0
+        is_unit = fb[0] % fb.ctx.p != 0
     if not is_unit:
         raise DomainError("coefficient of x^b in f is not a unit")
     fb_inv = fb.invert() if hasattr(fb, "invert") else 1 / fb

@@ -4,9 +4,17 @@ Two parallel implementations with one calling convention.  Period data is
 generated over Fraction coefficients and pushed into PadicSeries through
 reduce_mod at the last possible moment, so that any hidden p in a
 denominator raises ReductionError instead of corrupting residues.
+
+A RationalSeries stores all D + 1 coefficients.  A PadicSeries stores its
+degree bound D explicitly and its residues `_c` only up to the last nonzero
+one (the zero series stores []), so the Hasse-Witt polynomials, whose
+coefficients have t-degree about 3p under D = 3p^2, cost what they hold.
+Its `coeffs` is a fresh padded list of length D + 1, and s[i] reads 0 for
+len(_c) <= i <= D.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     ConfigError,
@@ -160,7 +168,7 @@ class RationalSeries:
         return acc
 
     def reverse(self):
-        return _reverse(self, RationalSeries)
+        return _reverse(self)
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -233,25 +241,32 @@ def _residue(c, ctx):
 
 
 class PadicSeries:
-    """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D."""
+    """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D,
+    stored up to the last nonzero one (see the module docstring)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "D", "_c")
 
     def __init__(self, ctx, coeffs, D=None):
-        """Reduces each coefficient mod p^N once, so the arithmetic below
-        passes its int results in unreduced."""
-        self.ctx = ctx
+        """Cuts coeffs at degree D (default len(coeffs) - 1) and reduces
+        each coefficient mod p^N once, so the arithmetic below passes its
+        int results in unreduced."""
+        if D is None:
+            D = len(coeffs) - 1
+        elif len(coeffs) > D + 1:
+            coeffs = coeffs[: D + 1]
+        if D < 0:
+            raise ConfigError("empty coefficient list")
         m = ctx.modulus
         cs = [c % m if type(c) is int else _residue(c, ctx) for c in coeffs]
-        if D is not None:
-            cs = cs[: D + 1] + [0] * (D + 1 - len(cs))
-        if not cs:
-            raise ConfigError("empty coefficient list")
-        self.coeffs = cs
+        while cs and not cs[-1]:
+            cs.pop()
+        self.ctx = ctx
+        self.D = D
+        self._c = cs
 
     @classmethod
     def zero(cls, ctx, D):
-        return cls(ctx, [0], D)
+        return cls(ctx, [], D)
 
     @classmethod
     def one(cls, ctx, D):
@@ -266,24 +281,30 @@ class PadicSeries:
         return cls(ctx, [c], D)
 
     @property
-    def D(self):
-        return len(self.coeffs) - 1
+    def coeffs(self):
+        """A fresh list of the D + 1 residues, trailing zeros included."""
+        return self._c + [0] * (self.D + 1 - len(self._c))
 
     def coeff(self, i):
-        return PadicInt(self.ctx, self.coeffs[i])
+        return PadicInt(self.ctx, self[i])
 
     def __getitem__(self, i):
-        return self.coeffs[i]
+        """Residue at t^i for 0 <= i <= D."""
+        if 0 <= i < len(self._c):
+            return self._c[i]
+        if 0 <= i <= self.D:
+            return 0
+        raise IndexError("degree %d outside 0..%d" % (i, self.D))
 
     def truncate(self, D):
-        return PadicSeries(self.ctx, self.coeffs, D)
+        return PadicSeries(self.ctx, self._c, D)
 
     def with_precision(self, N):
         """Cut (never extend) precision."""
         if N > self.ctx.N:
             raise ConfigError("cannot raise precision from %d to %d" % (self.ctx.N, N))
         ctx = self.ctx.with_precision(N)
-        return PadicSeries(ctx, self.coeffs)
+        return PadicSeries(ctx, self._c, self.D)
 
     def _coerce(self, other):
         if isinstance(other, PadicSeries):
@@ -297,7 +318,8 @@ class PadicSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PadicSeries(self.ctx, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        out = [a + b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
+        return PadicSeries(self.ctx, out, min(self.D, o.D))
 
     __radd__ = __add__
 
@@ -305,32 +327,34 @@ class PadicSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PadicSeries(self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        out = [a - b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
+        return PadicSeries(self.ctx, out, min(self.D, o.D))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return PadicSeries(self.ctx, [-c for c in self.coeffs])
+        return PadicSeries(self.ctx, [-c for c in self._c], self.D)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicInt)):
             s = PadicInt(self.ctx, other).residue
-            return PadicSeries(self.ctx, [c * s for c in self.coeffs])
+            return PadicSeries(self.ctx, [c * s for c in self._c], self.D)
         if not isinstance(other, PadicSeries):
             return NotImplemented
         self.ctx.same(other.ctx)
         D = min(self.D, other.D)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (D + 1)
-        for i in range(min(len(a) - 1, D) + 1):
+        a, b = self._c, other._c
+        la, lb = min(len(a), D + 1), min(len(b), D + 1)
+        out = [0] * min(la + lb - 1, D + 1)
+        for i in range(la):
             ai = a[i]
             if not ai:
                 continue
-            for j in range(min(len(b) - 1, D - i) + 1):
+            for j in range(min(lb, D + 1 - i)):
                 if b[j]:
                     out[i + j] += ai * b[j]
-        return PadicSeries(self.ctx, out)
+        return PadicSeries(self.ctx, out, D)
 
     __rmul__ = __mul__
 
@@ -339,36 +363,39 @@ class PadicSeries:
         if o is None:
             return NotImplemented
         D = min(self.D, o.D)
-        return self.coeffs[: D + 1] == o.coeffs[: D + 1]
+        a, b = self._c[: D + 1], o._c[: D + 1]
+        if len(a) < len(b):
+            a, b = b, a
+        return a[: len(b)] == b and not any(a[len(b) :])
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self._c)
 
     def __repr__(self):
         return "PadicSeries(p=%d, N=%d, %s, D=%d)" % (
             self.ctx.p,
             self.ctx.N,
-            self.coeffs[: min(6, self.D + 1)],
+            self.coeffs[:6],
             self.D,
         )
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not self._c
 
     def min_excess_ord(self, target):
         """min over coefficients of (ord_p - target); >= 0 means divisible by p^target."""
         p = self.ctx.p
         best = self.ctx.N - target
-        for c in self.coeffs:
+        for c in self._c:
             if c == 0:
                 continue
             best = min(best, _ord_p(c, p) - target)
         return best
 
     def invert(self):
-        a = self.coeffs
+        a = self._c
         p, m = self.ctx.p, self.ctx.modulus
-        if a[0] % p == 0:
+        if not a or a[0] % p == 0:
             raise InvertError("constant term is not a p-adic unit")
         D = self.D
         inv0 = pow(a[0], -1, m)
@@ -379,36 +406,35 @@ class PadicSeries:
                 if a[k]:
                     s += a[k] * out[n - k]
             out[n] = -s * inv0 % m
-        return PadicSeries(self.ctx, out)
+        return PadicSeries(self.ctx, out, D)
 
     def compose(self, inner, outer_polynomial=False):
         if not isinstance(inner, PadicSeries):
             raise ConfigError("inner must be a PadicSeries")
         self.ctx.same(inner.ctx)
-        deg = len(self.coeffs) - 1
-        while deg > 0 and not self.coeffs[deg]:
-            deg -= 1
-        if inner.coeffs[0] != 0 and not outer_polynomial:
+        if inner[0] != 0 and not outer_polynomial:
             raise DivergenceError("inner constant term nonzero for a truncated outer series")
-        D = inner.D
-        acc = PadicSeries.constant(self.ctx, self.coeffs[deg], D)
-        for k in range(deg - 1, -1, -1):
-            acc = acc * inner + self.coeffs[k]
+        c, D = self._c, inner.D
+        acc = PadicSeries(self.ctx, c[-1:], D)
+        for k in range(len(c) - 2, -1, -1):
+            acc = acc * inner + c[k]
         return acc
 
     def reverse(self):
-        return _reverse(self, lambda coeffs: PadicSeries(self.ctx, coeffs))
+        return _reverse(self)
 
     def shift(self, k):
-        return PadicSeries(self.ctx, [0] * k + self.coeffs, self.D)
+        """Multiply by t^k."""
+        return PadicSeries(self.ctx, [0] * k + self._c, self.D)
 
     def shift_div(self, k):
-        if any(self.coeffs[:k]):
+        """Divide by t^k; the k lowest coefficients must vanish."""
+        if any(self._c[:k]):
             raise DomainError("series not divisible by t^%d" % k)
-        return PadicSeries(self.ctx, self.coeffs[k:] + [0] * k, self.D)
+        return PadicSeries(self.ctx, self._c[k:], self.D)
 
     def theta(self):
-        return PadicSeries(self.ctx, [i * c for i, c in enumerate(self.coeffs)])
+        return PadicSeries(self.ctx, [i * c for i, c in enumerate(self._c)], self.D)
 
     def divide_exact_p(self, k):
         """Divide every coefficient by p^k; precision drops to N - k."""
@@ -418,13 +444,13 @@ class PadicSeries:
         pk = p ** k
         if self.ctx.N <= k:
             raise ReductionError("no precision left after dividing by p^%d" % k)
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._c):
             if c % pk != 0:
                 raise ReductionError(
                     "coefficient at t^%d not divisible by p^%d" % (i, k), degree=i
                 )
         ctx = self.ctx.with_precision(self.ctx.N - k)
-        return PadicSeries(ctx, [c // pk for c in self.coeffs])
+        return PadicSeries(ctx, [c // pk for c in self._c], self.D)
 
     def log(self):
         """p-adic log of 1 + e with every coefficient of e divisible by p."""
@@ -476,21 +502,17 @@ class PadicSeries:
         return "\n".join("%d:%d%s" % (i, c, tag) for i, c in enumerate(self.coeffs))
 
 
-def _reverse(a, make):
+def _reverse(a):
     """Compositional inverse of a = t + O(t^2) by Newton iteration."""
-    cs = a.coeffs
-    if cs[0] != 0 or (len(cs) > 1 and cs[1] != 1) or len(cs) == 1:
+    if a.D == 0 or a[0] != 0 or a[1] != 1:
         # unit linear coefficient other than 1 is not needed anywhere downstream
         raise ReversionError("reversion requires a = t + O(t^2)")
     D = a.D
     if isinstance(a, PadicSeries):
         t_of = lambda d: PadicSeries.t(a.ctx, d)
+        aprime = PadicSeries(a.ctx, [i * c for i, c in enumerate(a._c)][1:], D)
     else:
         t_of = lambda d: RationalSeries.t(d)
-    if isinstance(a, PadicSeries):
-        dcs = [(i + 1) * cs[i + 1] for i in range(D)] + [0]
-        aprime = PadicSeries(a.ctx, dcs, D)
-    else:
         aprime = a.derivative()
     r = t_of(D)
     d = 1
@@ -509,34 +531,6 @@ def _reverse(a, make):
     if err:
         r = r - err * aprime.compose(r).invert()
     return r.truncate(D)
-
-
-# ---------------------------------------------------------------------------
-# module-level operation names
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_invert(a):
-    return a.invert()
-
-
-def series_compose(outer, inner, outer_polynomial=False):
-    return outer.compose(inner, outer_polynomial=outer_polynomial)
-
-
-def series_reverse(a):
-    return a.reverse()
-
-
-def series_log(a):
-    return a.log()
-
-
-def series_exp(e):
-    return e.exp()
 
 
 def reduce_mod(a, ctx):

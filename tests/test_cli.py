@@ -58,6 +58,27 @@ def test_hw_square_json(capsys):
     assert obj["L_k"] == 3 and obj["level"] == 2
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "hypercubic", "--n", "2"],
+        ["--family", "hyperoctahedral", "--n", "2", "--lift", "excellent"],
+        ["--family", "square"],
+    ],
+)
+def test_hw_json_lists_every_residue_up_to_Dt(family, capsys):
+    # a series entry and hw_det list all Dt + 1 = 3p^2 + 1 residues,
+    # trailing zeros included; scalar entries of the square example are ints
+    code, out, _ = run(capsys, "hw", *family, "--prime", "5", "--level", "2", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    series = [e for row in obj["entries"] for e in row if isinstance(e, list)]
+    assert series and all(len(e) == 76 for e in series)
+    assert all(isinstance(e, int) for row in obj["entries"] for e in row if not isinstance(e, list))
+    assert len(obj["hw_det"]) == 76
+    assert any(e[-1] == 0 for e in series)
+
+
 def test_hw_level_must_stay_below_p(capsys):
     code, _, err = run(capsys, "hw", "--family", "square", "--prime", "3", "--level", "3")
     assert code == 2

@@ -8,6 +8,7 @@ import pytest
 from cartier import harness
 from cartier.errors import ConfigError
 from cartier.families import FamilySpec
+from cartier.series import PadicSeries
 
 
 def test_smoke_suite_all_pass():
@@ -54,6 +55,23 @@ def test_frobenius_control():
 def test_modular_control():
     r = harness.verify_modular_polynomial(3, Dt=25, control=True)
     assert r.status == harness.PASS and r.min_excess < 0
+
+
+def test_hw_congruences_control(monkeypatch):
+    # adding t to hw^(2) breaks hw^(2) = W^(1-p) mod p at degree 1
+    fam = FamilySpec.hypercubic(2)
+    assert harness.verify_hw_congruences(fam, 3).status == harness.PASS
+    real = harness.cy_hasse_witt
+
+    def perturbed(*args, **kwargs):
+        m = real(*args, **kwargs)
+        if m.level == 2:
+            m.hw = m.hw + PadicSeries.t(m.hw.ctx, m.hw.D)
+        return m
+
+    monkeypatch.setattr(harness, "cy_hasse_witt", perturbed)
+    r = harness.verify_hw_congruences(fam, 3)
+    assert r.status == harness.FAIL and r.min_excess < 0
 
 
 def test_conjecture_flagging():

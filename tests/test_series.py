@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartier.errors import (
+    ConfigError,
     DivergenceError,
     DomainError,
     InvertError,
@@ -246,3 +247,114 @@ def test_padic_series_reduces_every_coefficient_once(a, b, k):
     ):
         assert _in_range(got)
         assert got.coeffs == want
+
+
+# Trimmed storage against a dense oracle: the residues of a PadicSeries stop
+# at its last nonzero one, while D, `coeffs`, indexing and every operation
+# behave as on the D + 1 residues padded with zeros.
+
+sparse_coeff = st.one_of(st.just(0), st.integers(-2 * _M, 2 * _M))
+
+
+@st.composite
+def padded_series(draw):
+    """(coefficient list with trailing-zero padding, D or None); D falls
+    below and above the list length, and the list may be all zeros."""
+    cs = draw(st.lists(sparse_coeff, max_size=7)) + [0] * draw(st.integers(0, 4))
+    D = draw(st.integers(0, 10))
+    if cs and draw(st.booleans()):
+        D = None
+    return cs, D
+
+
+def _dense(cs, D):
+    """What the residues are: reduced, cut or padded to D + 1 entries."""
+    if D is None:
+        D = len(cs) - 1
+    return [c % _M for c in cs[: D + 1]] + [0] * (D + 1 - len(cs))
+
+
+def _dense_mul(a, b):
+    D = min(len(a), len(b)) - 1
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) % _M for n in range(D + 1)]
+
+
+def _dense_invert(a):
+    inv0 = pow(a[0], -1, _M)
+    out = [inv0]
+    for n in range(1, len(a)):
+        out.append(-sum(a[k] * out[n - k] for k in range(1, n + 1)) * inv0 % _M)
+    return out
+
+
+def _dense_compose(outer, inner):
+    acc = [0] * len(inner)
+    for c in reversed(outer):
+        acc = _dense_mul(acc, inner)
+        acc[0] = (acc[0] + c) % _M
+    return acc
+
+
+def _assert_is(s, want):
+    assert len(s.coeffs) == s.D + 1 == len(want)
+    assert s.coeffs == want
+    assert [s[i] for i in range(s.D + 1)] == want
+    with pytest.raises(IndexError):
+        s[s.D + 1]
+    assert bool(s) == any(want) and s.is_zero() == (not any(want))
+
+
+@given(x=padded_series(), y=padded_series(), k=st.integers(-2 * _M, 2 * _M),
+       j=st.integers(0, 4), E=st.integers(0, 12))
+@settings(max_examples=150)
+def test_trimmed_padic_series_matches_dense_oracle(x, y, k, j, E):
+    a, b = _dense(*x), _dense(*y)
+    s, u = PadicSeries(_CTX, *x), PadicSeries(_CTX, *y)
+    _assert_is(s, a)
+    _assert_is(u, b)
+    D = min(len(a), len(b)) - 1
+    _assert_is(s + u, [(a[i] + b[i]) % _M for i in range(D + 1)])
+    _assert_is(s - u, [(a[i] - b[i]) % _M for i in range(D + 1)])
+    _assert_is(s * u, _dense_mul(a, b))
+    _assert_is(-s, [-c % _M for c in a])
+    _assert_is(s * k, [c * k % _M for c in a])
+    _assert_is(s.theta(), [i * c % _M for i, c in enumerate(a)])
+    _assert_is(s.shift(j), ([0] * j + a)[: len(a)])
+    _assert_is(s.truncate(E), a[: E + 1] + [0] * (E - len(a) + 1))
+    if any(a[:j]):
+        with pytest.raises(DomainError):
+            s.shift_div(j)
+    else:
+        _assert_is(s.shift_div(j), (a[j:] + [0] * j)[: len(a)])
+    if a[0] % 5:
+        _assert_is(s.invert(), _dense_invert(a))
+    else:
+        with pytest.raises(InvertError):
+            s.invert()
+    if b[0]:
+        with pytest.raises(DivergenceError):
+            s.compose(u)
+    _assert_is(s.compose(u.shift(1)), _dense_compose(a, ([0] + b)[: len(b)]))
+    _assert_is(s.compose(u, outer_polynomial=True), _dense_compose(a, b))
+    assert (s == u) == (a[: D + 1] == b[: D + 1])
+
+
+@given(x=padded_series(), pad=st.integers(0, 5))
+@settings(max_examples=60)
+def test_padding_does_not_change_a_padic_series(x, pad):
+    cs, D = x
+    D = len(cs) if D is None else D
+    s, t = PadicSeries(_CTX, cs, D), PadicSeries(_CTX, cs + [0] * pad, D)
+    assert s == t and s.coeffs == t.coeffs and s.D == t.D
+
+
+def test_zero_padic_series():
+    z = PadicSeries.zero(_CTX, 4)
+    assert not z and z.is_zero() and z.coeffs == [0] * 5
+    assert z == PadicSeries(_CTX, [0, 0, 0], 4) == 0
+    assert (z * PadicSeries.one(_CTX, 4)).is_zero()
+    assert z.compose(PadicSeries.t(_CTX, 6)).coeffs == [0] * 7
+    with pytest.raises(InvertError):
+        z.invert()
+    with pytest.raises(ConfigError):
+        PadicSeries(_CTX, [])
