@@ -99,8 +99,6 @@ def build_parser():
     sp.add_argument("--family")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--prime", type=int)
-    sp.add_argument("--precision", type=int, default=None,
-                    help="unused; precision is derived from the target modulus")
     sp.add_argument("--degree", type=int, default=None)
     sp.add_argument("--s", type=int, default=1)
     sp.add_argument("--m", type=int, default=None)
@@ -238,7 +236,7 @@ def cmd_periods(args):
     D = args.degree
     if D < 0:
         raise ConfigError("degree must be >= 0")
-    periods = PeriodData(family, D, cross_check=min(D, 12))
+    periods = PeriodData(family, D)
     if D >= 1:
         q = canonical_q(periods)
         tq = mirror_map(periods)

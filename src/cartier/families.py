@@ -383,15 +383,17 @@ def generic_periods(family, D):
 # (kind, n) -> degree to which the closed form has been checked against the
 # enumeration in this process; an entry is made only after a check passes.
 _CROSS_CHECKED = {}
+# degree of that check; enumeration cost grows fast with it
+_CROSS_CHECK_DEGREE = 12
 
 
-def _periods(family, D, cross_check=12):
+def _periods(family, D):
     if family.kind == "custom":
         return generic_periods(family, D)
     F, G = _closed_FG(family, D)
-    d = min(D, cross_check)
+    d = min(D, _CROSS_CHECK_DEGREE)
     key = (family.kind, family.n)
-    if cross_check and _CROSS_CHECKED.get(key, -1) < d:
+    if _CROSS_CHECKED.get(key, -1) < d:
         Fg, Gg = generic_periods(family, d)
         if F.truncate(d) != Fg or G.truncate(d) != Gg:
             raise DomainError(
@@ -438,10 +440,10 @@ class PeriodData:
 
     __slots__ = ("family", "D", "F", "G", "W", "_cache")
 
-    def __init__(self, family, D, cross_check=12):
+    def __init__(self, family, D):
         self.family = family
         self.D = D
-        self.F, self.G = _periods(family, D, cross_check)
+        self.F, self.G = _periods(family, D)
         if self.F[0] != 1:
             raise DomainError("F(0) != 1")
         if self.G[0] != 0:

@@ -1,16 +1,19 @@
 """Degree-truncated power series over exact rationals or Z/p^N.
 
-Two parallel implementations with one calling convention.  Period data is
+`_Series` holds the one copy of the truncated-series algorithms, and two
+thin ring classes supply what differs: `RationalSeries` over Q (Fraction
+coefficients) and `PadicSeries` over Z/p^N (int residues).  Period data is
 generated over Fraction coefficients and pushed into PadicSeries through
 reduce_mod at the last possible moment, so that any hidden p in a
 denominator raises ReductionError instead of corrupting residues.
 
-A RationalSeries stores all D + 1 coefficients.  A PadicSeries stores its
-degree bound D explicitly and its residues `_c` only up to the last nonzero
-one (the zero series stores []), so the Hasse-Witt polynomials, whose
-coefficients have t-degree about 3p under D = 3p^2, cost what they hold.
-Its `coeffs` is a fresh padded list of length D + 1, and s[i] reads 0 for
-len(_c) <= i <= D.
+A series stores its degree bound D explicitly and its coefficients `_c`
+only up to the last nonzero one (the zero series stores []), so the
+Hasse-Witt polynomials, whose coefficients have t-degree about 3p under
+D = 3p^2, cost what they hold.  Its `coeffs` is a fresh padded list of
+length D + 1, and s[i] reads 0 for len(_c) <= i <= D.  In both rings those
+padded zeros are the int 0, so Q-side code divides only Fractions: 0 / n
+would be a float.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ from .errors import (
     ReductionError,
     ReversionError,
 )
-from .padic import PadicContext, PadicInt, reduce_fraction
+from .padic import PadicInt, reduce_fraction
 
 
 def _ord_p(m, p):
@@ -35,22 +38,195 @@ def _ord_p(m, p):
     return v
 
 
-class RationalSeries:
+class _Series:
+    """Truncation of a power series at degree D over a coefficient ring.
+
+    A ring class supplies its constructor and
+      _new(coeffs, D)   a series of the same ring (and context)
+      _scalar(x)        the coefficient a scalar x stands for, None if x is
+                        not a scalar of the ring
+      _same(other)      raises unless other shares the ring's context
+      _unit_inverse(c)  the inverse of a unit constant term c; InvertError
+                        if c is not a unit
+      _reduce(c)        applied to each step of the `invert` recurrence
+    """
+
+    __slots__ = ("D", "_c")
+
+    @property
+    def coeffs(self):
+        """A fresh list of the D + 1 coefficients, trailing zeros included."""
+        return self._c + [0] * (self.D + 1 - len(self._c))
+
+    def __getitem__(self, i):
+        """Coefficient of t^i for 0 <= i <= D."""
+        if 0 <= i < len(self._c):
+            return self._c[i]
+        if 0 <= i <= self.D:
+            return 0
+        raise IndexError("degree %d outside 0..%d" % (i, self.D))
+
+    def truncate(self, D):
+        return self._new(self._c, D)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            self._same(other)
+            return other
+        c = self._scalar(other)
+        return None if c is None else self._new([c], self.D)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = [a + b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
+        return self._new(out, min(self.D, o.D))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = [a - b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
+        return self._new(out, min(self.D, o.D))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._new([-c for c in self._c], self.D)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            s = self._scalar(other)
+            if s is None:
+                return NotImplemented
+            return self._new([c * s for c in self._c], self.D)
+        self._same(other)
+        D = min(self.D, other.D)
+        a, b = self._c, other._c
+        la, lb = min(len(a), D + 1), min(len(b), D + 1)
+        out = [0] * min(la + lb - 1, D + 1)
+        for i in range(la):
+            ai = a[i]
+            if not ai:
+                continue
+            for j in range(min(lb, D + 1 - i)):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+        return self._new(out, D)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        D = min(self.D, o.D)
+        a, b = self._c[: D + 1], o._c[: D + 1]
+        if len(a) < len(b):
+            a, b = b, a
+        return a[: len(b)] == b and not any(a[len(b) :])
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def is_zero(self):
+        return not self._c
+
+    def invert(self):
+        a, D = self._c, self.D
+        inv0 = self._unit_inverse(self[0])
+        reduce = self._reduce
+        out = [inv0] + [0] * D
+        for n in range(1, D + 1):
+            s = 0
+            for k in range(1, min(n, len(a) - 1) + 1):
+                if a[k]:
+                    s += a[k] * out[n - k]
+            out[n] = reduce(-s * inv0)
+        return self._new(out, D)
+
+    def compose(self, inner, outer_polynomial=False):
+        """self(inner) to inner's degree bound, by Horner's rule."""
+        if not isinstance(inner, type(self)):
+            raise ConfigError("inner must be a %s" % type(self).__name__)
+        self._same(inner)
+        if inner[0] != 0 and not outer_polynomial:
+            raise DivergenceError("inner constant term nonzero for a truncated outer series")
+        c, D = self._c, inner.D
+        acc = self._new(c[-1:], D)
+        for k in range(len(c) - 2, -1, -1):
+            acc = acc * inner + c[k]
+        return acc
+
+    def reverse(self):
+        """Compositional inverse of self = t + O(t^2) by Newton iteration."""
+        if self.D == 0 or self[0] != 0 or self[1] != 1:
+            # unit linear coefficient other than 1 is not needed anywhere downstream
+            raise ReversionError("reversion requires a = t + O(t^2)")
+        D = self.D
+        aprime = self.derivative()
+        r = self._new([0, 1], D)
+        d = 1
+        while d < D:
+            d = min(2 * d + 1, D)
+            rt = r.truncate(d)
+            err = self.truncate(d).compose(rt) - self._new([0, 1], d)
+            if not err:
+                r = rt
+                continue
+            corr = err * aprime.truncate(d).compose(rt).invert()
+            r = rt - corr
+        # final safety pass
+        err = self.compose(r) - self._new([0, 1], D)
+        if err:
+            r = r - err * aprime.compose(r).invert()
+        return r.truncate(D)
+
+    def shift(self, k):
+        """Multiply by t^k."""
+        return self._new([0] * k + self._c, self.D)
+
+    def shift_div(self, k):
+        """Divide by t^k; the k lowest coefficients must vanish."""
+        if any(self._c[:k]):
+            raise DomainError("series not divisible by t^%d" % k)
+        return self._new(self._c[k:], self.D)
+
+    def theta(self):
+        """t d/dt."""
+        return self._new([i * c for i, c in enumerate(self._c)], self.D)
+
+    def derivative(self):
+        """d/dt; the coefficient at t^D is not known and reads 0."""
+        return self._new([i * c for i, c in enumerate(self._c)][1:], self.D)
+
+
+# Each ring class binds the shared operations in its own body rather than
+# only inheriting them: perfbench/spans.py wraps entry points through
+# `owner.__dict__[attr]`, one wrapper per ring, so each ring's spans stay apart.
+
+
+class RationalSeries(_Series):
     """Polynomial truncation of an element of Q[[t]] at degree D."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs, D=None):
-        cs = [Fraction(c) for c in coeffs]
-        if D is not None:
-            cs = cs[: D + 1] + [Fraction(0)] * (D + 1 - len(cs))
-        if not cs:
+        if D is None:
+            D = len(coeffs) - 1
+        elif len(coeffs) > D + 1:
+            coeffs = coeffs[: D + 1]
+        if D < 0:
             raise ConfigError("empty coefficient list")
-        self.coeffs = cs
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.D = D
+        self._c = cs
 
     @classmethod
     def zero(cls, D):
-        return cls([0], D)
+        return cls([], D)
 
     @classmethod
     def one(cls, D):
@@ -64,170 +240,54 @@ class RationalSeries:
     def constant(cls, c, D):
         return cls([c], D)
 
-    @property
-    def D(self):
-        return len(self.coeffs) - 1
+    def _new(self, coeffs, D):
+        return RationalSeries(coeffs, D)
 
-    def __getitem__(self, i):
-        return self.coeffs[i]
+    @staticmethod
+    def _scalar(x):
+        return x if isinstance(x, (int, Fraction)) else None
 
-    def truncate(self, D):
-        return RationalSeries(self.coeffs, D)
+    def _same(self, other):
+        pass
 
-    def _coerce(self, other):
-        if isinstance(other, RationalSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalSeries.constant(other, self.D)
-        return None
+    @staticmethod
+    def _unit_inverse(c):
+        if not c:
+            raise InvertError("constant term is zero")
+        return 1 / c
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = min(self.D, o.D)
-        return RationalSeries([self.coeffs[i] + o.coeffs[i] for i in range(D + 1)])
+    @staticmethod
+    def _reduce(c):
+        return c
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = min(self.D, o.D)
-        return RationalSeries([self.coeffs[i] - o.coeffs[i] for i in range(D + 1)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RationalSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalSeries([c * other for c in self.coeffs])
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        D = min(self.D, other.D)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (D + 1)
-        for i in range(min(len(a) - 1, D) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, D - i) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return RationalSeries(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = min(self.D, o.D)
-        return self.coeffs[: D + 1] == o.coeffs[: D + 1]
-
-    def __bool__(self):
-        return any(self.coeffs)
+    __add__ = __radd__ = _Series.__add__
+    __sub__ = _Series.__sub__
+    __mul__ = __rmul__ = _Series.__mul__
+    compose, invert, reverse = _Series.compose, _Series.invert, _Series.reverse
 
     def __repr__(self):
-        return "RationalSeries(%s, D=%d)" % (self.coeffs[: min(6, self.D + 1)], self.D)
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def invert(self):
-        a = self.coeffs
-        if a[0] == 0:
-            raise InvertError("constant term is zero")
-        D = self.D
-        inv0 = Fraction(1) / a[0]
-        out = [inv0] + [Fraction(0)] * D
-        for n in range(1, D + 1):
-            s = Fraction(0)
-            for k in range(1, min(n, len(a) - 1) + 1):
-                if a[k]:
-                    s += a[k] * out[n - k]
-            out[n] = -s * inv0
-        return RationalSeries(out)
-
-    def compose(self, inner, outer_polynomial=False):
-        if not isinstance(inner, RationalSeries):
-            raise ConfigError("inner must be a RationalSeries")
-        deg = len(self.coeffs) - 1
-        while deg > 0 and not self.coeffs[deg]:
-            deg -= 1
-        if inner.coeffs[0] != 0 and not outer_polynomial:
-            raise DivergenceError("inner constant term nonzero for a truncated outer series")
-        D = inner.D
-        acc = RationalSeries.constant(self.coeffs[deg], D)
-        for k in range(deg - 1, -1, -1):
-            acc = acc * inner + self.coeffs[k]
-        return acc
-
-    def reverse(self):
-        return _reverse(self)
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        return RationalSeries([Fraction(0)] * k + self.coeffs, self.D)
-
-    def shift_div(self, k):
-        """Divide by t^k; the k lowest coefficients must vanish."""
-        if any(self.coeffs[:k]):
-            raise DomainError("series not divisible by t^%d" % k)
-        return RationalSeries(self.coeffs[k:] + [Fraction(0)] * k, self.D)
-
-    def theta(self):
-        """t d/dt."""
-        return RationalSeries([i * c for i, c in enumerate(self.coeffs)])
-
-    def derivative(self):
-        D = self.D
-        cs = [self.coeffs[i + 1] * (i + 1) for i in range(D)]
-        return RationalSeries(cs + [Fraction(0)], D)
+        return "RationalSeries(%s, D=%d)" % (self.coeffs[:6], self.D)
 
     def log(self):
         """Rational-mode log: constant term must be 1."""
-        if self.coeffs[0] != 1:
+        if self[0] != 1:
             raise DomainError("log requires constant term 1 in rational mode")
         d = self.derivative() * self.invert()
-        out = [Fraction(0)] * (self.D + 1)
-        for n in range(1, self.D + 1):
-            out[n] = d.coeffs[n - 1] / n
-        return RationalSeries(out)
+        return RationalSeries([0] + [Fraction(c, n) for n, c in enumerate(d._c, 1)], self.D)
 
     def exp(self):
         """Rational-mode exp: constant term must be 0."""
-        e = self.coeffs
-        if e[0] != 0:
+        if self[0] != 0:
             raise DomainError("exp requires zero constant term")
-        D = self.D
-        out = [Fraction(1)] + [Fraction(0)] * D
+        e, D = self._c, self.D
+        out = [Fraction(1)] + [0] * D
         for n in range(1, D + 1):
             s = Fraction(0)
-            for k in range(1, n + 1):
+            for k in range(1, min(n, len(e) - 1) + 1):
                 if e[k]:
                     s += k * e[k] * out[n - k]
             out[n] = s / n
-        return RationalSeries(out)
-
-    def to_text(self):
-        return "\n".join(
-            "%d:%d/%d" % (i, c.numerator, c.denominator)
-            for i, c in enumerate(self.coeffs)
-        )
-
-    @classmethod
-    def from_text(cls, text):
-        pairs = {}
-        for line in text.strip().splitlines():
-            deg, val = line.split(":")
-            pairs[int(deg)] = Fraction(val)
-        D = max(pairs)
-        return cls([pairs.get(i, Fraction(0)) for i in range(D + 1)])
+        return RationalSeries(out, D)
 
 
 def _residue(c, ctx):
@@ -240,16 +300,15 @@ def _residue(c, ctx):
     return c % ctx.modulus
 
 
-class PadicSeries:
-    """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D,
-    stored up to the last nonzero one (see the module docstring)."""
+class PadicSeries(_Series):
+    """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D."""
 
-    __slots__ = ("ctx", "D", "_c")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx, coeffs, D=None):
         """Cuts coeffs at degree D (default len(coeffs) - 1) and reduces
-        each coefficient mod p^N once, so the arithmetic below passes its
-        int results in unreduced."""
+        each coefficient mod p^N once, so the arithmetic passes its int
+        results in unreduced."""
         if D is None:
             D = len(coeffs) - 1
         elif len(coeffs) > D + 1:
@@ -280,96 +339,29 @@ class PadicSeries:
     def constant(cls, ctx, c, D):
         return cls(ctx, [c], D)
 
-    @property
-    def coeffs(self):
-        """A fresh list of the D + 1 residues, trailing zeros included."""
-        return self._c + [0] * (self.D + 1 - len(self._c))
+    def _new(self, coeffs, D):
+        return PadicSeries(self.ctx, coeffs, D)
 
-    def coeff(self, i):
-        return PadicInt(self.ctx, self[i])
-
-    def __getitem__(self, i):
-        """Residue at t^i for 0 <= i <= D."""
-        if 0 <= i < len(self._c):
-            return self._c[i]
-        if 0 <= i <= self.D:
-            return 0
-        raise IndexError("degree %d outside 0..%d" % (i, self.D))
-
-    def truncate(self, D):
-        return PadicSeries(self.ctx, self._c, D)
-
-    def with_precision(self, N):
-        """Cut (never extend) precision."""
-        if N > self.ctx.N:
-            raise ConfigError("cannot raise precision from %d to %d" % (self.ctx.N, N))
-        ctx = self.ctx.with_precision(N)
-        return PadicSeries(ctx, self._c, self.D)
-
-    def _coerce(self, other):
-        if isinstance(other, PadicSeries):
-            self.ctx.same(other.ctx)
-            return other
-        if isinstance(other, (int, Fraction, PadicInt)):
-            return PadicSeries.constant(self.ctx, other, self.D)
+    def _scalar(self, x):
+        if isinstance(x, (int, Fraction, PadicInt)):
+            return PadicInt(self.ctx, x).residue
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [a + b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
-        return PadicSeries(self.ctx, out, min(self.D, o.D))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [a - b for a, b in zip_longest(self._c, o._c, fillvalue=0)]
-        return PadicSeries(self.ctx, out, min(self.D, o.D))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return PadicSeries(self.ctx, [-c for c in self._c], self.D)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicInt)):
-            s = PadicInt(self.ctx, other).residue
-            return PadicSeries(self.ctx, [c * s for c in self._c], self.D)
-        if not isinstance(other, PadicSeries):
-            return NotImplemented
+    def _same(self, other):
         self.ctx.same(other.ctx)
-        D = min(self.D, other.D)
-        a, b = self._c, other._c
-        la, lb = min(len(a), D + 1), min(len(b), D + 1)
-        out = [0] * min(la + lb - 1, D + 1)
-        for i in range(la):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(lb, D + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return PadicSeries(self.ctx, out, D)
 
-    __rmul__ = __mul__
+    def _unit_inverse(self, c):
+        if c % self.ctx.p == 0:
+            raise InvertError("constant term is not a p-adic unit")
+        return pow(c, -1, self.ctx.modulus)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        D = min(self.D, o.D)
-        a, b = self._c[: D + 1], o._c[: D + 1]
-        if len(a) < len(b):
-            a, b = b, a
-        return a[: len(b)] == b and not any(a[len(b) :])
+    def _reduce(self, c):
+        return c % self.ctx.modulus
 
-    def __bool__(self):
-        return bool(self._c)
+    __add__ = __radd__ = _Series.__add__
+    __sub__ = _Series.__sub__
+    __mul__ = __rmul__ = _Series.__mul__
+    compose, invert, reverse = _Series.compose, _Series.invert, _Series.reverse
 
     def __repr__(self):
         return "PadicSeries(p=%d, N=%d, %s, D=%d)" % (
@@ -379,8 +371,15 @@ class PadicSeries:
             self.D,
         )
 
-    def is_zero(self):
-        return not self._c
+    def coeff(self, i):
+        return PadicInt(self.ctx, self[i])
+
+    def with_precision(self, N):
+        """Cut (never extend) precision."""
+        if N > self.ctx.N:
+            raise ConfigError("cannot raise precision from %d to %d" % (self.ctx.N, N))
+        ctx = self.ctx.with_precision(N)
+        return PadicSeries(ctx, self._c, self.D)
 
     def min_excess_ord(self, target):
         """min over coefficients of (ord_p - target); >= 0 means divisible by p^target."""
@@ -391,50 +390,6 @@ class PadicSeries:
                 continue
             best = min(best, _ord_p(c, p) - target)
         return best
-
-    def invert(self):
-        a = self._c
-        p, m = self.ctx.p, self.ctx.modulus
-        if not a or a[0] % p == 0:
-            raise InvertError("constant term is not a p-adic unit")
-        D = self.D
-        inv0 = pow(a[0], -1, m)
-        out = [inv0] + [0] * D
-        for n in range(1, D + 1):
-            s = 0
-            for k in range(1, min(n, len(a) - 1) + 1):
-                if a[k]:
-                    s += a[k] * out[n - k]
-            out[n] = -s * inv0 % m
-        return PadicSeries(self.ctx, out, D)
-
-    def compose(self, inner, outer_polynomial=False):
-        if not isinstance(inner, PadicSeries):
-            raise ConfigError("inner must be a PadicSeries")
-        self.ctx.same(inner.ctx)
-        if inner[0] != 0 and not outer_polynomial:
-            raise DivergenceError("inner constant term nonzero for a truncated outer series")
-        c, D = self._c, inner.D
-        acc = PadicSeries(self.ctx, c[-1:], D)
-        for k in range(len(c) - 2, -1, -1):
-            acc = acc * inner + c[k]
-        return acc
-
-    def reverse(self):
-        return _reverse(self)
-
-    def shift(self, k):
-        """Multiply by t^k."""
-        return PadicSeries(self.ctx, [0] * k + self._c, self.D)
-
-    def shift_div(self, k):
-        """Divide by t^k; the k lowest coefficients must vanish."""
-        if any(self._c[:k]):
-            raise DomainError("series not divisible by t^%d" % k)
-        return PadicSeries(self.ctx, self._c[k:], self.D)
-
-    def theta(self):
-        return PadicSeries(self.ctx, [i * c for i, c in enumerate(self._c)], self.D)
 
     def divide_exact_p(self, k):
         """Divide every coefficient by p^k; precision drops to N - k."""
@@ -497,60 +452,25 @@ class PadicSeries:
                     acc[i] = (acc[i] + sgn * (em[i] // pk) * unit_inv) % big
         return PadicSeries(self.ctx, acc)
 
-    def to_text(self):
-        tag = " (mod %d^%d)" % (self.ctx.p, self.ctx.N)
-        return "\n".join("%d:%d%s" % (i, c, tag) for i, c in enumerate(self.coeffs))
-
-
-def _reverse(a):
-    """Compositional inverse of a = t + O(t^2) by Newton iteration."""
-    if a.D == 0 or a[0] != 0 or a[1] != 1:
-        # unit linear coefficient other than 1 is not needed anywhere downstream
-        raise ReversionError("reversion requires a = t + O(t^2)")
-    D = a.D
-    if isinstance(a, PadicSeries):
-        t_of = lambda d: PadicSeries.t(a.ctx, d)
-        aprime = PadicSeries(a.ctx, [i * c for i, c in enumerate(a._c)][1:], D)
-    else:
-        t_of = lambda d: RationalSeries.t(d)
-        aprime = a.derivative()
-    r = t_of(D)
-    d = 1
-    while d < D:
-        d = min(2 * d + 1, D)
-        rt = r.truncate(d)
-        at = a.truncate(d)
-        err = at.compose(rt) - t_of(d)
-        if not err:
-            r = rt
-            continue
-        corr = err * aprime.truncate(d).compose(rt).invert()
-        r = rt - corr
-    # final safety pass
-    err = a.compose(r) - t_of(D)
-    if err:
-        r = r - err * aprime.compose(r).invert()
-    return r.truncate(D)
-
 
 def reduce_mod(a, ctx):
     """RationalSeries -> PadicSeries, coefficient-wise."""
     if not isinstance(a, RationalSeries):
         raise ConfigError("reduce_mod expects a RationalSeries")
     out = []
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(a._c):
         if c.denominator % ctx.p == 0:
             raise ReductionError(
                 "p=%d divides denominator at degree %d" % (ctx.p, i), degree=i
             )
         out.append(c.numerator * pow(c.denominator, -1, ctx.modulus) % ctx.modulus)
-    return PadicSeries(ctx, out)
+    return PadicSeries(ctx, out, a.D)
 
 
 def is_p_integral(a, p, upto=None):
     """True if no denominator of the rational series is divisible by p."""
-    lim = len(a.coeffs) if upto is None else min(upto + 1, len(a.coeffs))
-    return all(a.coeffs[i].denominator % p for i in range(lim))
+    cs = a._c if upto is None else a._c[: upto + 1]
+    return all(c.denominator % p for c in cs)
 
 
 def divided_power_reverse(r_seq):
@@ -572,7 +492,7 @@ def divided_power_reverse(r_seq):
     Q = P.reverse()
     out = []
     for m in range(1, M + 1):
-        s = Q.coeffs[m] * fact[m]
+        s = Q[m] * fact[m]
         out.append(int(s) if s.denominator == 1 else s)
     return out
 
@@ -584,7 +504,7 @@ def dieudonne_dwork_check(g, tsigma, ctx, D):
     rhs: exp(g(t)) is p-integral to degree D.
     tsigma may be a RationalSeries (e.g. t^p) or an exact polynomial lift.
     """
-    if g.coeffs[0] != 0:
+    if g[0] != 0:
         raise DomainError("g must have zero constant term")
     p = ctx.p
     g = g.truncate(D)

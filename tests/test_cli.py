@@ -217,3 +217,14 @@ def test_junit_only_for_verify(command, capsys):
     assert code == cli.EXIT_USAGE
     assert out == "" and "junit" in err
     assert "junit" not in _format_help(command)
+
+
+@pytest.mark.parametrize("command,has_precision", [("verify", False), ("hw", True), ("lift", True)])
+def test_precision_flag_only_where_it_is_used(command, has_precision, capsys):
+    # verify derives each check's precision from its target modulus
+    code, out, _ = run(capsys, command, "--help")
+    assert code == cli.EXIT_OK
+    assert ("--precision" in out) == has_precision
+    if not has_precision:
+        code, _, err = run(capsys, command, "dwork", "--precision", "6")
+        assert code == cli.EXIT_USAGE and "--precision" in err

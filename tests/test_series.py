@@ -1,5 +1,6 @@
 """Truncated power series: oracles and algebraic properties."""
 
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -249,76 +250,100 @@ def test_padic_series_reduces_every_coefficient_once(a, b, k):
         assert got.coeffs == want
 
 
-# Trimmed storage against a dense oracle: the residues of a PadicSeries stop
+# Trimmed storage against a dense oracle: the coefficients of a series stop
 # at its last nonzero one, while D, `coeffs`, indexing and every operation
-# behave as on the D + 1 residues padded with zeros.
+# behave as on the D + 1 coefficients padded with zeros, in both rings.
 
 sparse_coeff = st.one_of(st.just(0), st.integers(-2 * _M, 2 * _M))
 
+# A coefficient ring as the dense oracle sees it: how a series is built,
+# how a coefficient is reduced, the inverse of a unit (None for a non-unit),
+# and the coefficients drawn for it.
+Ring = namedtuple("Ring", "make reduce inverse coeff")
+_RINGS = (
+    Ring(lambda cs, D: PadicSeries(_CTX, cs, D), lambda c: c % _M,
+         lambda c: pow(c, -1, _M) if c % 5 else None, sparse_coeff),
+    Ring(RationalSeries, Fraction, lambda c: 1 / c if c else None,
+         st.one_of(st.just(0), st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))),
+)
+
 
 @st.composite
-def padded_series(draw):
+def padded_series(draw, coeff=sparse_coeff):
     """(coefficient list with trailing-zero padding, D or None); D falls
     below and above the list length, and the list may be all zeros."""
-    cs = draw(st.lists(sparse_coeff, max_size=7)) + [0] * draw(st.integers(0, 4))
+    cs = draw(st.lists(coeff, max_size=7)) + [0] * draw(st.integers(0, 4))
     D = draw(st.integers(0, 10))
     if cs and draw(st.booleans()):
         D = None
     return cs, D
 
 
-def _dense(cs, D):
-    """What the residues are: reduced, cut or padded to D + 1 entries."""
+def _dense(cs, D, reduce):
+    """What the coefficients are: reduced, cut or padded to D + 1 entries."""
     if D is None:
         D = len(cs) - 1
-    return [c % _M for c in cs[: D + 1]] + [0] * (D + 1 - len(cs))
+    return [reduce(c) for c in cs[: D + 1]] + [0] * (D + 1 - len(cs))
 
 
-def _dense_mul(a, b):
+def _dense_mul(a, b, reduce):
     D = min(len(a), len(b)) - 1
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) % _M for n in range(D + 1)]
+    return [reduce(sum(a[i] * b[n - i] for i in range(n + 1))) for n in range(D + 1)]
 
 
-def _dense_invert(a):
-    inv0 = pow(a[0], -1, _M)
+def _dense_invert(a, ring):
+    inv0 = ring.inverse(a[0])
     out = [inv0]
     for n in range(1, len(a)):
-        out.append(-sum(a[k] * out[n - k] for k in range(1, n + 1)) * inv0 % _M)
+        out.append(ring.reduce(-sum(a[k] * out[n - k] for k in range(1, n + 1)) * inv0))
     return out
 
 
-def _dense_compose(outer, inner):
+def _dense_compose(outer, inner, reduce):
     acc = [0] * len(inner)
     for c in reversed(outer):
-        acc = _dense_mul(acc, inner)
-        acc[0] = (acc[0] + c) % _M
+        acc = _dense_mul(acc, inner, reduce)
+        acc[0] = reduce(acc[0] + c)
     return acc
+
+
+def _dense_reverse(a, reduce):
+    """r with a(r) = t, degree by degree: [t^n] a(r) is r_n plus terms in
+    r_1..r_{n-1}, for a = t + O(t^2)."""
+    r = [0, 1] + [0] * (len(a) - 2)
+    for n in range(2, len(a)):
+        r[n] = reduce(-_dense_compose(a, r, reduce)[n])
+    return r
 
 
 def _assert_is(s, want):
     assert len(s.coeffs) == s.D + 1 == len(want)
     assert s.coeffs == want
+    assert all(type(c) in (int, Fraction) for c in s.coeffs)
     assert [s[i] for i in range(s.D + 1)] == want
     with pytest.raises(IndexError):
         s[s.D + 1]
     assert bool(s) == any(want) and s.is_zero() == (not any(want))
 
 
-@given(x=padded_series(), y=padded_series(), k=st.integers(-2 * _M, 2 * _M),
+@given(ring=st.sampled_from(_RINGS), data=st.data(), k=st.integers(-2 * _M, 2 * _M),
        j=st.integers(0, 4), E=st.integers(0, 12))
-@settings(max_examples=150)
-def test_trimmed_padic_series_matches_dense_oracle(x, y, k, j, E):
-    a, b = _dense(*x), _dense(*y)
-    s, u = PadicSeries(_CTX, *x), PadicSeries(_CTX, *y)
+@settings(max_examples=300)
+def test_trimmed_padic_series_matches_dense_oracle(ring, data, k, j, E):
+    x, y = data.draw(padded_series(ring.coeff)), data.draw(padded_series(ring.coeff))
+    red = ring.reduce
+    a, b = _dense(*x, red), _dense(*y, red)
+    s, u = ring.make(*x), ring.make(*y)
     _assert_is(s, a)
     _assert_is(u, b)
     D = min(len(a), len(b)) - 1
-    _assert_is(s + u, [(a[i] + b[i]) % _M for i in range(D + 1)])
-    _assert_is(s - u, [(a[i] - b[i]) % _M for i in range(D + 1)])
-    _assert_is(s * u, _dense_mul(a, b))
-    _assert_is(-s, [-c % _M for c in a])
-    _assert_is(s * k, [c * k % _M for c in a])
-    _assert_is(s.theta(), [i * c % _M for i, c in enumerate(a)])
+    _assert_is(s + u, [red(a[i] + b[i]) for i in range(D + 1)])
+    _assert_is(s - u, [red(a[i] - b[i]) for i in range(D + 1)])
+    _assert_is(s * u, _dense_mul(a, b, red))
+    _assert_is(-s, [red(-c) for c in a])
+    _assert_is(s * k, [red(c * k) for c in a])
+    _assert_is(s.theta(), [red(i * c) for i, c in enumerate(a)])
+    _assert_is(s.derivative(), [red(i * c) for i, c in enumerate(a)][1:] + [0])
     _assert_is(s.shift(j), ([0] * j + a)[: len(a)])
     _assert_is(s.truncate(E), a[: E + 1] + [0] * (E - len(a) + 1))
     if any(a[:j]):
@@ -326,17 +351,25 @@ def test_trimmed_padic_series_matches_dense_oracle(x, y, k, j, E):
             s.shift_div(j)
     else:
         _assert_is(s.shift_div(j), (a[j:] + [0] * j)[: len(a)])
-    if a[0] % 5:
-        _assert_is(s.invert(), _dense_invert(a))
+    if ring.inverse(a[0]) is not None:
+        _assert_is(s.invert(), _dense_invert(a, ring))
     else:
         with pytest.raises(InvertError):
             s.invert()
     if b[0]:
         with pytest.raises(DivergenceError):
             s.compose(u)
-    _assert_is(s.compose(u.shift(1)), _dense_compose(a, ([0] + b)[: len(b)]))
-    _assert_is(s.compose(u, outer_polynomial=True), _dense_compose(a, b))
+    _assert_is(s.compose(u.shift(1)), _dense_compose(a, ([0] + b)[: len(b)], red))
+    _assert_is(s.compose(u, outer_polynomial=True), _dense_compose(a, b, red))
     assert (s == u) == (a[: D + 1] == b[: D + 1])
+    # reversion of t + O(t^2), which needs D >= 1
+    cs, Dx = x
+    ta = _dense([0, 1] + cs, Dx, red)
+    if len(ta) == 1:
+        with pytest.raises(ReversionError):
+            ring.make([0, 1] + cs, Dx).reverse()
+    else:
+        _assert_is(ring.make([0, 1] + cs, Dx).reverse(), _dense_reverse(ta, red))
 
 
 @given(x=padded_series(), pad=st.integers(0, 5))
