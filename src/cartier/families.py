@@ -2,11 +2,17 @@
 and G, the Wronskian, differential-equation coefficients and the canonical
 coordinate.
 
-A family is given by a Laurent polynomial g whose non-constant support
-consists of the vertices of a reflexive polytope, all with the same
-coefficient gamma.  Period series are computed by closed forms for the
-named families and by enumeration of the relation lattice of the vertices
-in general; the two paths are cross-checked.
+A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
+whose non-constant support consists of the vertices v_i of a reflexive
+polytope.  Period series are computed by closed forms for the named
+families and by enumeration of the relation lattice of the vertices in
+general; the two paths are cross-checked.
+
+The same enumeration gives the coefficients [x^{c v_1}] g^k along the first
+vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
+= 0 with its v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k
+at x^{c v_1}.  c = 0 is F.  The enumeration keeps integer weights (sums of
+multinomials), so these coefficients are exact ints.
 """
 
 from fractions import Fraction
@@ -252,10 +258,12 @@ def relation_mu(family):
 
 
 def _relation_weights(family, bound, deg_bound):
-    """Aggregate the relation enumeration: {(ell_1, s): sum of 1/prod(ell_i!)}
-    over relations with ell_2..ell_N >= 0, s = sum_{i>=2} ell_i <= bound and
-    ell_1 + s <= deg_bound.  Dynamic programming over partial exponent sums
-    merges tails that reach the same state."""
+    """Aggregate the relation enumeration ell_1 v_1 + sum_{i>=2} ell_i v_i = 0:
+    {(ell_1, s): s! * sum of 1/prod_{i>=2}(ell_i!)} over relations with
+    ell_2..ell_N >= 0, s = sum_{i>=2} ell_i <= bound and ell_1 + s <=
+    deg_bound.  Each value is a sum of multinomials s!/prod(ell_i!), so an
+    int.  Dynamic programming over partial exponent sums merges tails that
+    reach the same state."""
     verts = family.vertices
     v1 = verts[0]
     n = family.n
@@ -301,23 +309,20 @@ def _relation_weights(family, bound, deg_bound):
                 return False
         return lo is None or lo + s <= deg_bound
 
-    states = {((0,) * n, 0): Fraction(1)}
+    # adding c copies of a vertex to a state of exponent sum s multiplies
+    # its value by (s + c)!/(s! c!)
+    states = {((0,) * n, 0): 1}
     for idx in range(m):
         v = others[idx]
         new = {}
         for (w, s), val in states.items():
-            invc = Fraction(1)
             for c in range(bound - s + 1):
-                if c:
-                    invc /= c
                 w2 = tuple(a + c * b for a, b in zip(w, v))
                 s2 = s + c
                 if not feasible(idx + 1, s2, w2):
                     continue
                 key = (w2, s2)
-                prev = new.get(key)
-                add = val * invc
-                new[key] = add if prev is None else prev + add
+                new[key] = new.get(key, 0) + val * comb(s2, c)
         states = new
     out = {}
     for (w, s), val in states.items():
@@ -334,49 +339,84 @@ def _relation_weights(family, bound, deg_bound):
                 if e1 + s2 > deg_bound:
                     return
                 key = (e1, s2)
-                prev = out.get(key)
-                out[key] = val2 if prev is None else prev + val2
+                out[key] = out.get(key, 0) + val2
                 return
-            invc = Fraction(1)
             for c in range(rem + 1):
-                if c:
-                    invc /= c
-                par(idx + 1, rem - c, acc + c * ratios[idx], val2 * invc, s2 + c)
+                par(idx + 1, rem - c, acc + c * ratios[idx], val2 * comb(s2 + c, c), s2 + c)
 
         par(0, bound - s, Fraction(0), val, s)
     return out
 
 
-def generic_periods(family, D):
-    """F and G to degree D by direct enumeration of the relation lattice."""
+def _weights_to_degree(family, D):
+    """The relation weights that reach every t-degree <= D of [x^{c v_1}] g^k
+    for all c >= 0: a relation with ell_1 v_1 shifted by c counts in degree
+    >= ell_1 + c + s >= s (1 - mu) + c, so s <= D/(1 - mu) suffices."""
     mu = relation_mu(family)
-    lam = 1 / (1 - mu)
-    bound = int(lam * D) + 1
-    weights = _relation_weights(family, bound, deg_bound=D)
+    bound = int(D / (1 - mu)) + 1
+    return _relation_weights(family, bound, deg_bound=D)
+
+
+def _constant_powers(alpha, room):
+    """The numbers m of factors alpha of g^d in a term with room degrees
+    to spare: 0..room, or only 0 when alpha = 0."""
+    return range(room + 1 if alpha else min(room, 0) + 1)
+
+
+def _shifted_terms(family, weights, c, D):
+    """The terms of [x^{c v_1}] g^d for d <= D, as (d, ell_1, term) with
+    term = d!/(m! L! s!) alpha^m gamma^(L+s) val, L = ell_1 + c >= 0: the
+    x^{v_1} exponent is L and the constant term of g is taken m times."""
+    alpha, gamma = family.alpha, family.gamma
+    for (ell1, s), val in weights.items():
+        L = ell1 + c
+        if L < 0:
+            continue
+        total = L + s
+        for m in _constant_powers(alpha, D - total):
+            d = total + m
+            term = factorial(d) // (factorial(m) * factorial(L) * factorial(s))
+            yield d, ell1, term * alpha ** m * gamma ** total * val
+
+
+def vertex_coefficients(family, D, cs):
+    """For each c in cs, the exact coefficients [x^{c v_1}] g^k, k = 0..D, of
+    1/(1 - t g) along the first vertex v_1, as a list of D + 1 ints.  All of
+    them come from one enumeration of the relation lattice."""
+    if any(c < 0 for c in cs):
+        raise ConfigError("vertex multiples must be >= 0")
+    weights = _weights_to_degree(family, D)
+    out = []
+    for c in cs:
+        coeffs = [0] * (D + 1)
+        for d, _, term in _shifted_terms(family, weights, c, D):
+            coeffs[d] += term
+        out.append(coeffs)
+    return out
+
+
+def generic_periods(family, D):
+    """F and G to degree D by direct enumeration of the relation lattice: F
+    is [x^0] of 1/(1 - t g), and G adds the relations with ell_1 < 0."""
+    weights = _weights_to_degree(family, D)
     H = _harmonics(D)
-    F = [Fraction(0)] * (D + 1)
+    F = [0] * (D + 1)
     G = [Fraction(0)] * (D + 1)
+    for d, ell1, term in _shifted_terms(family, weights, 0, D):
+        F[d] += term
+        G[d] += term * (H[d] - H[ell1])
     alpha, gamma = family.alpha, family.gamma
     for (ell1, s), val in weights.items():
         total = ell1 + s
-        if total < 0 or total > D:
+        if ell1 >= 0 or total < 0:
             continue
-        m = 0
-        while total + m <= D:
-            am = alpha ** m if (alpha or m == 0) else 0
-            if am:
-                d = total + m
-                base = Fraction(factorial(d), factorial(m)) * am * gamma ** total * val
-                if ell1 >= 0:
-                    w = base / factorial(ell1)
-                    F[d] += w
-                    G[d] += w * (H[d] - H[ell1])
-                else:
-                    sign = -1 if ell1 % 2 == 0 else 1  # (-1)^(ell1+1)
-                    G[d] += sign * base * factorial(-1 - ell1)
-            m += 1
-            if alpha == 0:
-                break
+        sign = -1 if ell1 % 2 == 0 else 1  # (-1)^(ell1+1)
+        for m in _constant_powers(alpha, D - total):
+            d = total + m
+            G[d] += Fraction(
+                sign * factorial(d) * factorial(-1 - ell1) * alpha ** m * gamma ** total * val,
+                factorial(m) * factorial(s),
+            )
     return RationalSeries(F), RationalSeries(G)
 
 

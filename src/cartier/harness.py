@@ -14,11 +14,11 @@ from math import comb, factorial
 from xml.etree import ElementTree
 
 from .errors import ConfigError, DomainError, TheoremViolation
-from .expansion import expand_cy
 from .families import (
     FamilySpec,
     PeriodData,
     pq_polynomial,
+    vertex_coefficients,
 )
 from .frobenius import (
     excellent_lift,
@@ -392,16 +392,6 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
 # supercongruences for expansion coefficients of 1 - t g
 
 
-def cy_expansion_coefficient(family, u, ctx, Dt):
-    """Coefficient of x^u in the t-power-series expansion of 1/(1 - t g)."""
-    bound = max(map(abs, u), default=0)
-    E = expand_cy(family.g, ctx, Dt, bound)
-    c = E.coeff(u, None)
-    if c is None:
-        return PadicSeries.zero(ctx, Dt)
-    return c
-
-
 def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent"):
     """a_{p^s Q}(t) = (F(t)/F(t^sigma)) a_{p^{s-1} Q}(t^sigma) mod p^{2s}
     along the vertex direction, with the excellent lift.  With lift t^p the
@@ -424,8 +414,10 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     F = reduce_mod(periods.F, ctx)
     lam = F * lift.on_series(F).invert()
     v = family.vertices[0]
-    hi = cy_expansion_coefficient(family, tuple(p ** s * Q * e for e in v), ctx, Dt)
-    lo = cy_expansion_coefficient(family, tuple(p ** (s - 1) * Q * e for e in v), ctx, Dt)
+    hi, lo = (
+        PadicSeries(ctx, coeffs, Dt)
+        for coeffs in vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
+    )
     diff = hi - lam * lift.on_series(lo)
     excess = diff.min_excess_ord(target)
     notes = ["vertex direction %r" % (v,)]

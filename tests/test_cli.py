@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, config merging."""
 
 import argparse
+import hashlib
 import json
 import re
 
@@ -133,6 +134,20 @@ def test_verify_smoke_json_deterministic(capsys):
     code2, out2, _ = run(capsys, "verify", "all", "--grid", "smoke")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "suite,grid,digest",
+    [
+        ("cy-super", "desk", "3a1999c85c1f3587fa4093d2b62e5bf2af0d16f2076f41869460c11ca02cefb6"),
+        ("all", "smoke", "1bffb613c8a2b142d6fa1f68fa2571f737a1d863f947c426355fdc53d73a20f4"),
+    ],
+)
+def test_verify_json_golden_bytes(suite, grid, digest, capsys):
+    # recorded before the cy-super coefficients moved off the box expansion
+    code, out, _ = run(capsys, "verify", suite, "--grid", grid, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_junit(capsys):

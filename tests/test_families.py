@@ -7,6 +7,7 @@ import pytest
 
 from cartier import families
 from cartier.errors import ConfigError, DomainError
+from cartier.expansion import expand_cy
 from cartier.families import (
     FamilySpec,
     PeriodData,
@@ -17,9 +18,11 @@ from cartier.families import (
     generic_periods,
     mirror_map,
     pq_polynomial,
+    vertex_coefficients,
 )
 from cartier.laurent import LaurentPoly, poly_pow
-from cartier.series import RationalSeries, is_p_integral
+from cartier.padic import PadicContext
+from cartier.series import PadicSeries, RationalSeries, is_p_integral
 
 
 def brute_force_F(family, D):
@@ -160,6 +163,49 @@ def test_closed_form_matches_enumeration(kind, n):
     F, G = _closed_FG(family, 12)
     Fg, Gg = generic_periods(family, 12)
     assert F.coeffs == Fg.coeffs and G.coeffs == Gg.coeffs
+
+
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 40), (3, 16)])
+def test_vertex_coefficients_hypercubic_closed_form(n, D):
+    # g = prod (x_i + 1/x_i), so [x^{c(1,..,1)}] g^k = binom(k, (k+c)/2)^n;
+    # every vertex gives the same by symmetry
+    family = FamilySpec.hypercubic(n)
+    cs = list(range(11))
+    for c, coeffs in zip(cs, vertex_coefficients(family, D, cs)):
+        assert coeffs == [
+            comb(k, (k + c) // 2) ** n if (k + c) % 2 == 0 else 0 for k in range(D + 1)
+        ]
+
+
+# alpha = 3 and gamma = -2 exercise the constant term and the vertex coefficient
+CUSTOM_G = LaurentPoly(2, {(0, 0): 3, (1, 0): -2, (0, 1): -2, (-1, -1): -2})
+
+
+@pytest.mark.parametrize(
+    "family",
+    [FamilySpec.by_name(kind, n) for kind, n in CATALOG] + [FamilySpec.custom(CUSTOM_G)],
+    ids=lambda f: "%s-n%d" % (f.kind, f.n),
+)
+def test_vertex_coefficients_match_box_expansion(family):
+    D = 10
+    cs = (0, 1, 2, 3)
+    # p^N exceeds every |[x^u] g^k| for k <= 10 here, so agreement mod p^N
+    # is exact agreement
+    ctx = PadicContext(10007, 4)
+    v = family.vertices[0]
+    E = expand_cy(family.g, ctx, D, max(cs) * max(map(abs, v)))
+    got = vertex_coefficients(family, D, cs)
+    for c, coeffs in zip(cs, got):
+        expected = E.coeff(tuple(c * e for e in v), PadicSeries.zero(ctx, D))
+        assert PadicSeries(ctx, coeffs, D) == expected
+    if family.kind != "custom":
+        F, _ = _closed_FG(family, D)
+        assert got[0] == [F[k] for k in range(D + 1)]
+
+
+def test_vertex_coefficients_reject_negative_multiples():
+    with pytest.raises(ConfigError):
+        vertex_coefficients(FamilySpec.hypercubic(2), 5, [1, -1])
 
 
 def test_cross_check_catches_a_wrong_closed_form(monkeypatch):

@@ -74,6 +74,23 @@ def test_hw_congruences_control(monkeypatch):
     assert r.status == harness.FAIL and r.min_excess < 0
 
 
+def test_cy_supercongruence_control(monkeypatch):
+    # adding p^(2s-1) t^(p^s) to a_{p^s v} breaks the congruence mod p^(2s)
+    fam = FamilySpec.hypercubic(2)
+    p, s = 3, 1
+    assert harness.verify_cy_supercongruence(fam, p, s).status == harness.PASS
+    real = harness.vertex_coefficients
+
+    def perturbed(family, D, cs):
+        hi, lo = real(family, D, cs)
+        hi[p ** s] += p ** (2 * s - 1)
+        return hi, lo
+
+    monkeypatch.setattr(harness, "vertex_coefficients", perturbed)
+    r = harness.verify_cy_supercongruence(fam, p, s)
+    assert r.status == harness.FAIL and r.min_excess < 0
+
+
 def test_conjecture_flagging():
     fam = FamilySpec.hypercubic(2)
     r = harness.verify_super_conjecture(fam, 5, 1, Dt=60)

@@ -4,9 +4,13 @@ rather than in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans():
@@ -32,3 +36,16 @@ def test_every_trace_entry_point_resolves():
         if not callable(fn):
             unresolved.append("%s.%s" % (module, path))
     assert unresolved == []
+
+
+def test_every_traced_module_is_loaded_with_the_cli():
+    # Tracer.install looks each module up in sys.modules right after
+    # `import cartier.cli`, so it must be loaded even if no command calls it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cartier.cli; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    traced = {"cartier." + module for _, module, _ in _spans().ENTRY_POINTS}
+    assert sorted(traced - set(loaded)) == []
