@@ -29,12 +29,11 @@ from .sigma import FrobLift
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_PRECISION = 3
 
 _INT_KEYS = {
     "n", "prime", "precision", "degree", "s", "m", "q_exponent", "level",
 }
-_BOOL_KEYS = {"strict_precision", "junit"}
+_BOOL_KEYS = {"strict_precision"}
 
 VERIFY_SUITES = (
     "all",
@@ -105,7 +104,6 @@ def build_parser():
     sp.add_argument("--q-exponent", type=int, default=1, dest="q_exponent")
     sp.add_argument("--lift", default=None, help="tp | excellent")
     sp.add_argument("--grid", choices=("desk", "smoke"), default="desk")
-    sp.add_argument("--junit", action="store_true")
     sp.add_argument("--strict-precision", action="store_true", dest="strict_precision")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
     common(sp, "output format: json, text or junit (default json)")
@@ -450,22 +448,13 @@ def cmd_verify(args):
     else:
         suites = None if args.suite == "all" else [args.suite]
         reports = harness.run_suite(args.grid, suites=suites)
-    if args.junit or args.format == "junit":
+    if args.format == "junit":
         _emit(args, harness.reports_to_junit(reports))
     elif args.format == "json" or args.format is None:
         _emit(args, harness.reports_to_json(reports))
     else:
         _emit(args, _reports_text(reports))
-    hard = [r for r in reports if not r.conjecture and r.status == harness.FAIL]
-    limited = [
-        r for r in reports
-        if not r.conjecture and r.status == harness.PRECISION_LIMITED
-    ]
-    if hard:
-        return EXIT_FAIL
-    if limited:
-        return EXIT_PRECISION if args.strict_precision else EXIT_FAIL
-    return EXIT_OK
+    return harness.suite_exit_code(reports, args.strict_precision)
 
 
 _COMMANDS = {

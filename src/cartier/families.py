@@ -6,7 +6,11 @@ A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
 whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  Period series are computed by closed forms for the named
 families and by enumeration of the relation lattice of the vertices in
-general; the two paths are cross-checked.
+general; the two paths are cross-checked to a fixed degree.  The closed
+forms keep F in integers and G over one common denominator: for `an` and
+`hyperoctahedral`, the powers of E = sum t^j/(j!)^2 they need are the
+binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
+e_j(k) = (k!)^2 [t^k] E^j.
 
 The same enumeration gives the coefficients [x^{c v_1}] g^k along the first
 vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
@@ -17,7 +21,7 @@ multinomials), so these coefficients are exact ints.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import ConfigError, DomainError
 from .exactla import solve
@@ -134,27 +138,6 @@ class FamilySpec:
         raise ConfigError("unknown family %r" % (name,))
 
 
-def constant_terms(family, D):
-    """g_0..g_D, g_k = constant term of g^k, by sparse power accumulation."""
-    g = family.g
-    n = g.n
-    gnorm = max(max(map(abs, u), default=0) for u in g.terms)
-    out = [1]
-    cur = {(0,) * n: 1}
-    for k in range(1, D + 1):
-        reach = (D - k) * gnorm
-        nxt = {}
-        for u, cu in cur.items():
-            for w, cw in g.terms.items():
-                uw = tuple(a + b for a, b in zip(u, w))
-                if max(map(abs, uw), default=0) > reach:
-                    continue
-                nxt[uw] = nxt.get(uw, 0) + cu * cw
-        cur = {u: c for u, c in nxt.items() if c}
-        out.append(cur.get((0,) * n, 0))
-    return out
-
-
 def _harmonics(D):
     H = [Fraction(0)]
     for j in range(1, D + 1):
@@ -162,16 +145,13 @@ def _harmonics(D):
     return H
 
 
-def _exp_sq_series(D):
-    """E = sum t^j/(j!)^2 and E_H = sum H_j t^j/(j!)^2 to degree D."""
-    H = _harmonics(D)
-    E = RationalSeries(
-        [Fraction(1, factorial(j) ** 2) for j in range(D + 1)]
-    )
-    EH = RationalSeries(
-        [H[j] * Fraction(1, factorial(j) ** 2) for j in range(D + 1)]
-    )
-    return E, EH
+def _square_binomial_powers(m, D):
+    """e_m(0..D) for e_0(k) = [k = 0] and e_{j+1}(k) = sum_i C(k,i)^2 e_j(i),
+    so that e_m(k) = (k!)^2 [t^k] E^m for E = sum_j t^j/(j!)^2."""
+    e = [1] + [0] * D
+    for _ in range(m):
+        e = [sum(comb(k, i) ** 2 * e[i] for i in range(k + 1)) for k in range(D + 1)]
+    return e
 
 
 def _closed_FG(family, D):
@@ -196,34 +176,28 @@ def _closed_FG(family, D):
             G[2 * k] = c * n * (H[2 * k] - H[k])
             k += 1
         return RationalSeries(F), RationalSeries(G)
+    # the harmonic weights over one denominator L, so that G sums ints
+    L = lcm(*range(1, D + 1))
+    HL = [int(h * L) for h in H]
     if kind == "hyperoctahedral":
-        E, EH = _exp_sq_series(D // 2)
-        En = _power(E, n)
-        mixed = EH * _power(E, n - 1)
-        k = 0
-        while 2 * k <= D:
-            fk = factorial(2 * k)
-            F[2 * k] = fk * En[k]
-            G[2 * k] = fk * (H[2 * k] * En[k] - mixed[k])
-            k += 1
+        # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
+        # E_H = sum_j H_j t^j/(j!)^2
+        e = _square_binomial_powers(n - 1, D // 2)
+        for k in range(D // 2 + 1):
+            c = comb(2 * k, k)
+            terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
+            F[2 * k] = c * sum(terms)
+            G[2 * k] = Fraction(c * sum(x * (HL[2 * k] - HL[i]) for i, x in enumerate(terms)), L)
         return RationalSeries(F), RationalSeries(G)
     if kind == "an":
-        E, EH = _exp_sq_series(D)
-        En1 = _power(E, n + 1)
-        mixed = EH * _power(E, n)
+        # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
+        e = _square_binomial_powers(n, D)
         for k in range(D + 1):
-            fk2 = factorial(k) ** 2
-            F[k] = fk2 * En1[k]
-            G[k] = 2 * fk2 * (H[k] * En1[k] - mixed[k])
+            terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
+            F[k] = sum(terms)
+            G[k] = Fraction(2 * sum(x * (HL[k] - HL[i]) for i, x in enumerate(terms)), L)
         return RationalSeries(F), RationalSeries(G)
     raise ConfigError("no closed form for kind %r" % (kind,))
-
-
-def _power(s, e):
-    out = RationalSeries.one(s.D)
-    for _ in range(e):
-        out = out * s
-    return out
 
 
 def relation_mu(family):
@@ -444,37 +418,6 @@ def _periods(family, D):
     return F, G
 
 
-class LogPairSeries:
-    """a(t) + b(t) log t with theta = t d/dt acting as (a,b) -> (theta a + b, theta b)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=None):
-        self.a = a
-        self.b = RationalSeries.zero(a.D) if b is None else b
-
-    def theta(self):
-        return LogPairSeries(self.a.theta() + self.b, self.b.theta())
-
-    def __add__(self, other):
-        return LogPairSeries(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return LogPairSeries(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other):
-        if isinstance(other, LogPairSeries):
-            if other.b.is_zero():
-                return LogPairSeries(self.a * other.a, self.b * other.a)
-            if self.b.is_zero():
-                return LogPairSeries(self.a * other.a, self.a * other.b)
-            raise DomainError("product of two genuine log-pairs is not defined")
-        return LogPairSeries(self.a * other, self.b * other)
-
-    def is_log_free(self):
-        return self.b.is_zero()
-
-
 class PeriodData:
     """F, G, the Wronskian W = F^2 + F thetaG - thetaF G, and derived data."""
 
@@ -489,8 +432,6 @@ class PeriodData:
         if self.G[0] != 0:
             raise DomainError("G(0) != 0")
         self.W = self.F * self.F + self.F * self.G.theta() - self.F.theta() * self.G
-        if self.W[0] != 1:
-            raise DomainError("W(0) != 1")
         self._cache = {}
 
     def truncated_F(self, Nt):
@@ -501,45 +442,32 @@ class PeriodData:
         return RationalSeries(coeffs)
 
 
-def ab_coefficients(periods, D=None):
-    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G."""
+def ab_coefficients(periods):
+    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G:
+    the solution by Cramer's rule of those two equations, whose determinant
+    is -W."""
     F, G, W = periods.F, periods.G, periods.W
-    if D is not None and D < F.D:
-        F, G, W = F.truncate(D), G.truncate(D), W.truncate(D)
     tF, t2F = F.theta(), F.theta().theta()
     tG, t2G = G.theta(), G.theta().theta()
     Winv = W.invert()
     A = ((F + tG) * t2F - tF * (t2G + 2 * tF)) * Winv
     B = (F * (t2G + 2 * tF) - G * t2F) * Winv
-    if A[0] != 0 or B[0] != 0:
-        raise DomainError("A(0) and B(0) must vanish")
-    # defining property, including log-term cancellation
-    if not (t2F - B * tF - A * F).is_zero():
-        raise DomainError("theta^2 F != B theta F + A F")
-    y2 = LogPairSeries(G, F)
-    resid = y2.theta().theta() - y2.theta() * B - y2 * A
-    if not (resid.a.is_zero() and resid.b.is_zero()):
-        raise DomainError("second solution fails the differential equation")
     return A, B
 
 
-def canonical_q(periods, D=None):
-    """q(t) = t exp(G(t)/F(t)).  At the full degree it is built once per
-    PeriodData and kept in its cache."""
-    F, G = periods.F, periods.G
-    if D is not None:
-        if D < F.D:
-            F, G = F.truncate(D), G.truncate(D)
-        return (G * F.invert()).exp().shift(1)
+def canonical_q(periods):
+    """q(t) = t exp(G(t)/F(t)), built once per PeriodData and kept in its
+    cache."""
     q = periods._cache.get("q")
     if q is None:
+        F, G = periods.F, periods.G
         q = periods._cache["q"] = (G * F.invert()).exp().shift(1)
     return q
 
 
-def mirror_map(periods, D=None):
+def mirror_map(periods):
     """t as a power series in q: the reversion of canonical_q."""
-    return canonical_q(periods, D).reverse()
+    return canonical_q(periods).reverse()
 
 
 def pq_polynomial(n, Q):

@@ -643,18 +643,22 @@ def verify_fixed_point_n1(p):
     """Fixed points of the excellent lift for the n=1 hypercubic family,
     through the closed form t(q) = q/(1 + q^2) and q^sigma = q^p.
 
-    t0 = 1/2 is q = 1; t0 = 1 and t0 = -1 are roots of unity handled as
-    exact arithmetic modulo the quadratic satisfied by q."""
+    t0 = 1/2 is q = 1, and t0 = 1 and t0 = -1 are roots of unity; each is
+    handled as exact arithmetic modulo the quadratic satisfied by q."""
     start = time.perf_counter()
     params = {"family": "hypercubic", "n": 1, "p": p}
     check_id = "fixed-point-n1/p%d" % p
     notes = []
     failures = 0
-    # t0 = 1/2: q = 1, q^p = 1, and t(1) = 1/2 exactly
-    if Fraction(1, 1 + 1) == Fraction(1, 2):
+    # t0 = 1/2: q = 1 is the double root of q^2 - 2q + 1 (so 1 + q^2 = 2q and
+    # t(q) = 1/2); fixed means 2 q^p = 1 + q^{2p} in Z[q]/(q^2 - 2q + 1)
+    a0, a1 = _quad_pow(0, 1, p, -2, 1)
+    s0, s1 = _quad_pow(0, 1, 2 * p, -2, 1)
+    if (2 * a0, 2 * a1) == (1 + s0, s1):
         notes.append("t0=1/2: q=1 maps to q^p=1, fixed")
     else:
         failures += 1
+        notes.append("t0=1/2: NOT fixed")
     # t0 = 1: q^2 - q + 1 = 0 (so 1 + q^2 = q and t(q) = 1); q^p satisfies
     # the same quadratic when p is coprime to 6
     # t0 = -1: q^2 + q + 1 = 0 (so 1 + q^2 = -q and t(q) = -1)
@@ -911,10 +915,16 @@ def run_suite(grid="desk", suites=None):
     return reports
 
 
-def suite_exit_code(reports):
-    """0 iff every non-conjecture check passes."""
-    bad = [r for r in reports if not r.conjecture and r.status != PASS]
-    return 1 if bad else 0
+def suite_exit_code(reports, strict_precision=False):
+    """The CLI exit code of a verify run, over its non-conjecture checks: 0
+    if all pass, 1 if one fails, and for precision-limited ones otherwise 3
+    under strict_precision and 1 without."""
+    statuses = {r.status for r in reports if not r.conjecture}
+    if FAIL in statuses:
+        return 1
+    if PRECISION_LIMITED in statuses:
+        return 3 if strict_precision else 1
+    return 0
 
 
 def reports_to_json(reports, include_runtime=False):

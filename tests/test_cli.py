@@ -151,8 +151,11 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
 
 
 def test_verify_junit(capsys):
-    code, out, _ = run(capsys, "verify", "pq", "--grid", "smoke", "--junit")
+    code, out, _ = run(capsys, "verify", "pq", "--grid", "smoke", "--format", "junit")
     assert code == 0 and out.startswith("<testsuite")
+    # --format junit is the one way to ask for it
+    code, out, _ = run(capsys, "verify", "pq", "--grid", "smoke", "--junit")
+    assert code == cli.EXIT_USAGE and out == ""
 
 
 def test_verify_precision_limited_exit_codes(capsys):

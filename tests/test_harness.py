@@ -159,6 +159,20 @@ def test_fixed_points():
         assert r.status == harness.PASS, (p, r.notes)
 
 
+def test_fixed_point_control_catches_a_wrong_power(monkeypatch):
+    quad_pow = harness._quad_pow
+
+    def perturbed(a0, a1, m, B, C):
+        # q^{p+1} in place of q^p, only modulo q^2 - 2q + 1 (t0 = 1/2)
+        return quad_pow(a0, a1, m + 1 if B == -2 and m % 2 else m, B, C)
+
+    monkeypatch.setattr(harness, "_quad_pow", perturbed)
+    for p in (3, 5, 7):
+        r = harness.verify_fixed_point_n1(p)
+        assert r.status == harness.FAIL, (p, r.notes)
+        assert "t0=1/2: NOT fixed" in r.notes
+
+
 def test_pq_identity_case():
     # n=1: P_{p^s}(t) = (F/F^sigma) P_{p^{s-1}}(t^sigma) holds exactly
     r = harness.verify_pq(3, 1, 1)
