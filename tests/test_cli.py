@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,22 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
     code, out, _ = run(capsys, "verify", suite, "--grid", grid, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", _REFERENCE["lift"] + _REFERENCE["hw"][:1], ids=lambda case: "-".join(case["argv"][:3:2])
+)
+def test_benchmark_commands_golden_bytes(case, capsys):
+    # the benchmark's own lift and hw commands, checked against its
+    # recorded stdout SHA-256, so the series kernels are guarded here too
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
 def test_verify_junit(capsys):

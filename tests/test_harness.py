@@ -91,6 +91,29 @@ def test_cy_supercongruence_control(monkeypatch):
     assert r.status == harness.FAIL and r.min_excess < 0
 
 
+def test_pq_control(monkeypatch):
+    # adding p^(2s-1) to the t^(-p^s) coefficient of P_{p^s}, the constant
+    # term of the cleared side t^(p^s) P_{p^s}, breaks the congruence mod
+    # p^(2s); s = 2 so that the right side composes P_p with t^sigma
+    p, s, n = 3, 2, 2
+    assert harness.verify_pq(p, s, n).status == harness.PASS
+
+    def perturbed(real):
+        def polynomial(n, q):
+            out = dict(real(n, q))
+            if q == p ** s:
+                out[-q] = out.get(-q, 0) + p ** (2 * s - 1)
+            return out
+
+        return polynomial
+
+    # the three routes to P_Q are cross-checked, so all three are perturbed
+    for name in ("pq_polynomial", "_pq_nonzero_product", "_pq_from_expansion"):
+        monkeypatch.setattr(harness, name, perturbed(getattr(harness, name)))
+    r = harness.verify_pq(p, s, n)
+    assert r.status == harness.FAIL and r.min_excess < 0
+
+
 def test_conjecture_flagging():
     fam = FamilySpec.hypercubic(2)
     r = harness.verify_super_conjecture(fam, 5, 1, Dt=60)

@@ -17,8 +17,10 @@ from cartier.errors import (
 )
 from cartier.padic import PadicContext, PadicInt
 from cartier.series import (
+    _PACK_MIN,
     PadicSeries,
     RationalSeries,
+    _packed_mul,
     dieudonne_dwork_check,
     divided_power_reverse,
     is_p_integral,
@@ -391,3 +393,66 @@ def test_zero_padic_series():
         z.invert()
     with pytest.raises(ConfigError):
         PadicSeries(_CTX, [])
+
+
+# Kronecker-packed products and Brent-Kung composition against the dense
+# oracle: residues up to the worst case p^N - 1, stored lengths on both
+# sides of _PACK_MIN, mismatched D and a stored length past the other
+# operand's D + 1, and zero operands.
+
+
+@st.composite
+def packed_operand(draw, m):
+    """(coefficients, D) of a series mod m that may be long enough to pack."""
+    n = draw(st.integers(0, 3 * _PACK_MIN))
+    cs = draw(st.lists(st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1)),
+                       min_size=n, max_size=n))
+    return cs, draw(st.integers(max(n - 1, 0), n + _PACK_MIN))
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), N=st.integers(1, 12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_mul_kernel_matches_dense_oracle(p, N, data):
+    # the kernel sees residue lists only, so p = 2 is covered here although
+    # PadicContext takes odd primes
+    m = p ** N
+    a, _ = data.draw(packed_operand(m))
+    b, _ = data.draw(packed_operand(m))
+    if a and b:
+        n = data.draw(st.integers(1, len(a) + len(b) - 1))
+        want = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) % m
+                for k in range(n)]
+        assert [c % m for c in _packed_mul(a, b, n, m)] == want
+
+
+@given(p=st.sampled_from([3, 5, 7, 11]), N=st.integers(1, 12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_mul_and_compose_match_dense_oracle(p, N, data):
+    ctx = PadicContext(p, N)
+    m = ctx.modulus
+    x, y = data.draw(packed_operand(m)), data.draw(packed_operand(m))
+    s, u = PadicSeries(ctx, *x), PadicSeries(ctx, *y)
+    a, b = s.coeffs, u.coeffs
+    red = lambda c: c % m
+    _assert_is(s * u, _dense_mul(a, b, red))
+    _assert_is(u * s, _dense_mul(a, b, red))
+    # a stored length longer than the other operand's D + 1
+    _assert_is(s * u.truncate(u.D // 2), _dense_mul(a, b[: u.D // 2 + 1], red))
+    _assert_is(s.compose(u.shift(1)), _dense_compose(a, ([0] + b)[: len(b)], red))
+    # inner(0) != 0 for a polynomial outer series
+    _assert_is(s.compose(u + 1, outer_polynomial=True),
+               _dense_compose(a, [red(b[0] + 1)] + b[1:], red))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_packed_compose_worst_case_block_sums(p):
+    # inner = 1 - t + ... has [t^1] inner^j = -j, so with every outer
+    # coefficient p^N - 1 a block's sum at t^1 is nearly k (p^N - 1)^2
+    for N in range(1, 13):
+        ctx = PadicContext(p, N)
+        m = ctx.modulus
+        for L in (3 * _PACK_MIN, 81):
+            outer = PadicSeries(ctx, [m - 1] * L)
+            inner = PadicSeries(ctx, [1, m - 1] + [0] * (_PACK_MIN - 3) + [m - 1], 20)
+            _assert_is(outer.compose(inner, outer_polynomial=True),
+                       _dense_compose(outer.coeffs, inner.coeffs, lambda c: c % m))
