@@ -5,8 +5,8 @@ coordinate.
 A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
 whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  Period series are computed by closed forms for the named
-families and by enumeration of the relation lattice of the vertices in
-general; the two paths are cross-checked to a fixed degree.  The closed
+families and by enumeration of the relation lattice of the vertices for
+custom ones; the tests compare the two paths on the catalog.  The closed
 forms keep F in integers and G over one common denominator: for `an` and
 `hyperoctahedral`, the powers of E = sum t^j/(j!)^2 they need are the
 binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
@@ -394,34 +394,18 @@ def generic_periods(family, D):
     return RationalSeries(F), RationalSeries(G)
 
 
-# (kind, n) -> degree to which the closed form has been checked against the
-# enumeration in this process; an entry is made only after a check passes.
-_CROSS_CHECKED = {}
-# degree of that check; enumeration cost grows fast with it
-_CROSS_CHECK_DEGREE = 12
-
-
 def _periods(family, D):
     if family.kind == "custom":
         return generic_periods(family, D)
-    F, G = _closed_FG(family, D)
-    d = min(D, _CROSS_CHECK_DEGREE)
-    key = (family.kind, family.n)
-    if _CROSS_CHECKED.get(key, -1) < d:
-        Fg, Gg = generic_periods(family, d)
-        if F.truncate(d) != Fg or G.truncate(d) != Gg:
-            raise DomainError(
-                "closed-form and enumerated periods disagree for %s n=%d"
-                % (family.kind, family.n)
-            )
-        _CROSS_CHECKED[key] = d
-    return F, G
+    return _closed_FG(family, D)
 
 
 class PeriodData:
-    """F, G, the Wronskian W = F^2 + F thetaG - thetaF G, and derived data."""
+    """F and G to degree D.  Series derived from them, the Wronskian W and
+    the canonical coordinate q, are built on first read and kept in
+    `_cache`."""
 
-    __slots__ = ("family", "D", "F", "G", "W", "_cache")
+    __slots__ = ("family", "D", "F", "G", "_cache")
 
     def __init__(self, family, D):
         self.family = family
@@ -431,8 +415,16 @@ class PeriodData:
             raise DomainError("F(0) != 1")
         if self.G[0] != 0:
             raise DomainError("G(0) != 0")
-        self.W = self.F * self.F + self.F * self.G.theta() - self.F.theta() * self.G
         self._cache = {}
+
+    @property
+    def W(self):
+        """The Wronskian W = F^2 + F thetaG - thetaF G."""
+        W = self._cache.get("W")
+        if W is None:
+            F, G = self.F, self.G
+            W = self._cache["W"] = F * F + F * G.theta() - F.theta() * G
+        return W
 
     def truncated_F(self, Nt):
         """The truncation F_Nt = g_0 + g_1 t + ... + g_{Nt-1} t^{Nt-1}."""

@@ -15,8 +15,6 @@ class FrobeniusData:
         "family",
         "periods",
         "lift",
-        "q",
-        "mirror",
         "lambda0",
         "lambda1",
         "Lambda",
@@ -30,8 +28,6 @@ class FrobeniusData:
         self.family = family
         self.periods = periods
         self.lift = lift
-        self.q = None
-        self.mirror = None
         self.lambda0 = None
         self.lambda1 = None
         self.Lambda = None
@@ -122,7 +118,6 @@ def frobenius_matrix(family, periods, lift, ctx):
     (mu0, mu1) = (theta lambda0, theta lambda1) + c (lambda0, lambda1) N_theta(t^sigma),
     c = theta(t^sigma)/t^sigma."""
     data = FrobeniusData(ctx, family, periods, lift)
-    data.q = reduce_mod(canonical_q(periods), ctx)
     A, B = ab_coefficients(periods)
     data.A, data.B = A, B
     lam0, lam1 = lambda_pair(family, periods, lift, ctx)

@@ -157,11 +157,14 @@ _REFERENCE = json.loads(
 
 
 @pytest.mark.parametrize(
-    "case", _REFERENCE["lift"] + _REFERENCE["hw"][:1], ids=lambda case: "-".join(case["argv"][:3:2])
+    "case",
+    _REFERENCE["lift"] + _REFERENCE["hw"][:1] + _REFERENCE["desk"],
+    ids=lambda case: "-".join(a for a in case["argv"][:4] if not a.startswith("-")),
 )
 def test_benchmark_commands_golden_bytes(case, capsys):
-    # the benchmark's own lift and hw commands, checked against its
-    # recorded stdout SHA-256, so the series kernels are guarded here too
+    # the benchmark's own lift, hw and desk commands, checked against its
+    # recorded stdout SHA-256, so the series kernels and the period layer
+    # are guarded here too
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]

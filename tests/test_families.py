@@ -5,14 +5,13 @@ from math import comb, factorial
 
 import pytest
 
-from cartier import families
+from cartier import harness
 from cartier.errors import ConfigError, DomainError
 from cartier.expansion import expand_cy
 from cartier.families import (
     FamilySpec,
     PeriodData,
     _closed_FG,
-    _periods,
     ab_coefficients,
     canonical_q,
     generic_periods,
@@ -157,12 +156,31 @@ CATALOG = [(k, n) for k in ("simplicial", "hypercubic", "hyperoctahedral", "an")
 CATALOG.append(("hyperoctahedral", 4))
 
 
-@pytest.mark.parametrize("kind,n", CATALOG, ids=lambda v: str(v))
-def test_closed_form_matches_enumeration(kind, n):
+# the runtime uses the closed forms unchecked; this compares them with the
+# relation-lattice enumeration of the definition.  `an` n=4 is compared with
+# the E-series products instead (test_closed_form_matches_e_series), as its
+# enumeration takes seconds; hypercubic n=4 stops at degree 4 for that reason
+@pytest.mark.parametrize(
+    "kind,n,D",
+    [pytest.param(k, n, 12, id="%s-%d" % (k, n)) for k, n in CATALOG + [("simplicial", 4)]]
+    + [pytest.param("hypercubic", 4, 4, id="hypercubic-4")],
+)
+def test_closed_form_matches_enumeration(kind, n, D):
     family = FamilySpec.by_name(kind, n)
+    F, G = _closed_FG(family, D)
+    Fg, Gg = generic_periods(family, D)
+    assert F.coeffs == Fg.coeffs and G.coeffs == Gg.coeffs
+
+
+def test_cross_check_catches_a_wrong_closed_form():
+    # negative control of the comparison above: a closed form off by t^2 in
+    # F or in G does not match the enumeration
+    family = FamilySpec.hypercubic(2)
     F, G = _closed_FG(family, 12)
     Fg, Gg = generic_periods(family, 12)
-    assert F.coeffs == Fg.coeffs and G.coeffs == Gg.coeffs
+    bump = RationalSeries([0, 0, 1], 12)
+    assert (F + bump).coeffs != Fg.coeffs
+    assert (G + bump).coeffs != Gg.coeffs
 
 
 def e_series_FG(family, D):
@@ -243,34 +261,18 @@ def test_vertex_coefficients_reject_negative_multiples():
         vertex_coefficients(FamilySpec.hypercubic(2), 5, [1, -1])
 
 
-def test_cross_check_catches_a_wrong_closed_form(monkeypatch):
-    def perturbed(family, D):
-        F, G = _closed_FG(family, D)
-        return F, G + RationalSeries([0, 0, 1], D)
-
-    monkeypatch.setattr(families, "_CROSS_CHECKED", {})
-    monkeypatch.setattr(families, "_closed_FG", perturbed)
-    with pytest.raises(DomainError):
-        _periods(FamilySpec.hypercubic(2), 20)
-    # a failed check is not recorded, so it fails again
-    with pytest.raises(DomainError):
-        _periods(FamilySpec.hypercubic(2), 20)
-
-
-def test_cross_check_runs_once_per_family(monkeypatch):
-    calls = []
-
-    def counted(family, D):
-        calls.append(D)
-        return generic_periods(family, D)
-
-    monkeypatch.setattr(families, "_CROSS_CHECKED", {})
-    monkeypatch.setattr(families, "generic_periods", counted)
-    family = FamilySpec.hyperoctahedral(2)
-    for D in (6, 20, 30, 9, 12):
-        _periods(family, D)
-    # degree 6 first, then degree 12 once; later requests are covered
-    assert calls == [6, 12]
+def test_W_is_built_only_when_read(monkeypatch):
+    # a check that reads only F (dwork with the t^p lift) leaves the
+    # Wronskian unbuilt; hw-congruences reads W, which fills the cache
+    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
+    family = FamilySpec.hypercubic(2)
+    assert harness.verify_dwork(family, 3, 1, 1, Dt=27).status == harness.PASS
+    (periods,) = harness._PERIOD_CACHE.values()
+    assert "W" not in periods._cache
+    assert harness.verify_hw_congruences(family, 3, Dt=27).status == harness.PASS
+    assert harness._PERIOD_CACHE == {("hypercubic", 2, 27): periods}
+    W = periods._cache["W"]
+    assert periods.W is W
 
 
 def test_canonical_q_is_cached_at_full_degree():

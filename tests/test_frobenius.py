@@ -15,6 +15,7 @@ from cartier.frobenius import (
     reduced_q,
     structure_residual,
 )
+from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
 from cartier.series import RationalSeries, reduce_mod
 from cartier.sigma import FrobLift
@@ -121,7 +122,25 @@ def test_frobenius_data_lambda0_constant():
     data = frobenius_matrix(fam, periods, lift, ctx)
     assert data.lambda0.coeffs[0] == 1
     assert data.lambda1.is_zero()
-    assert data.Lambda0 == [[1, 0], [0, p]] or data.Lambda0[1][1] == p
+    # gamma = 1, so alpha1 = log(gamma^(p-1)) = 0
+    assert data.Lambda0 == [[1, 0], [0, p]]
+
+
+# alpha = 3 and gamma = -2: alpha1 = log((-2)^4) = 90 mod 5^4
+CUSTOM = FamilySpec.custom(LaurentPoly(2, {(0, 0): 3, (1, 0): -2, (0, 1): -2, (-1, -1): -2}))
+
+
+@pytest.mark.parametrize(
+    "fam", [FamilySpec.simplicial(2), CUSTOM], ids=lambda f: "%s-n%d" % (f.kind, f.n)
+)
+def test_Lambda0_is_the_constant_term_of_Lambda_for_the_tp_lift(fam):
+    # not so for the excellent lift when alpha1 != 0: there lambda1 = 0, so
+    # the t^0 coefficient of Lambda[0][1] is 0, not alpha1
+    p, D = 5, 20
+    ctx = PadicContext(p, 4)
+    data = frobenius_matrix(fam, PeriodData(fam, D), FrobLift.tp(ctx, D), ctx)
+    assert data.Lambda0 == [[entry[0] for entry in row] for row in data.Lambda]
+    assert data.Lambda0[0][1] == (90 if fam is CUSTOM else 0)
 
 
 @pytest.mark.parametrize("kind", ["hypercubic", "hyperoctahedral"])
