@@ -10,6 +10,7 @@ reports whose status is PASS exactly when the perturbed input fails.
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from xml.etree import ElementTree
 
@@ -147,12 +148,18 @@ def _int_coeff_excess(coeffs, p, target):
 # ---------------------------------------------------------------------------
 # shared caches (periods and lifts are pure functions of their keys)
 
+_FAMILY_CACHE = {}
 _PERIOD_CACHE = {}
 _LIFT_CACHE = {}
 
 
 def get_family(kind, n):
-    return FamilySpec.by_name(kind, n)
+    """The catalog FamilySpec of (kind, n), built once; specs are never
+    changed after construction, so the checks share them."""
+    key = (kind, n)
+    if key not in _FAMILY_CACHE:
+        _FAMILY_CACHE[key] = FamilySpec.by_name(kind, n)
+    return _FAMILY_CACHE[key]
 
 
 def get_periods(family, D):
@@ -274,9 +281,12 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
 # the square-polytope example f = 1 - x1 - x2 + (1-t) x1 x2
 
 
+@lru_cache(maxsize=1)
 def _square_example_table(K, L):
     """alpha_{i,j}(t) for 1/f as integer coefficient lists in t, from
-    alpha_{i,j} = alpha_{i-1,j} + alpha_{i,j-1} - (1-t) alpha_{i-1,j-1}."""
+    alpha_{i,j} = alpha_{i-1,j} + alpha_{i,j-1} - (1-t) alpha_{i-1,j-1}.
+    The last table is kept for the next variant at the same (K, L), so
+    callers must not change it."""
     table = [[None] * (L + 1) for _ in range(K + 1)]
     for i in range(K + 1):
         for j in range(L + 1):

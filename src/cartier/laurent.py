@@ -3,11 +3,17 @@
 Coefficients may be ints, Fractions, PadicInt, RationalSeries or
 PadicSeries; all that is required is ring arithmetic through operators
 and falsiness of zero.  Zero coefficients are dropped eagerly.
+
+A product whose coefficients are all PadicSeries of one degree bound goes
+to `series.packed_term_mul`, which forms each pair of terms as one bigint
+product of Kronecker-packed residues; any other product multiplies and
+adds the coefficients pair by pair.
 """
 
 from fractions import Fraction
 
 from .errors import ConfigError, DomainError
+from .series import packed_term_mul
 
 
 class LaurentPoly:
@@ -104,17 +110,19 @@ class LaurentPoly:
             a, b = self.terms, other.terms
             if len(a) > len(b):
                 a, b = b, a
-            out = {}
-            for u, cu in a.items():
-                for v, cv in b.items():
-                    w = tuple(ui + vi for ui, vi in zip(u, v))
-                    c = cu * cv
-                    s = out.get(w)
-                    s = c if s is None else s + c
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+            out = packed_term_mul(a, b)
+            if out is None:
+                out = {}
+                for u, cu in a.items():
+                    for v, cv in b.items():
+                        w = tuple(ui + vi for ui, vi in zip(u, v))
+                        c = cu * cv
+                        s = out.get(w)
+                        s = c if s is None else s + c
+                        if s:
+                            out[w] = s
+                        elif w in out:
+                            del out[w]
             p = LaurentPoly(self.n)
             p.terms = out
             return p

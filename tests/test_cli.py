@@ -151,6 +151,24 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # the excellent lift, whose coefficients are dense series
+        ("hw --family hyperoctahedral --n 2 --prime 7 --level 2 --lift excellent",
+         "64ac7d9eb21722bd39cefd0f19aa6e53201346bff3053e2e21c3bb372d0c379f"),
+        # hasse_witt_matrix on the monomial basis
+        ("hw --family square --prime 5 --level 2",
+         "ba9c7b408e2bec0d304845783cd9f33c2586d1fa76bbec95e9d4af5270bf4299"),
+    ],
+)
+def test_hw_golden_bytes(argv, digest, capsys):
+    # recorded before LaurentPoly products over series were packed
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
 )

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from cartier.errors import ConfigError, DomainError
 from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
+from cartier.padic import PadicContext
+from cartier.series import _PACK_MIN, PadicSeries, _Series, packed_term_mul
 
 exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(
@@ -72,3 +74,109 @@ def test_theta_x_oracle():
 def test_text_roundtrip():
     f = LaurentPoly(2, {(1, -2): 3, (0, 0): -5})
     assert LaurentPoly.from_text(f.to_text()) == f
+
+
+# Products over Z/p^N series coefficients: packed_term_mul against a
+# per-pair oracle of schoolbook series products and sums.
+
+
+def _pairwise_oracle(f, g):
+    out = {}
+    for u, cu in f.terms.items():
+        for v, cv in g.terms.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            c = _Series.__mul__(cu, cv)
+            out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if c}
+
+
+def _assert_terms(terms, want):
+    assert terms.keys() == want.keys()
+    for w, c in terms.items():
+        assert type(c) is PadicSeries and c
+        assert (c.ctx, c.D, c._c) == (want[w].ctx, want[w].D, want[w]._c)
+
+
+def _assert_packed_product(f, g):
+    want = _pairwise_oracle(f, g)
+    packed = packed_term_mul(f.terms, g.terms)
+    assert packed is not None
+    _assert_terms(packed, want)
+    _assert_terms((f * g).terms, want)
+    _assert_terms((g * f).terms, want)
+
+
+@st.composite
+def series_poly(draw, ctx, n, D):
+    """A LaurentPoly in n variables with PadicSeries coefficients at D;
+    residues 0, p^N - 1 or any, stored lengths up to 3 _PACK_MIN."""
+    m = ctx.modulus
+    residue = st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
+    coeff = st.lists(residue, max_size=3 * _PACK_MIN).map(lambda cs: PadicSeries(ctx, cs, D))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    return LaurentPoly(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=8)))
+
+
+@given(p=st.sampled_from([3, 5, 7, 11]), N=st.integers(1, 8), n=st.integers(1, 3),
+       data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_product_matches_pairwise_oracle(p, N, n, data):
+    ctx = PadicContext(p, N)
+    D = data.draw(st.sampled_from([0, 3, _PACK_MIN - 1, _PACK_MIN, 2 * _PACK_MIN, 3 * _PACK_MIN]))
+    f, g = data.draw(series_poly(ctx, n, D)), data.draw(series_poly(ctx, n, D))
+    if f and g:
+        _assert_packed_product(f, g)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_packed_product_worst_case_slot_sums(p):
+    # K terms on each side with exponents 0..K-1 put K pairs on x^(K-1); with
+    # every residue p^N - 1 the slot at t^(L-1) sums K L (p^N - 1)^2
+    for N in range(1, 9):
+        ctx = PadicContext(p, N)
+        m = ctx.modulus
+        for K, L in ((2, 3), (5, _PACK_MIN - 1), (8, _PACK_MIN), (17, 2 * _PACK_MIN + 1)):
+            s = PadicSeries(ctx, [m - 1] * L, 2 * L)
+            f = LaurentPoly(1, {(i,): s for i in range(K)})
+            _assert_packed_product(f, f)
+            longer = PadicSeries(ctx, [m - 1] * (L + 3), 2 * L)
+            _assert_packed_product(f, LaurentPoly(1, {(i,): longer for i in range(K + 2)}))
+
+
+def test_packed_product_drops_cancelled_monomials():
+    # c (1 + x) * c' (1 - x) = c c' (1 - x^2): the x term is c c' + c (p^N - c')
+    ctx = PadicContext(5, 4)
+    m = ctx.modulus
+    c = PadicSeries(ctx, [m - 1, 3] + [m - 2] * (2 * _PACK_MIN), 40)
+    c2 = PadicSeries(ctx, [2] * (_PACK_MIN + 3), 40)
+    f = LaurentPoly(1, {(0,): c, (1,): c})
+    g = LaurentPoly(1, {(0,): c2, (1,): -c2})
+    prod = f * g
+    assert set(prod.terms) == {(0,), (2,)}
+    _assert_packed_product(f, g)
+    assert not f * (g - g) and not (f - f) * g
+
+
+def test_mixed_degree_bounds_take_the_pairwise_loop():
+    ctx = PadicContext(7, 3)
+    long = [5, 0, 342] + [1] * (2 * _PACK_MIN)
+    f = LaurentPoly(2, {(0, 0): PadicSeries(ctx, long, 20), (1, 0): PadicSeries(ctx, long, 30)})
+    g = LaurentPoly(2, {(0, 1): PadicSeries(ctx, long[::-1], 25), (-1, 0): PadicSeries(ctx, [3], 30)})
+    assert packed_term_mul(f.terms, g.terms) is None
+    _assert_terms((f * g).terms, _pairwise_oracle(f, g))
+    assert {c.D for c in (f * g).terms.values()} == {20, 25, 30}
+    # int coefficients take the loop too
+    one = LaurentPoly.one(2)
+    assert packed_term_mul(one.terms, g.terms) is None
+    assert one * g == g
+
+
+def test_mixed_contexts_raise():
+    a, b = PadicContext(5, 3), PadicContext(5, 4)
+    s = [1, 2, 3] * _PACK_MIN
+    f = LaurentPoly(1, {(0,): PadicSeries(a, s, 40), (1,): PadicSeries(a, s, 40)})
+    g = LaurentPoly(1, {(0,): PadicSeries(b, s, 40)})
+    mixed = LaurentPoly(1, {(0,): PadicSeries(a, s, 40), (1,): PadicSeries(b, s, 40)})
+    for x, y in ((f, g), (g, f), (mixed, f), (f, mixed)):
+        with pytest.raises(ConfigError):
+            x * y
