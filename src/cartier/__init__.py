@@ -7,12 +7,13 @@ verification suites."""
 # package although no command calls them: the per-layer tracer
 # (perfbench/spans.py) wraps `expand_cy` in the modules `cartier.cli` loads
 from . import expansion  # noqa: F401
-from .padic import PadicContext, PadicInt, padic_log_unit
+from .padic import PadicContext, PadicInt
 from .series import (
     PadicSeries,
     RationalSeries,
     dieudonne_dwork_check,
     divided_power_reverse,
+    padic_log_unit,
     reduce_mod,
 )
 

@@ -319,7 +319,7 @@ def cmd_hw(args):
         lift = make_lift(args.lift, None, None, ctx, Dt)
         if lift.kind == "excellent":
             raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
-        hw = hasse_witt_matrix(f, lift, k, region, "monomial", ctx)
+        hw = hasse_witt_matrix(f, lift, k, region, ctx)
     else:
         family = get_family(args)
         periods = PeriodData(family, Dt) if args.lift == "excellent" else None

@@ -24,10 +24,6 @@ class DivergenceError(DomainError):
 class ReductionError(Exception):
     """p divides a denominator during rational -> p-adic reduction."""
 
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
-
 
 class PrecisionError(Exception):
     """Working precision is too small to decide the question."""

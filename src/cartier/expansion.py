@@ -8,14 +8,9 @@ integer grading functional ell, strictly positive on the cone.
 from fractions import Fraction
 from math import comb, gcd
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    ExpansionError,
-    PrecisionError,
-)
+from .errors import ConfigError, ExpansionError, PrecisionError
 from .laurent import LaurentPoly, cartier_poly, poly_pow
-from .padic import PadicInt
+from .padic import PadicInt, ord_p
 from .polytope import newton_polytope
 from .series import PadicSeries
 
@@ -336,20 +331,11 @@ def fk_membership_defect(E, k, ctx):
     for u, c in E.terms.items():
         if not any(u):
             continue
-        g = 0
-        for e in u:
-            g = gcd(g, abs(e))
-        o = 0
-        while g % p == 0:
-            g //= p
-            o += 1
-        required = min(N, k * o)
+        required = min(N, k * ord_p(gcd(*u), p, N))
         if required == 0:
             continue
         if isinstance(c, PadicSeries):
-            actual = min(
-                (c.coeff(i).ord() for i in range(c.D + 1)), default=N
-            )
+            actual = c.min_excess_ord(0)
         elif isinstance(c, PadicInt):
             actual = c.ord()
         else:

@@ -430,8 +430,7 @@ class PeriodData:
         """The truncation F_Nt = g_0 + g_1 t + ... + g_{Nt-1} t^{Nt-1}."""
         if Nt < 1:
             raise ConfigError("truncation order must be >= 1")
-        coeffs = [self.F[i] if i < Nt else Fraction(0) for i in range(self.D + 1)]
-        return RationalSeries(coeffs)
+        return RationalSeries(self.F._c[:Nt], self.D)
 
 
 def ab_coefficients(periods):

@@ -2,10 +2,10 @@
 coordinate mod p^N, the excellent Frobenius lift, the coefficients
 lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
-from .errors import ConfigError, DomainError, TheoremViolation
+from .errors import DomainError, TheoremViolation
 from .families import ab_coefficients, canonical_q
-from .padic import PadicInt, padic_log_unit
-from .series import PadicSeries, reduce_mod
+from .padic import PadicInt
+from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
 
 

@@ -27,8 +27,8 @@ from .frobenius import (
     structure_residual,
 )
 from .hasse_witt import cy_hasse_witt
-from .padic import PadicContext, PadicInt, padic_log_unit
-from .series import PadicSeries, reduce_mod
+from .padic import PadicContext, PadicInt, ord_p
+from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
 
 GUARD = 4
@@ -123,28 +123,6 @@ def _control_report(check_id, params, target, excess, start, notes=None):
     )
 
 
-def _ord_int(m, p, cap):
-    """min(ord_p(m), cap); ord of 0 is cap."""
-    if m == 0:
-        return cap
-    v = 0
-    while m % p == 0 and v < cap:
-        m //= p
-        v += 1
-    return v
-
-
-def _int_coeff_excess(coeffs, p, target):
-    """Excess valuation of a list/dict of exact integers over p^target."""
-    cap = target + GUARD
-    vals = coeffs.values() if isinstance(coeffs, dict) else coeffs
-    best = cap - target
-    for c in vals:
-        if c:
-            best = min(best, _ord_int(c, p, cap) - target)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # shared caches (periods and lifts are pure functions of their keys)
 
@@ -236,12 +214,11 @@ def verify_dwork(family, p, s, m, lift_kind="tp", Dt=None, control=False):
     e = m * p ** s
     nxt = periods.F[e] if e <= Dt else Fraction(0)
     notes = []
-    if nxt != 0 and _ord_int(nxt.numerator, p, s) < s:
-        ctx = PadicContext(p, s + GUARD)
+    ctx = PadicContext(p, s + GUARD)
+    if nxt != 0 and ord_p(nxt.numerator, p, s) < s:
         bump = PadicSeries(ctx, [0] * e + [nxt], Dt)
         notes.append("control: truncation extended by the t^%d term" % e)
     else:
-        ctx = PadicContext(p, s + GUARD)
         bump = PadicSeries(ctx, [0] * e + [p ** (s - 1)], Dt)
         notes.append(
             "control: extending the truncation is invisible mod p^%d here "
@@ -351,6 +328,7 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         got = table[Q][Q] + [0] * (len(closed) - len(table[Q][Q]))
         if got != closed:
             raise TheoremViolation("diagonal coefficient oracle mismatch at Q=%d" % Q)
+    ctx = PadicContext(p, target + GUARD)
     excess = None
     if variant == "generic":
         for k, l in coeff_list:
@@ -358,7 +336,7 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
             prev = _subst_tp(table[k * p ** (s - 1)][l * p ** (s - 1)], p)
             diff = [a - b for a, b in
                     zip(cur + [0] * len(prev), prev + [0] * len(cur))]
-            e = _int_coeff_excess(diff, p, target)
+            e = PadicSeries(ctx, diff).min_excess_ord(target)
             excess = e if excess is None else min(excess, e)
     elif variant == "t=-1":
         for k, l in coeff_list:
@@ -367,13 +345,12 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
                 c * (-1) ** e
                 for e, c in enumerate(table[k * p ** (s - 1)][l * p ** (s - 1)])
             )
-            e = _int_coeff_excess([cur - prev], p, target)
+            e = PadicSeries(ctx, [cur - prev]).min_excess_ord(target)
             excess = e if excess is None else min(excess, e)
         notes.append("specialization t=-1, f = 1 - x - y + 2xy")
     elif variant == "general-lift":
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
-        ctx = PadicContext(p, target + GUARD)
         unit = PadicInt(ctx, 1 + p)
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
@@ -454,8 +431,11 @@ def _layer_diagonal(d):
     )
 
 
+@lru_cache(maxsize=1)
 def _expansion_diagonal(dmax):
-    """The same coefficients from the raw 4-variable expansion recurrence."""
+    """The same coefficients from the raw 4-variable expansion recurrence;
+    it does not depend on the check's input, so it is built once, and
+    callers must not change it."""
     terms = {
         (1, 0, 0, 0): -1, (0, 1, 0, 0): -1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
         (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1,
@@ -498,10 +478,11 @@ def verify_straub(p, s, multiples=(1,)):
     for d in range(6):
         if _layer_diagonal(d) != direct[d]:
             raise TheoremViolation("layer formula disagrees with the expansion at d=%d" % d)
+    ctx = PadicContext(p, target + GUARD)
     excess = None
     for d in multiples:
         diff = _layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))
-        e = _int_coeff_excess([diff], p, target)
+        e = PadicSeries(ctx, [diff]).min_excess_ord(target)
         excess = e if excess is None else min(excess, e)
     notes = ["diagonal oracle cross-checked against the raw expansion for d <= 5"]
     if conjecture:

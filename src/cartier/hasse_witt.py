@@ -90,33 +90,6 @@ def _det(entries):
     return total
 
 
-def _solve_linear(M, rhs):
-    """Solve M x = rhs over a ring with unit pivots (Gaussian elimination)."""
-    m = len(M)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(M)]
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            c = A[r][col]
-            if isinstance(c, (PadicInt, PadicSeries)):
-                ok = c.is_unit() if isinstance(c, PadicInt) else (c[0] % c.ctx.p != 0)
-            else:
-                ok = bool(c)
-            if ok:
-                piv = r
-                break
-        if piv is None:
-            raise ConfigError("basis coordinate matrix is not invertible")
-        A[col], A[piv] = A[piv], A[col]
-        pinv = A[col][col].invert() if hasattr(A[col][col], "invert") else 1 / A[col][col]
-        A[col] = [x * pinv for x in A[col]]
-        for r in range(m):
-            if r != col and A[r][col]:
-                fac = A[r][col]
-                A[r] = [x - fac * y for x, y in zip(A[r], A[col])]
-    return [A[i][m] for i in range(m)]
-
-
 def _point_levels(P, k, region):
     by_level = {}
     pts_k = lattice_points(P, k, region)
@@ -133,56 +106,37 @@ def _point_levels(P, k, region):
     if missing:
         raise ConfigError("region levels are not nested at %r" % (missing[0],))
     ordered = sorted(pts_k, key=lambda u: (by_level[u], u))
-    return ordered, by_level, counts
+    return ordered, counts
 
 
-def hasse_witt_matrix(f, lift, k, region, basis, ctx, polytope=None):
-    """Matrix of the Cartier operator on the level-k part.
+def hasse_witt_matrix(f, lift, k, region, ctx):
+    """Matrix of the Cartier operator on the level-k part, in the monomial
+    basis x^u, u in (k mu), level-major order.
 
-    Entry (i, j) is the coefficient of b_j^sigma in Phi(b_i * F^(k)).
-    basis: 'monomial' for x^u, u in (k mu), level-major order; or an explicit
-    list of LaurentPoly spanning the same coordinate space.
+    Entry (i, j) is the coefficient of x^(u_j) in Phi(x^(u_i) * F^(k)).
     """
     p = ctx.p
-    P = polytope or newton_polytope(f)
-    points, by_level, counts = _point_levels(P, k, region)
+    points, counts = _point_levels(newton_polytope(f), k, region)
     m_k = counts[-1]
     L_k = sum(m_k - counts[l - 1] for l in range(1, k))
-    if basis == "monomial":
-        basis_polys = [LaurentPoly.monomial(u, _ring_one(f)) for u in points]
-        labels = list(points)
-    else:
-        basis_polys = list(basis)
-        if len(basis_polys) != len(points):
-            raise ConfigError("basis size %d != level size %d" % (len(basis_polys), len(points)))
-        labels = ["b%d" % i for i in range(len(basis_polys))]
     Fk = F_k_polynomial(f, lift, k, ctx)
-    sig_basis = [lift.on_poly(b) for b in basis_polys]
-    monomial = basis == "monomial"
+    one = _ring_one(f)
     point_set = set(points)
-    if not monomial:
-        # coordinate matrix: rows indexed by points, columns by basis elements
-        M = [[sb.coeff(u, 0) for sb in sig_basis] for u in points]
     entries = []
-    for bi in basis_polys:
-        img = cartier_poly(bi * Fk, p)
-        extra = [u for u in img.terms if u not in point_set]
+    for u in points:
+        img = cartier_poly(LaurentPoly.monomial(u, one) * Fk, p)
+        extra = [v for v in img.terms if v not in point_set]
         if extra:
             raise TheoremViolation(
                 "Cartier image supported outside the level-%d region at %r" % (k, extra[0])
             )
-        vec = [img.coeff(u, 0) for u in points]
-        if monomial:
-            entries.append(vec)
-        else:
-            entries.append(_solve_linear(M, vec))
-    entries = [[_promote(c, ctx) for c in row] for row in entries]
+        entries.append([_promote(img.coeff(v, 0), ctx) for v in points])
     det = _det(entries)
     try:
         hw = det.divide_exact_p(L_k)
     except ReductionError as exc:
         raise TheoremViolation("det HW^(%d) not divisible by p^%d: %s" % (k, L_k, exc))
-    return HasseWittMatrix(k, p, ctx.N, labels, entries, L_k, hw)
+    return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
 
 
 def _ring_one(f):
@@ -201,10 +155,10 @@ def _promote(c, ctx):
     return PadicInt(ctx, c)
 
 
-def extended_basis_division(A, f, b, k, region, polytope=None):
+def extended_basis_division(A, f, b, k, region):
     """Euclidean division A = P f + Q with Supp(P) in (k-1)mu and
     Supp(Q) in (k mu) minus (b + (k-1)mu)."""
-    P_delta = polytope or newton_polytope(f)
+    P_delta = newton_polytope(f)
     b = tuple(b)
     fb = f.coeff(b)
     is_unit = fb.is_unit() if isinstance(fb, PadicInt) else bool(fb)

@@ -51,6 +51,17 @@ class PadicContext:
             raise ConfigError("mismatched p-adic contexts: %r vs %r" % (self, other))
 
 
+def ord_p(m, p, cap):
+    """min(ord_p(m), cap) for an integer m; ord of 0 is cap."""
+    if m == 0:
+        return cap
+    v = 0
+    while v < cap and m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 def reduce_fraction(q, ctx):
     """Residue of an exact rational mod p^N.  p | denominator -> ReductionError."""
     q = Fraction(q)
@@ -143,14 +154,7 @@ class PadicInt:
 
     def ord(self):
         """p-adic valuation, capped at N (ord of 0 is N by convention)."""
-        if self.residue == 0:
-            return self.ctx.N
-        v = 0
-        r = self.residue
-        while r % self.ctx.p == 0:
-            r //= self.ctx.p
-            v += 1
-        return v
+        return ord_p(self.residue, self.ctx.p, self.ctx.N)
 
     def divide_exact_p(self, k):
         """Divide by p^k.  Result lives at precision N - k."""
@@ -162,41 +166,3 @@ class PadicInt:
         if self.ctx.N <= k:
             raise ReductionError("no precision left after dividing by p^%d" % k)
         return PadicInt(self.ctx.with_precision(self.ctx.N - k), self.residue // pk)
-
-
-def padic_log_unit(u):
-    """log of a unit u with u = 1 mod p, via the alternating sum log(1+e)."""
-    ctx = u.ctx
-    p, N = ctx.p, ctx.N
-    e = (u - 1).residue
-    if e % p != 0:
-        raise InvertError("padic_log_unit requires u = 1 mod p")
-    # terms e^m/m vanish mod p^N once m - floor(log_p m) >= N
-    guard = 1
-    while p ** (guard + 1) <= N * p:
-        guard += 1
-    big = PadicContext(p, N + guard)
-    acc = 0
-    em = 1
-    m = 1
-    while True:
-        lg = 0
-        q = m
-        while q >= p:
-            q //= p
-            lg += 1
-        if m - lg >= N:
-            break
-        em = em * e % big.modulus
-        k = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            k += 1
-        term = (em // (p ** k)) * pow(mm, -1, big.modulus) % big.modulus
-        if m % 2 == 1:
-            acc += term
-        else:
-            acc -= term
-        m += 1
-    return PadicInt(ctx, acc)

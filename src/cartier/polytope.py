@@ -211,14 +211,6 @@ def newton_polytope(f):
     return Polytope(f.support())
 
 
-def is_reflexive(P):
-    return P.is_reflexive()
-
-
-def degree_of_point(P, u):
-    return P.degree_of_point(u)
-
-
 def support_lattice_index(g):
     """[Z^n : Gamma] for the lattice Gamma generated by Supp(g)."""
     supp = g.support()

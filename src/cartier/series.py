@@ -30,6 +30,12 @@ product instead (`packed_term_mul`): each coefficient is packed once, each
 pair of terms is one small bigint product summed unreduced per output
 monomial, and each output coefficient is unpacked once.  `RationalSeries`
 always uses the schoolbook loop.
+
+The p-adic measurements live here and in `padic` only: `padic.ord_p` is
+the valuation, `PadicSeries.min_excess_ord` the excess over a target power
+of p (integer differences are measured as a PadicSeries mod p^(target +
+guard)), and `PadicSeries.log` the logarithm; `padic_log_unit` reads the
+constant term of a degree-0 log.
 """
 
 from fractions import Fraction
@@ -45,15 +51,7 @@ from .errors import (
     ReductionError,
     ReversionError,
 )
-from .padic import PadicInt, reduce_fraction
-
-
-def _ord_p(m, p):
-    v = 0
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+from .padic import PadicInt, ord_p, reduce_fraction
 
 
 class _Series:
@@ -515,14 +513,10 @@ class PadicSeries(_Series):
         return PadicSeries(ctx, self._c, self.D)
 
     def min_excess_ord(self, target):
-        """min over coefficients of (ord_p - target); >= 0 means divisible by p^target."""
-        p = self.ctx.p
-        best = self.ctx.N - target
-        for c in self._c:
-            if c == 0:
-                continue
-            best = min(best, _ord_p(c, p) - target)
-        return best
+        """min over coefficients of (ord_p - target); >= 0 means divisible by
+        p^target.  A zero residue has ord N, so the zero series reads N - target."""
+        p, N = self.ctx.p, self.ctx.N
+        return min((ord_p(c, p, N) for c in self._c), default=N) - target
 
     def divide_exact_p(self, k):
         """Divide every coefficient by p^k; precision drops to N - k."""
@@ -534,9 +528,7 @@ class PadicSeries(_Series):
             raise ReductionError("no precision left after dividing by p^%d" % k)
         for i, c in enumerate(self._c):
             if c % pk != 0:
-                raise ReductionError(
-                    "coefficient at t^%d not divisible by p^%d" % (i, k), degree=i
-                )
+                raise ReductionError("coefficient at t^%d not divisible by p^%d" % (i, k))
         ctx = self.ctx.with_precision(self.ctx.N - k)
         return PadicSeries(ctx, [c // pk for c in self._c], self.D)
 
@@ -558,17 +550,24 @@ class PadicSeries(_Series):
         guard = 1
         while p ** guard <= mstop:
             guard += 1
-        guard += 1
         e = PadicSeries(self.ctx.with_precision(N + guard), self._c, D) - 1
         if any(c % p for c in e._c):
             raise DomainError("log requires all coefficients of a-1 divisible by p")
         acc, em = PadicSeries.zero(self.ctx, D), PadicSeries.one(e.ctx, D)
         for m in range(1, mstop):
             em = em * e
-            k = _ord_p(m, p)
+            k = ord_p(m, p, m)
             term = em.divide_exact_p(k).with_precision(N)
             acc = acc + term * Fraction((-1) ** (m + 1), m // p ** k)
         return acc
+
+
+def padic_log_unit(u):
+    """log of a PadicInt u = 1 mod p: the constant term of PadicSeries.log."""
+    ctx = u.ctx
+    if (u.residue - 1) % ctx.p:
+        raise InvertError("padic_log_unit requires u = 1 mod p")
+    return PadicInt(ctx, PadicSeries(ctx, [u.residue], 0).log()[0])
 
 
 def reduce_mod(a, ctx):
@@ -578,9 +577,7 @@ def reduce_mod(a, ctx):
     out = []
     for i, c in enumerate(a._c):
         if c.denominator % ctx.p == 0:
-            raise ReductionError(
-                "p=%d divides denominator at degree %d" % (ctx.p, i), degree=i
-            )
+            raise ReductionError("p=%d divides denominator at degree %d" % (ctx.p, i))
         out.append(c.numerator * pow(c.denominator, -1, ctx.modulus) % ctx.modulus)
     return PadicSeries(ctx, out, a.D)
 

@@ -11,14 +11,13 @@ class FrobLift:
     t^sigma.  kind is one of 'identity', 'tp', 'explicit', 'excellent'.
     """
 
-    __slots__ = ("kind", "ctx", "tsigma", "vsigma", "D")
+    __slots__ = ("kind", "ctx", "tsigma", "vsigma")
 
-    def __init__(self, kind, ctx=None, tsigma=None, vsigma=None, D=None):
+    def __init__(self, kind, ctx=None, tsigma=None, vsigma=None):
         self.kind = kind
         self.ctx = ctx
         self.tsigma = tsigma
         self.vsigma = vsigma
-        self.D = D
 
     @classmethod
     def identity(cls):
@@ -28,7 +27,7 @@ class FrobLift:
     def tp(cls, ctx, D):
         ts = PadicSeries(ctx, [0] * ctx.p + [1], D)
         v = PadicSeries.one(ctx, D)
-        return cls("tp", ctx, ts, v, D)
+        return cls("tp", ctx, ts, v)
 
     @classmethod
     def explicit(cls, ctx, v, D, kind="explicit"):
@@ -37,12 +36,12 @@ class FrobLift:
         if v[0] % ctx.p != 1 and (v[0] - 1) % ctx.p != 0:
             raise ConfigError("v(0) must be 1 mod p for a Frobenius lift")
         ts = v.shift(ctx.p)
-        return cls(kind, ctx, ts, v, D)
+        return cls(kind, ctx, ts, v)
 
     @classmethod
     def from_tsigma(cls, ctx, tsigma, kind="excellent"):
         v = tsigma.shift_div(ctx.p)
-        return cls(kind, ctx, tsigma, v, tsigma.D)
+        return cls(kind, ctx, tsigma, v)
 
     def on_series(self, s):
         """Apply sigma to an element of Z_p[[t]]."""

@@ -101,9 +101,9 @@ def test_square_family_hasse_witt(p):
     f = _square_f(ctx, Dt)
     P = newton_polytope(f)
     lift = FrobLift.tp(ctx, Dt)
-    hw1 = hasse_witt_matrix(f, lift, 1, _half_open_region(P, 1), "monomial", ctx)
+    hw1 = hasse_witt_matrix(f, lift, 1, _half_open_region(P, 1), ctx)
     assert hw1.entries == [[PadicSeries.one(ctx, Dt)]]
-    hw2 = hasse_witt_matrix(f, lift, 2, _half_open_region(P, 2), "monomial", ctx)
+    hw2 = hasse_witt_matrix(f, lift, 2, _half_open_region(P, 2), ctx)
     assert hw2.L_k == 3
     C = comb(2 * p - 2, p - 1)
     # upper-triangular with diagonal 1, -C, -C, -C * sum binom(p-1,m)^2 (1-t)^m

@@ -41,9 +41,7 @@ def test_level1_interval_matrix_is_identity():
         ctx = PadicContext(p, 3)
         one = PadicInt(ctx, 1)
         f = LaurentPoly(1, {(0,): one, (1,): -one})
-        hw = hasse_witt_matrix(
-            f, FrobLift.identity(), 1, RegionSpec.full(), "monomial", ctx
-        )
+        hw = hasse_witt_matrix(f, FrobLift.identity(), 1, RegionSpec.full(), ctx)
         assert hw.basis == [(0,), (1,)]
         assert hw.L_k == 0
         for i in range(2):
@@ -73,7 +71,7 @@ def test_square_family_level2_structure():
     P = newton_polytope(f)
     region = _half_open_region(P, 2)
     lift = FrobLift.tp(ctx, Dt)
-    hw = hasse_witt_matrix(f, lift, 2, region, "monomial", ctx)
+    hw = hasse_witt_matrix(f, lift, 2, region, ctx)
     assert hw.L_k == 3
     # upper triangular in level-major order
     for i in range(4):

@@ -9,9 +9,10 @@ from cartier.errors import ConfigError, InvertError, ReductionError
 from cartier.padic import (
     PadicContext,
     PadicInt,
-    padic_log_unit,
+    ord_p,
     reduce_fraction,
 )
+from cartier.series import padic_log_unit
 
 
 def test_context_rejects_bad_primes():
@@ -49,6 +50,17 @@ def test_ord_and_divide():
         PadicInt(ctx, 5).divide_exact_p(1)
 
 
+def test_ord_p_is_capped():
+    assert ord_p(54, 3, 5) == 3
+    assert ord_p(-54, 3, 5) == 3
+    assert ord_p(7, 3, 5) == 0
+    # ord of 0 is the cap, and so is the ord of any multiple of p^cap
+    assert ord_p(0, 3, 5) == 5
+    assert ord_p(3 ** 5, 3, 5) == 5
+    assert ord_p(2 * 3 ** 9, 3, 5) == 5
+    assert ord_p(0, 7, 0) == 0
+
+
 def test_non_unit_invert_raises():
     ctx = PadicContext(3, 4)
     with pytest.raises(InvertError):
@@ -64,7 +76,9 @@ def _log_oracle(u, p, N):
     return reduce_fraction(acc, PadicContext(p, N))
 
 
-@pytest.mark.parametrize("p,N", [(3, 5), (5, 6), (7, 4)])
+# p = 3 at every N up to 9: from N = 8 on, the sum reaches m = 9, whose
+# term is divided by p^2
+@pytest.mark.parametrize("p,N", [(3, N) for N in range(1, 10)] + [(5, 6), (7, 4)])
 def test_log_unit_oracle(p, N):
     ctx = PadicContext(p, N)
     for k in (1, 2, p - 1, p + 3):

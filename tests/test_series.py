@@ -164,6 +164,16 @@ def test_min_excess_ord():
     assert PadicSeries.zero(ctx, 4).min_excess_ord(2) == 3  # N - target
 
 
+def test_min_excess_ord_caps_integer_lists():
+    # integer differences are measured as a series mod p^N: a coefficient
+    # divisible by p^N reads N - target, the same as an exact zero
+    ctx = PadicContext(5, 6)
+    assert PadicSeries(ctx, [5 ** 6]).min_excess_ord(4) == 2
+    assert PadicSeries(ctx, [7 * 5 ** 8, 0]).min_excess_ord(4) == 2
+    assert PadicSeries(ctx, [0]).min_excess_ord(4) == 2
+    assert PadicSeries(ctx, [5 ** 6, -5 ** 3]).min_excess_ord(4) == -1
+
+
 def test_divide_exact_p():
     ctx = PadicContext(3, 4)
     a = PadicSeries(ctx, [9, 18, 27], 4)
