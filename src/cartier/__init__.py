@@ -7,7 +7,7 @@ verification suites."""
 # package although no command calls them: the per-layer tracer
 # (perfbench/spans.py) wraps `expand_cy` in the modules `cartier.cli` loads
 from . import expansion  # noqa: F401
-from .padic import PadicContext, PadicInt
+from .padic import PadicContext
 from .series import (
     PadicSeries,
     RationalSeries,

@@ -57,20 +57,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, format_help):
+    def common(sp, formats, format_help):
         sp.add_argument("--config", help="flat key=value config file; flags override")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument(
-            "--format", choices=("text", "json", "junit"), default=None,
-            help=format_help,
-        )
+        sp.add_argument("--format", choices=formats, default=None, help=format_help)
 
     sp = sub.add_parser("periods", help="period series F, G, W and the mirror map")
     sp.add_argument("--family", help="simplicial|hypercubic|hyperoctahedral|an|custom")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--degree", type=int, default=20, help="t-degree of the series")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp, "output format: text or json (default text)")
+    common(sp, ("text", "json"), "output format: text or json (default text)")
 
     sp = sub.add_parser("hw", help="level-k Hasse-Witt matrix")
     sp.add_argument("--family", help="catalog family, 'custom', or 'square'")
@@ -82,7 +79,7 @@ def build_parser():
     sp.add_argument("--lift", default="tp", help="tp | excellent | explicit:<file>")
     sp.add_argument("--basis", choices=("omega", "unit"), default="omega")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp, "output format: json or text (default json)")
+    common(sp, ("json", "text"), "output format: json or text (default json)")
 
     sp = sub.add_parser("lift", help="excellent Frobenius lift and Cartier matrix")
     sp.add_argument("--family", help="catalog family or 'custom'")
@@ -91,7 +88,7 @@ def build_parser():
     sp.add_argument("--precision", type=int, default=6)
     sp.add_argument("--degree", type=int, default=None, help="t-degree (default 3p^2)")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp, "output format: text or json (default text)")
+    common(sp, ("text", "json"), "output format: text or json (default text)")
 
     sp = sub.add_parser("verify", help="run congruence checks")
     sp.add_argument("suite", choices=VERIFY_SUITES)
@@ -106,7 +103,7 @@ def build_parser():
     sp.add_argument("--grid", choices=("desk", "smoke"), default="desk")
     sp.add_argument("--strict-precision", action="store_true", dest="strict_precision")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
-    common(sp, "output format: json, text or junit (default json)")
+    common(sp, ("json", "text", "junit"), "output format: json, text or junit (default json)")
     return parser
 
 
@@ -141,21 +138,28 @@ def parse_args(argv):
         if unknown:
             raise ConfigError("unknown config keys: %s" % sorted(unknown))
         # flags given on the command line override the file: re-parse with
-        # the file contents installed as defaults
+        # the file contents installed as defaults, which argparse does not
+        # check against the choices of their flags
         parser = build_parser()
-        for action in _walk_actions(parser):
+        for action in _walk_actions(parser, args.command):
             if action.dest in defaults:
-                action.default = defaults[action.dest]
+                value = defaults[action.dest]
+                if action.choices is not None and value not in action.choices:
+                    raise ConfigError(
+                        "config %s=%s: choose from %s"
+                        % (action.dest, value, ", ".join(action.choices))
+                    )
+                action.default = value
                 action.required = False
         args = parser.parse_args(argv)
     return args
 
 
-def _walk_actions(parser):
+def _walk_actions(parser, command):
+    """The top-level actions and those of the subcommand `command`."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                yield from sp._actions
+            yield from action.choices[command]._actions
         else:
             yield action
 
@@ -223,13 +227,7 @@ def make_lift(spec, family, periods, ctx, Dt):
 # subcommands
 
 
-def _reject_junit(args):
-    if args.format == "junit":
-        raise ConfigError("--format junit is only for verify")
-
-
 def cmd_periods(args):
-    _reject_junit(args)
     family = get_family(args)
     D = args.degree
     if D < 0:
@@ -294,15 +292,12 @@ def _hw_text(hw):
     ]
     for i, row in enumerate(hw.entries):
         for j, e in enumerate(row):
-            coeffs = e.coeffs if isinstance(e, PadicSeries) else [e.residue]
-            lines.append("entry %d %d %s" % (i, j, _series_text(coeffs)))
-    hw_coeffs = hw.hw.coeffs if isinstance(hw.hw, PadicSeries) else [hw.hw.residue]
-    lines.append("hw %s" % _series_text(hw_coeffs))
+            lines.append("entry %d %d %s" % (i, j, _series_text(e.coeffs) if e else "0"))
+    lines.append("hw %s" % _series_text(hw.hw.coeffs))
     return "\n".join(lines)
 
 
 def cmd_hw(args):
-    _reject_junit(args)
     if args.prime is None:
         raise ConfigError("--prime is required")
     p = args.prime
@@ -335,7 +330,6 @@ def cmd_hw(args):
 
 
 def cmd_lift(args):
-    _reject_junit(args)
     if args.prime is None:
         raise ConfigError("--prime is required")
     p = args.prime

@@ -10,7 +10,7 @@ from math import comb, gcd
 
 from .errors import ConfigError, ExpansionError, PrecisionError
 from .laurent import LaurentPoly, cartier_poly, poly_pow
-from .padic import PadicInt, ord_p
+from .padic import ord_p
 from .polytope import newton_polytope
 from .series import PadicSeries
 
@@ -130,8 +130,10 @@ def grading_functional(generators, n, max_norm=30):
     raise ExpansionError("no grading functional found; cone is not pointed?")
 
 
-def _invert_coeff(c):
-    if isinstance(c, (PadicInt, PadicSeries)):
+def invert_coefficient(c):
+    """1/c for a PadicSeries (InvertError unless its constant term is a unit)
+    or an exact scalar (ExpansionError if it is zero)."""
+    if isinstance(c, PadicSeries):
         return c.invert()
     c = Fraction(c)
     if c == 0:
@@ -153,7 +155,7 @@ def expand_at_vertex(elem, b, bound, ell=None):
         raise ExpansionError("%r is not a vertex of the Newton polytope" % (b,))
     fb = f.coeff(b)
     try:
-        fb_inv = _invert_coeff(fb)
+        fb_inv = invert_coefficient(fb)
     except Exception as exc:
         raise ExpansionError("vertex coefficient not a unit: %s" % exc)
     if ell is None:
@@ -199,14 +201,9 @@ def expand_at_vertex(elem, b, bound, ell=None):
             elif u in S:
                 del S[u]
     # result = prefactor * fb^{-m} * A x^{-mb} * S
-    scale = fb_inv ** m if isinstance(fb_inv, PadicInt) else None
-    if scale is None:
-        if isinstance(fb_inv, PadicSeries):
-            scale = fb_inv
-            for _ in range(m - 1):
-                scale = scale * fb_inv
-        else:
-            scale = fb_inv ** m
+    scale = fb_inv
+    for _ in range(m - 1):
+        scale = scale * fb_inv
     pref = elem.prefactor
     terms = {}
     for a_u, a_c in elem.A.terms.items():
@@ -334,12 +331,9 @@ def fk_membership_defect(E, k, ctx):
         required = min(N, k * ord_p(gcd(*u), p, N))
         if required == 0:
             continue
-        if isinstance(c, PadicSeries):
-            actual = c.min_excess_ord(0)
-        elif isinstance(c, PadicInt):
-            actual = c.ord()
-        else:
+        if not isinstance(c, PadicSeries):
             raise ConfigError("membership test needs p-adic coefficients")
+        actual = c.min_excess_ord(0)
         if actual < required:
             worst = max(worst, required - actual)
     return worst

@@ -4,7 +4,6 @@ lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
 from .errors import DomainError, TheoremViolation
 from .families import ab_coefficients, canonical_q
-from .padic import PadicInt
 from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
 
@@ -63,8 +62,7 @@ def excellent_lift(family, periods, ctx):
     inner = qp
     for _ in range(p - 1):
         inner = inner * qp
-    scale = PadicInt(ctx, family.gamma) ** (p - 1)
-    inner = inner * scale.residue
+    inner = inner * pow(family.gamma, p - 1, ctx.modulus)
     tsigma = tqp.compose(inner)
     lift = FrobLift.from_tsigma(ctx, tsigma, kind="excellent")
     # a Frobenius lift satisfies t^sigma = t^p mod p
@@ -92,8 +90,7 @@ def lambda_pair(family, periods, lift, ctx):
     up = u
     for _ in range(p - 1):
         up = up * u
-    scale = PadicInt(ctx, family.gamma) ** (p - 1)
-    w = up * scale.residue * lift.vsigma.invert() * us.invert()
+    w = up * pow(family.gamma, p - 1, ctx.modulus) * lift.vsigma.invert() * us.invert()
     # v = t^sigma/t^p and u = q/t are zero-padded at the top, so the
     # product is only determined to degree D - p
     w = w.truncate(max(w.D - p, 0))
@@ -132,8 +129,8 @@ def frobenius_matrix(family, periods, lift, ctx):
         if co % p:
             raise TheoremViolation("mu1 not divisible by p")
     data.Lambda = [[lam0, lam1], [mu0, mu1]]
-    alpha1 = padic_log_unit(PadicInt(ctx, family.gamma) ** (p - 1))
-    data.Lambda0 = [[1, alpha1.residue], [0, p]]
+    alpha1 = padic_log_unit(ctx, pow(family.gamma, p - 1, ctx.modulus))
+    data.Lambda0 = [[1, alpha1], [0, p]]
     return data
 
 

@@ -27,7 +27,7 @@ from .frobenius import (
     structure_residual,
 )
 from .hasse_witt import cy_hasse_witt
-from .padic import PadicContext, PadicInt, ord_p
+from .padic import PadicContext, ord_p, unit_inverse
 from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
 
@@ -351,10 +351,10 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     elif variant == "general-lift":
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
-        unit = PadicInt(ctx, 1 + p)
+        unit = 1 + p
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
-        logu = -padic_log_unit(unit)
+        logu = -padic_log_unit(ctx, unit)
         for k, l in coeff_list:
             cur = PadicSeries(ctx, table[k * p][l * p], K + L)
             base = table[k][l]
@@ -365,7 +365,7 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
                 acc = [0] * (K + L + 1)
                 for e, c in enumerate(series):
                     if e * p <= K + L:
-                        acc[e * p] = (c * (unit ** e).residue) % ctx.modulus
+                        acc[e * p] = c * pow(unit, e, ctx.modulus)
                 rhs = rhs + PadicSeries(ctx, acc) * scale
             e = (cur - rhs).min_excess_ord(target)
             excess = e if excess is None else min(excess, e)
@@ -410,9 +410,10 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     notes = ["vertex direction %r" % (v,)]
     # leading-coefficient bookkeeping: at t^{p^s Q} the two sides differ by
     # the factor (gamma^{p-1}/v(0))^{p^{s-1} Q}, which must be 1 mod p^{2s}
-    v0 = PadicInt(ctx, lift.vsigma[0])
-    ratio = (PadicInt(ctx, family.gamma) ** (p - 1) * v0.invert()) ** (p ** (s - 1) * Q)
-    if (ratio - 1).ord() >= target:
+    m = ctx.modulus
+    unit = pow(family.gamma, p - 1, m) * unit_inverse(lift.vsigma[0], ctx)
+    ratio = pow(unit, p ** (s - 1) * Q, m)
+    if ord_p(ratio - 1, p, ctx.N) >= target:
         notes.append("leading-coefficient unit ratio is 1 mod p^%d" % target)
     else:
         raise TheoremViolation("leading-coefficient bookkeeping failed")

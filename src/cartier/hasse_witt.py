@@ -9,32 +9,39 @@ from .errors import (
     ReductionError,
     TheoremViolation,
 )
+from .expansion import grading_functional, invert_coefficient
 from .laurent import LaurentPoly, cartier_poly, poly_pow
-from .padic import PadicInt
+from .padic import unit_inverse
 from .polytope import lattice_points, newton_polytope
 from .series import PadicSeries
 
 
 def F_k_polynomial(f, lift, k, ctx):
-    """F^(k) = f^{p-k} sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^{k-r-1}."""
+    """F^(k) = f^{p-k} sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^{k-r-1}.
+
+    The sum S_k is formed as S_2 = f^sigma(x^p) + P, S_(j+1) = S_j
+    f^sigma(x^p) + P^j with P = f^sigma(x^p) - f^p, and S_1 = 1 is not
+    multiplied at all, so every product stays in f's coefficient ring."""
     p = ctx.p
     if k >= p:
         raise DomainError("F^(k) requires k < p")
-    fs = lift.on_poly(f)
-    fsp = fs.scale_exponents(p)
-    fp = poly_pow(f, p)
-    P = fsp - fp
-    acc = LaurentPoly.zero(f.n)
-    Pr = LaurentPoly.one(f.n)
-    for r in range(k):
-        term = Pr * poly_pow(fsp, k - r - 1)
-        acc = acc + term
-        if r < k - 1:
-            Pr = Pr * P
-    return poly_pow(f, p - k) * acc
+    fpk = poly_pow(f, p - k)
+    if k == 1:
+        return fpk
+    fsp = lift.on_poly(f).scale_exponents(p)
+    P = fsp - poly_pow(f, p)
+    S, Pj = fsp + P, P
+    for _ in range(k - 2):
+        Pj = Pj * P
+        S = S * fsp + Pj
+    return fpk * S
 
 
 class HasseWittMatrix:
+    """Entries are PadicSeries, except that the monomial-basis matrix keeps
+    the int 0 for a monomial its Cartier image lacks: JSON prints that 0 as
+    0 and a zero series as its D + 1 zero coefficients.  hw is a PadicSeries."""
+
     __slots__ = ("level", "prime", "precision", "basis", "entries", "L_k", "hw")
 
     def __init__(self, level, prime, precision, basis, entries, L_k, hw):
@@ -50,21 +57,17 @@ class HasseWittMatrix:
         return len(self.entries)
 
     def to_json(self):
-        def render(c):
-            if isinstance(c, PadicSeries):
-                return c.coeffs
-            if isinstance(c, PadicInt):
-                return c.residue
-            return str(c)
-
         obj = {
             "level": self.level,
             "prime": self.prime,
             "precision": self.precision,
             "basis": [list(map(str, b)) if isinstance(b, tuple) else str(b) for b in self.basis],
-            "entries": [[render(c) for c in row] for row in self.entries],
+            "entries": [
+                [c.coeffs if isinstance(c, PadicSeries) else c for c in row]
+                for row in self.entries
+            ],
             "L_k": self.L_k,
-            "hw_det": render(self.hw),
+            "hw_det": self.hw.coeffs,
         }
         return json.dumps(obj, sort_keys=True)
 
@@ -91,22 +94,22 @@ def _det(entries):
 
 
 def _point_levels(P, k, region):
-    by_level = {}
-    pts_k = lattice_points(P, k, region)
-    counts = []
-    seen = set()
-    for lev in range(1, k + 1):
-        pts = lattice_points(P, lev, region)
-        counts.append(len(pts))
+    """The points of level k, ordered by the least level each lies in, and
+    the point counts of levels 1..k.  Each level's points must lie in the
+    next level's."""
+    levels = [lattice_points(P, lev, region) for lev in range(1, k + 1)]
+    first = {}
+    for lev, pts in enumerate(levels, 1):
+        missing = first.keys() - set(pts)
+        if missing:
+            raise ConfigError(
+                "region levels are not nested: %r of level %d is not in level %d"
+                % (min(missing), lev - 1, lev)
+            )
         for u in pts:
-            if u not in seen:
-                seen.add(u)
-                by_level[u] = lev
-    missing = [u for u in pts_k if u not in by_level]
-    if missing:
-        raise ConfigError("region levels are not nested at %r" % (missing[0],))
-    ordered = sorted(pts_k, key=lambda u: (by_level[u], u))
-    return ordered, counts
+            first.setdefault(u, lev)
+    ordered = sorted(levels[-1], key=lambda u: (first[u], u))
+    return ordered, [len(pts) for pts in levels]
 
 
 def hasse_witt_matrix(f, lift, k, region, ctx):
@@ -120,7 +123,7 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     m_k = counts[-1]
     L_k = sum(m_k - counts[l - 1] for l in range(1, k))
     Fk = F_k_polynomial(f, lift, k, ctx)
-    one = _ring_one(f)
+    one = _ring_one(f, ctx)
     point_set = set(points)
     entries = []
     for u in points:
@@ -130,8 +133,8 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
             raise TheoremViolation(
                 "Cartier image supported outside the level-%d region at %r" % (k, extra[0])
             )
-        entries.append([_promote(img.coeff(v, 0), ctx) for v in points])
-    det = _det(entries)
+        entries.append([img.coeff(v, 0) for v in points])
+    det = _constant(_det(entries), one)
     try:
         hw = det.divide_exact_p(L_k)
     except ReductionError as exc:
@@ -139,20 +142,19 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
 
 
-def _ring_one(f):
-    for c in f.terms.values():
-        if isinstance(c, PadicSeries):
-            return PadicSeries.one(c.ctx, c.D)
-        if isinstance(c, PadicInt):
-            return PadicInt(c.ctx, 1)
-        return 1
-    return 1
+def _ring_one(f, ctx):
+    """The one of f's coefficient ring: a PadicSeries at the degree bound of
+    f's coefficients, at degree 0 when they are scalars."""
+    c = next(iter(f.terms.values()), 0)
+    return PadicSeries.one(ctx, c.D if isinstance(c, PadicSeries) else 0)
 
 
-def _promote(c, ctx):
-    if isinstance(c, (PadicInt, PadicSeries)):
+def _constant(c, one):
+    """A coefficient c (a scalar such as the int 0 of a missing term, or a
+    series) as an element of the coefficient ring whose one is `one`."""
+    if isinstance(c, PadicSeries):
         return c
-    return PadicInt(ctx, c)
+    return PadicSeries.constant(one.ctx, c, one.D)
 
 
 def extended_basis_division(A, f, b, k, region):
@@ -160,20 +162,13 @@ def extended_basis_division(A, f, b, k, region):
     Supp(Q) in (k mu) minus (b + (k-1)mu)."""
     P_delta = newton_polytope(f)
     b = tuple(b)
-    fb = f.coeff(b)
-    is_unit = fb.is_unit() if isinstance(fb, PadicInt) else bool(fb)
-    if isinstance(fb, PadicSeries):
-        is_unit = fb[0] % fb.ctx.p != 0
-    if not is_unit:
-        raise DomainError("coefficient of x^b in f is not a unit")
-    fb_inv = fb.invert() if hasattr(fb, "invert") else 1 / fb
+    # a DomainError unless the coefficient of x^b in f is a unit
+    fb_inv = invert_coefficient(f.coeff(b))
     lower = set(lattice_points(P_delta, k - 1, region)) if k > 1 else set()
     shifted = {tuple(u[i] + b[i] for i in range(f.n)): u for u in lower}
     # process candidates in increasing grading order: eliminating x^{u+b}
     # only creates terms of strictly larger grade, so each shifted point is
     # handled at most once
-    from .expansion import grading_functional
-
     gens = [tuple(v[i] - b[i] for i in range(f.n)) for v in P_delta.vertices if v != b]
     ell = grading_functional(gens, f.n)
     Q = A
@@ -219,9 +214,7 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     if k == 1:
         img = cartier_poly(Fk, p)
         _check_cy_support(img, verts, 1)
-        entry = _promote(img.constant_term(0), ctx)
-        if not isinstance(entry, PadicSeries):
-            entry = PadicSeries.constant(ctx, entry.residue, Dt)
+        entry = _constant(img.constant_term(0), one)
         return HasseWittMatrix(1, p, ctx.N, ["1"], [[entry]], 0, entry)
     tg = g.map_coefficients(lambda c: t * c)
     if basis == "omega":
@@ -232,16 +225,16 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
         labels = ["1", "t*g"]
     else:
         raise ConfigError("unknown CY basis %r" % (basis,))
-    gamma_inv = PadicInt(ctx, gamma).invert().residue
+    gamma_inv = unit_inverse(gamma, ctx)
     v_inv = lift.vsigma.invert()
     rows = []
     for bi in (b1, tg):
         img = cartier_poly(bi * Fk, p)
         _check_cy_support(img, verts, 2)
-        C0 = _as_series(img.constant_term(0), ctx, Dt)
-        Cv = _as_series(img.coeff(v1, 0), ctx, Dt)
+        C0 = _constant(img.constant_term(0), one)
+        Cv = _constant(img.coeff(v1, 0), one)
         for w in verts[1:]:
-            if _as_series(img.coeff(w, 0), ctx, Dt) != Cv:
+            if _constant(img.coeff(w, 0), one) != Cv:
                 raise TheoremViolation("vertex coefficients are not symmetric")
         c1 = Cv.shift_div(p) * v_inv * gamma_inv
         c0 = C0 - Cv * alpha * gamma_inv
@@ -259,14 +252,6 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     except ReductionError as exc:
         raise TheoremViolation("det HW^(2) not divisible by p: %s" % exc)
     return HasseWittMatrix(2, p, ctx.N, labels, rows, L_k, hw)
-
-
-def _as_series(c, ctx, Dt):
-    if isinstance(c, PadicSeries):
-        return c
-    if isinstance(c, PadicInt):
-        return PadicSeries.constant(ctx, c.residue, Dt)
-    return PadicSeries.constant(ctx, c, Dt)
 
 
 def _check_cy_support(img, verts, k):

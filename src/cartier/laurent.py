@@ -1,8 +1,9 @@
 """Sparse Laurent polynomials in n variables.
 
-Coefficients may be ints, Fractions, PadicInt, RationalSeries or
-PadicSeries; all that is required is ring arithmetic through operators
-and falsiness of zero.  Zero coefficients are dropped eagerly.
+Coefficients may be ints, Fractions, RationalSeries or PadicSeries (Z/p^N
+scalars are PadicSeries of degree 0); all that is required is ring
+arithmetic through operators and falsiness of zero.  Zero coefficients are
+dropped eagerly.
 
 A product whose coefficients are all PadicSeries of one degree bound goes
 to `series.packed_term_mul`, which forms each pair of terms as one bigint
@@ -194,18 +195,22 @@ class LaurentPoly:
 
 
 def poly_pow(f, e):
-    """f^e by binary exponentiation on sparse maps."""
+    """f^e by binary exponentiation on sparse maps.  For e >= 1 the result
+    starts from a power of f, never from the int one, so no product leaves
+    f's coefficient ring."""
     if e < 0:
         raise DomainError("negative exponent")
-    result = LaurentPoly.one(f.n)
+    if e == 0:
+        return LaurentPoly.one(f.n)
+    result = None
     base = f
-    while e:
+    while True:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         e >>= 1
-        if e:
-            base = base * base
-    return result
+        if not e:
+            return result
+        base = base * base
 
 
 def cartier_poly(A, p):

@@ -1,4 +1,7 @@
-"""Truncated p-adic integers: residues modulo p^N with valuation bookkeeping."""
+"""Z/p^N standing in for Z_p: the context, and the scalar operations on int
+residues mod p^N (valuation, exact reduction of rationals, unit inverse).
+Series and Laurent polynomials over Z/p^N use PadicSeries coefficients, at
+degree 0 for scalars."""
 
 from fractions import Fraction
 
@@ -62,6 +65,13 @@ def ord_p(m, p, cap):
     return v
 
 
+def unit_inverse(c, ctx):
+    """The inverse mod p^N of an integer c; InvertError if p divides c."""
+    if c % ctx.p == 0:
+        raise InvertError("%d is not a unit mod %d^%d" % (c, ctx.p, ctx.N))
+    return pow(c, -1, ctx.modulus)
+
+
 def reduce_fraction(q, ctx):
     """Residue of an exact rational mod p^N.  p | denominator -> ReductionError."""
     q = Fraction(q)
@@ -69,100 +79,3 @@ def reduce_fraction(q, ctx):
     if den % ctx.p == 0:
         raise ReductionError("p=%d divides denominator of %s" % (ctx.p, q))
     return q.numerator * pow(den, -1, ctx.modulus) % ctx.modulus
-
-
-class PadicInt:
-    """An element of Z/p^N."""
-
-    __slots__ = ("ctx", "residue")
-
-    def __init__(self, ctx, value):
-        self.ctx = ctx
-        if isinstance(value, PadicInt):
-            ctx.same(value.ctx)
-            value = value.residue
-        elif isinstance(value, Fraction):
-            value = reduce_fraction(value, ctx)
-        self.residue = value % ctx.modulus
-
-    def _coerce(self, other):
-        if isinstance(other, PadicInt):
-            self.ctx.same(other.ctx)
-            return other.residue
-        if isinstance(other, (int, Fraction)):
-            return PadicInt(self.ctx, other).residue
-        return None
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicInt(self.ctx, self.residue + r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicInt(self.ctx, self.residue - r)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicInt(self.ctx, r - self.residue)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicInt(self.ctx, self.residue * r)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicInt(self.ctx, -self.residue)
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.invert() ** (-e)
-        return PadicInt(self.ctx, pow(self.residue, e, self.ctx.modulus))
-
-    def __eq__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self.residue == r
-
-    def __hash__(self):
-        return hash((self.ctx, self.residue))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return "%d (mod %d^%d)" % (self.residue, self.ctx.p, self.ctx.N)
-
-    def is_unit(self):
-        return self.residue % self.ctx.p != 0
-
-    def invert(self):
-        if not self.is_unit():
-            raise InvertError("%r is not a unit" % (self,))
-        return PadicInt(self.ctx, pow(self.residue, -1, self.ctx.modulus))
-
-    def ord(self):
-        """p-adic valuation, capped at N (ord of 0 is N by convention)."""
-        return ord_p(self.residue, self.ctx.p, self.ctx.N)
-
-    def divide_exact_p(self, k):
-        """Divide by p^k.  Result lives at precision N - k."""
-        if k == 0:
-            return self
-        pk = self.ctx.p ** k
-        if self.residue % pk != 0:
-            raise ReductionError("residue %d not divisible by p^%d" % (self.residue, k))
-        if self.ctx.N <= k:
-            raise ReductionError("no precision left after dividing by p^%d" % k)
-        return PadicInt(self.ctx.with_precision(self.ctx.N - k), self.residue // pk)

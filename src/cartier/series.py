@@ -51,7 +51,7 @@ from .errors import (
     ReductionError,
     ReversionError,
 )
-from .padic import PadicInt, ord_p, reduce_fraction
+from .padic import ord_p, reduce_fraction, unit_inverse
 
 
 class _Series:
@@ -376,16 +376,6 @@ def packed_term_mul(a, b):
     return out
 
 
-def _residue(c, ctx):
-    """Residue mod p^N of a coefficient that is not a plain int."""
-    if isinstance(c, PadicInt):
-        ctx.same(c.ctx)
-        return c.residue
-    if isinstance(c, Fraction):
-        return reduce_fraction(c, ctx)
-    return c % ctx.modulus
-
-
 class PadicSeries(_Series):
     """Truncation of an element of Z_p[[t]]: residues mod p^N up to degree D."""
 
@@ -402,7 +392,7 @@ class PadicSeries(_Series):
         if D < 0:
             raise ConfigError("empty coefficient list")
         m = ctx.modulus
-        cs = [c % m if type(c) is int else _residue(c, ctx) for c in coeffs]
+        cs = [c % m if type(c) is int else reduce_fraction(c, ctx) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.ctx = ctx
@@ -429,17 +419,16 @@ class PadicSeries(_Series):
         return PadicSeries(self.ctx, coeffs, D)
 
     def _scalar(self, x):
-        if isinstance(x, (int, Fraction, PadicInt)):
-            return PadicInt(self.ctx, x).residue
-        return None
+        # an int passes unreduced: every result is reduced by the constructor
+        if isinstance(x, int):
+            return x
+        return reduce_fraction(x, self.ctx) if isinstance(x, Fraction) else None
 
     def _same(self, other):
         self.ctx.same(other.ctx)
 
     def _unit_inverse(self, c):
-        if c % self.ctx.p == 0:
-            raise InvertError("constant term is not a p-adic unit")
-        return pow(c, -1, self.ctx.modulus)
+        return unit_inverse(c, self.ctx)
 
     def _reduce(self, c):
         return c % self.ctx.modulus
@@ -502,9 +491,6 @@ class PadicSeries(_Series):
             self.D,
         )
 
-    def coeff(self, i):
-        return PadicInt(self.ctx, self[i])
-
     def with_precision(self, N):
         """Cut (never extend) precision."""
         if N > self.ctx.N:
@@ -562,12 +548,12 @@ class PadicSeries(_Series):
         return acc
 
 
-def padic_log_unit(u):
-    """log of a PadicInt u = 1 mod p: the constant term of PadicSeries.log."""
-    ctx = u.ctx
-    if (u.residue - 1) % ctx.p:
+def padic_log_unit(ctx, u):
+    """log of an integer u = 1 mod p, as a residue mod p^N: the constant term
+    of PadicSeries.log at D = 0."""
+    if (u - 1) % ctx.p:
         raise InvertError("padic_log_unit requires u = 1 mod p")
-    return PadicInt(ctx, PadicSeries(ctx, [u.residue], 0).log()[0])
+    return PadicSeries(ctx, [u], 0).log()[0]
 
 
 def reduce_mod(a, ctx):

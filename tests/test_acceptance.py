@@ -30,7 +30,7 @@ from cartier.families import (
 from cartier.frobenius import check_lift_hypothesis, excellent_lift, lambda_pair
 from cartier.hasse_witt import hasse_witt_matrix
 from cartier.laurent import LaurentPoly
-from cartier.padic import PadicContext, PadicInt
+from cartier.padic import PadicContext
 from cartier.polytope import RegionSpec, newton_polytope
 from cartier.series import (
     PadicSeries,
@@ -51,9 +51,9 @@ def _random_f(rng, ctx):
     non-constant exponent is lexicographically positive)."""
     pool = [(a, b) for a in (1, 2) for b in range(-2, 3)] + [(0, 1), (0, 2)]
     pts = rng.sample(pool, rng.randint(3, 5))
-    terms = {(0, 0): PadicInt(ctx, 1)}
+    terms = {(0, 0): PadicSeries.one(ctx, 0)}
     for u in pts:
-        terms[u] = PadicInt(ctx, rng.randrange(1, ctx.modulus))
+        terms[u] = PadicSeries(ctx, [rng.randrange(1, ctx.modulus)], 0)
     return LaurentPoly(2, terms)
 
 
@@ -67,7 +67,7 @@ def test_cartier_rational_matches_decimation(p):
         f = _random_f(rng, ctx)
         gens = [u for u in f.support() if any(u)]
         ell = grading_functional(gens, 2)
-        elem = RationalElement(1, LaurentPoly.one(2, PadicInt(ctx, 1)), f)
+        elem = RationalElement(1, LaurentPoly.one(2, PadicSeries.one(ctx, 0)), f)
         direct = cartier_series(expand_at_vertex(elem, (0, 0), bound * p, ell=ell), p)
         total = None
         for term in cartier_rational(elem, lift, N, ctx):

@@ -160,11 +160,22 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
         # hasse_witt_matrix on the monomial basis
         ("hw --family square --prime 5 --level 2",
          "ba9c7b408e2bec0d304845783cd9f33c2586d1fa76bbec95e9d4af5270bf4299"),
+        # the text rendering of the series entries
+        ("hw --family square --prime 5 --level 2 --format text",
+         "a3cc68650f294165ab378edf763b39cf52b3a85be69f072bbe71aa4917ace8f5"),
+        # level 1, whose region polynomial has scalar coefficients
+        ("hw --family hyperoctahedral --n 2 --prime 7 --level 1 --format json",
+         "ed0a555f94d41aac5d6f1587697fb6183e0e970452120eeac958407500a69a6b"),
     ],
 )
 def test_hw_golden_bytes(argv, digest, capsys):
-    # recorded before LaurentPoly products over series were packed
-    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    # recorded before LaurentPoly products over series were packed; the text
+    # and level-1 cases before Z/p^N scalars became residues.  JSON unless
+    # the case names a format.
+    argv = argv.split()
+    if "--format" not in argv:
+        argv += ["--format", "json"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -268,11 +279,31 @@ def test_format_help_names_the_default_in_use(command, capsys):
 
 
 @pytest.mark.parametrize("command", ["periods", "lift", "hw"])
-def test_junit_only_for_verify(command, capsys):
+def test_junit_only_for_verify(command, tmp_path, capsys):
     code, out, err = run(capsys, command, *DEFAULT_FORMAT_RUNS[command], "--format", "junit")
     assert code == cli.EXIT_USAGE
     assert out == "" and "junit" in err
     assert "junit" not in _format_help(command)
+    # nor anywhere in --help, the usage line included
+    code, out, _ = run(capsys, command, "--help")
+    assert code == cli.EXIT_OK and "--format" in out and "junit" not in out
+    # a config file is held to the same choices
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=junit\n")
+    code, out, err = run(capsys, command, *DEFAULT_FORMAT_RUNS[command], "--config", str(cfg))
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "junit" in err
+
+
+def test_custom_family_with_p_dividing_gamma_is_a_usage_error(tmp_path, capsys):
+    # the level-2 CY matrix divides by gamma = 3, which is not a unit at p = 3
+    gf = tmp_path / "g.txt"
+    gf.write_text("1,0:3\n0,1:3\n-1,-1:3\n")
+    code, out, err = run(
+        capsys, "hw", "--family", "custom", "--g-file", str(gf), "--prime", "3", "--level", "2",
+    )
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "not a unit" in err
 
 
 @pytest.mark.parametrize("command,has_precision", [("verify", False), ("hw", True), ("lift", True)])

@@ -17,7 +17,7 @@ from cartier.expansion import (
     grading_functional,
 )
 from cartier.laurent import LaurentPoly
-from cartier.padic import PadicContext, PadicInt
+from cartier.padic import PadicContext
 from cartier.series import PadicSeries
 from cartier.sigma import FrobLift
 
@@ -76,7 +76,7 @@ def test_cartier_rational_matches_decimation_1d():
     # decimation of the direct expansion
     p, N, bound = 3, 4, 6
     ctx = PadicContext(p, N)
-    one = PadicInt(ctx, 1)
+    one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(1, {(0,): one, (1,): -one})
     elem = RationalElement(1, LaurentPoly.one(1, one), f)
     direct = cartier_series(expand_at_vertex(elem, (0,), bound * p), p)
@@ -108,18 +108,22 @@ def test_expand_cy_against_walk_counts():
 
 def test_fk_membership_defect_synthetic():
     ctx = PadicContext(3, 4)
-    p2 = PadicInt(ctx, 9)
-    unit = PadicInt(ctx, 2)
+
+    def scalar(c):
+        return PadicSeries(ctx, [c], 0)
+
+    p2 = scalar(9)
+    unit = scalar(2)
     good = ConeExpansion(
         1, (0,), None, 9,
-        {(1,): unit, (3,): PadicInt(ctx, 3), (9,): p2}, mode="cy",
+        {(1,): unit, (3,): scalar(3), (9,): p2}, mode="cy",
     )
     assert fk_membership_defect(good, 1, ctx) == 0
     # level 2 doubles the requirement: p^2 at u=3, p^4 at u=9
     assert fk_membership_defect(good, 2, ctx) == 2
     good2 = ConeExpansion(
         1, (0,), None, 9,
-        {(1,): unit, (3,): p2, (9,): PadicInt(ctx, 81)}, mode="cy",
+        {(1,): unit, (3,): p2, (9,): scalar(81)}, mode="cy",
     )
     assert fk_membership_defect(good2, 2, ctx) == 0
     # a unit coefficient at an exponent divisible by p violates the criterion

@@ -8,12 +8,13 @@ from cartier.errors import ConfigError, DomainError
 from cartier.families import FamilySpec
 from cartier.hasse_witt import (
     F_k_polynomial,
+    _point_levels,
     cy_hasse_witt,
     extended_basis_division,
     hasse_witt_matrix,
 )
 from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
-from cartier.padic import PadicContext, PadicInt
+from cartier.padic import PadicContext
 from cartier.polytope import RegionSpec, lattice_points, newton_polytope
 from cartier.series import PadicSeries
 from cartier.sigma import FrobLift
@@ -21,7 +22,7 @@ from cartier.sigma import FrobLift
 
 def test_F1_is_f_to_p_minus_1():
     ctx = PadicContext(5, 3)
-    one = PadicInt(ctx, 1)
+    one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): 2 * one})
     lift = FrobLift.identity()
     assert F_k_polynomial(f, lift, 1, ctx) == poly_pow(f, ctx.p - 1)
@@ -29,7 +30,8 @@ def test_F1_is_f_to_p_minus_1():
 
 def test_Fk_requires_k_below_p():
     ctx = PadicContext(3, 2)
-    f = LaurentPoly(1, {(0,): PadicInt(ctx, 1), (1,): PadicInt(ctx, 1)})
+    one = PadicSeries.one(ctx, 0)
+    f = LaurentPoly(1, {(0,): one, (1,): one})
     with pytest.raises(DomainError):
         F_k_polynomial(f, FrobLift.identity(), 3, ctx)
 
@@ -39,15 +41,15 @@ def test_level1_interval_matrix_is_identity():
     # are 1 on the diagonal and 0 off it
     for p in (3, 5):
         ctx = PadicContext(p, 3)
-        one = PadicInt(ctx, 1)
+        one = PadicSeries.one(ctx, 0)
         f = LaurentPoly(1, {(0,): one, (1,): -one})
         hw = hasse_witt_matrix(f, FrobLift.identity(), 1, RegionSpec.full(), ctx)
         assert hw.basis == [(0,), (1,)]
         assert hw.L_k == 0
         for i in range(2):
             for j in range(2):
-                assert hw.entries[i][j] == PadicInt(ctx, 1 if i == j else 0)
-        assert hw.hw == PadicInt(ctx, 1)
+                assert hw.entries[i][j] == PadicSeries(ctx, [1 if i == j else 0], 0)
+        assert hw.hw == one
 
 
 def _square_f(ctx, Dt):
@@ -160,3 +162,63 @@ def test_hw_json_roundtrip():
     obj = json.loads(hw.to_json())
     assert obj["level"] == 2 and obj["prime"] == 3 and obj["L_k"] == 1
     assert len(obj["entries"]) == 2
+
+
+def _scalar_products(monkeypatch):
+    """Record each PadicSeries product whose other operand is not a series."""
+    seen = []
+    mul = PadicSeries.__mul__
+
+    def spy(self, other):
+        if not isinstance(other, PadicSeries):
+            seen.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(PadicSeries, "__mul__", spy)
+    monkeypatch.setattr(PadicSeries, "__rmul__", spy)
+    return seen
+
+
+def test_powers_over_series_make_no_scalar_products(monkeypatch):
+    p, Dt = 5, 15
+    ctx = PadicContext(p, 4)
+    f = _square_f(ctx, Dt)
+    lift = FrobLift.tp(ctx, Dt)
+    # references by repeated products, before any product is recorded
+    powers = [None, f]
+    for _ in range(p + 1):
+        powers.append(powers[-1] * f)
+    fsp = lift.on_poly(f).scale_exponents(p)
+    P = fsp - powers[p]
+    expected_F = {1: powers[p - 1], 2: powers[p - 2] * (fsp + P)}
+    seen = _scalar_products(monkeypatch)
+    for e in range(1, 7):
+        assert poly_pow(f, e) == powers[e]
+    for k in (1, 2):
+        assert F_k_polynomial(f, lift, k, ctx) == expected_F[k]
+    assert seen == []
+    # the recorder sees a scalar product when one is made
+    assert LaurentPoly.one(2) * f == f and seen
+
+
+def test_point_levels_nested_regions_pass():
+    ctx = PadicContext(3, 2)
+    P = newton_polytope(_square_f(ctx, 6))
+    for region in (_half_open_region(P, 3), RegionSpec.interior(), RegionSpec.full()):
+        points, counts = _point_levels(P, 3, region)
+        levels = [lattice_points(P, k, region) for k in (1, 2, 3)]
+        assert counts == [len(pts) for pts in levels]
+        assert sorted(points) == sorted(levels[2])
+        # level-major: each point sits after every point of a lower level
+        first = [min(k for k in (1, 2, 3) if u in levels[k - 1]) for u in points]
+        assert first == sorted(first)
+
+
+def test_point_levels_rejects_unnested_region():
+    ctx = PadicContext(3, 3)
+    one = PadicSeries.one(ctx, 0)
+    f = LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): -one})
+    # (1, 0) is a level-1 point but not a level-2 one
+    region = RegionSpec.custom({1: [(0, 0), (1, 0)], 2: [(0, 0), (2, 0), (0, 2)]})
+    with pytest.raises(ConfigError, match="not nested"):
+        hasse_witt_matrix(f, FrobLift.identity(), 2, region, ctx)

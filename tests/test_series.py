@@ -15,7 +15,7 @@ from cartier.errors import (
     ReductionError,
     ReversionError,
 )
-from cartier.padic import PadicContext, PadicInt
+from cartier.padic import PadicContext
 from cartier.series import (
     _PACK_MIN,
     PadicSeries,
@@ -221,7 +221,7 @@ def test_dieudonne_dwork_check_negative():
 _CTX = PadicContext(5, 3)
 _M = _CTX.modulus
 # coefficients of every kind the constructor accepts: ints far outside
-# [0, p^N) on both sides, fractions with unit denominators, residues, bools
+# [0, p^N) on both sides, fractions with unit denominators, bools
 mixed_coeff = st.one_of(
     st.integers(-3 * _M, 3 * _M),
     st.builds(
@@ -229,10 +229,16 @@ mixed_coeff = st.one_of(
         st.integers(-3 * _M, 3 * _M),
         st.integers(1, 400).filter(lambda d: d % 5),
     ),
-    st.builds(lambda v: PadicInt(_CTX, v), st.integers(-_M, 2 * _M)),
     st.booleans(),
 )
 mixed_coeffs = st.lists(mixed_coeff, min_size=1, max_size=10)
+
+
+def _residue_oracle(c):
+    """c mod p^N through an inverse found by search, not by pow."""
+    c = Fraction(c)
+    inv = next(i for i in range(_M) if c.denominator * i % _M == 1)
+    return c.numerator * inv % _M
 
 
 def _in_range(s):
@@ -244,11 +250,10 @@ def _in_range(s):
 def test_padic_series_reduces_every_coefficient_once(a, b, k):
     x = PadicSeries(_CTX, a)
     y = PadicSeries(_CTX, b)
-    # the oracle is PadicInt, which reduces each kind on its own
-    assert x.coeffs == [PadicInt(_CTX, c).residue for c in a]
+    assert x.coeffs == [_residue_oracle(c) for c in a]
     assert _in_range(x) and _in_range(y)
     D = min(x.D, y.D)
-    ka = PadicInt(_CTX, k).residue
+    ka = _residue_oracle(k)
     xy = [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(D + 1)]
     for got, want in (
         (x + y, [(x[i] + y[i]) % _M for i in range(D + 1)]),

@@ -4,7 +4,7 @@ import pytest
 
 from cartier.errors import ConfigError
 from cartier.laurent import LaurentPoly
-from cartier.padic import PadicContext, PadicInt
+from cartier.padic import PadicContext
 from cartier.series import PadicSeries
 from cartier.sigma import FrobLift
 
@@ -35,8 +35,9 @@ def test_explicit_lift_consistency():
     # composing t with the lift gives t^sigma itself
     t = PadicSeries.t(ctx, D)
     assert lift.on_series(t) == lift.tsigma
-    # agreement with tp on scalars
-    assert lift.on_coeff(PadicInt(ctx, 7)) == PadicInt(ctx, 7)
+    # agreement with tp on scalars, ints and degree-0 series alike
+    assert lift.on_coeff(7) == 7
+    assert lift.on_coeff(PadicSeries(ctx, [7], 0)) == PadicSeries(ctx, [7], 0)
 
 
 def test_explicit_lift_rejects_non_unit_v():
