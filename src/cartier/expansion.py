@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .errors import ConfigError, ExpansionError, PrecisionError
-from .laurent import LaurentPoly, cartier_poly, poly_pow
+from .laurent import cartier_poly, poly_pow
 from .padic import ord_p
 from .polytope import newton_polytope
 from .series import PadicSeries
@@ -260,10 +260,11 @@ def cartier_rational(elem, lift, K, ctx):
     Pg = fsp - poly_pow(f, p)  # this is p*G(x)
     base = elem.A * poly_pow(f, p * cm - m)
     out = []
-    Pr = LaurentPoly.one(f.n)
+    # base * Pg^r, the polynomial under Phi in the r-th term
+    Pr = base
     r = 0
     while Fraction(r) - Fraction(r, p - 1) + cm - 1 < K:
-        Qr = cartier_poly(base * Pr, p)
+        Qr = cartier_poly(Pr, p)
         coeff = Fraction(
             elem.prefactor
             * Fraction(

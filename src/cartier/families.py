@@ -17,6 +17,11 @@ vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
 = 0 with its v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k
 at x^{c v_1}.  c = 0 is F.  The enumeration keeps integer weights (sums of
 multinomials), so these coefficients are exact ints.
+
+W, q, A, B and the mirror map come from F and G by exact recurrences on
+coefficient lists.  A division gives an int when it divides and a Fraction
+otherwise, so the catalog stays in integers, and a family that is not
+p-integral keeps its exact value in Q and fails in reduce_mod.
 """
 
 from fractions import Fraction
@@ -419,11 +424,11 @@ class PeriodData:
 
     @property
     def W(self):
-        """The Wronskian W = F^2 + F thetaG - thetaF G."""
+        """The Wronskian W = F^2 + F thetaG - thetaF G = F^2 (1 + theta(G/F))."""
         W = self._cache.get("W")
         if W is None:
-            F, G = self.F, self.G
-            W = self._cache["W"] = F * F + F * G.theta() - F.theta() * G
+            F, c = _exact(self.F), _theta_log_u(self)
+            W = self._cache["W"] = RationalSeries(_mul(_mul(F, F), [1] + c[1:]), self.D)
         return W
 
     def truncated_F(self, Nt):
@@ -433,32 +438,82 @@ class PeriodData:
         return RationalSeries(self.F._c[:Nt], self.D)
 
 
+def _exact(s):
+    """The D + 1 coefficients of a RationalSeries, integers as ints."""
+    return [c.numerator if c.denominator == 1 else c for c in s.coeffs]
+
+
+def _quo(x, d):
+    """x / d exactly: an int when d divides the int x, else a Fraction."""
+    return x // d if type(x) is int and x % d == 0 else Fraction(x, d)
+
+
+def _mul(a, b):
+    """The product of two coefficient lists of one length, cut there."""
+    return [sum(b[k] * a[m - k] for k in range(m + 1) if b[k]) for m in range(len(a))]
+
+
+def _over(a, b):
+    """a/b for two coefficient lists of one length, b[0] = 1."""
+    out, nonzero = [], []
+    for m, y in enumerate(b):
+        if y and m:
+            nonzero.append((m, y))
+        out.append(a[m] - sum(y * out[m - k] for k, y in nonzero))
+    return out
+
+
+def _exp_theta(c, s, n):
+    """Coefficients 0..n of exp(s l), where l(0) = 0 and theta l = c: the
+    recurrence m e_m = s sum_{j=1..m} c_j e_{m-j}."""
+    e, nonzero = [1], []
+    for m in range(1, n + 1):
+        if c[m]:
+            nonzero.append((m, c[m]))
+        e.append(_quo(s * sum(y * e[m - j] for j, y in nonzero), m))
+    return e
+
+
+def _theta_log_u(periods):
+    """c = theta(G/F) = theta log(q/t), as theta(G^/F)/L for G = G^/L over
+    the lcm L of G's denominators; kept in the cache."""
+    c = periods._cache.get("c")
+    if c is None:
+        G = periods.G.coeffs
+        L = lcm(*(x.denominator for x in G))
+        ratio = _over([x.numerator * (L // x.denominator) for x in G], _exact(periods.F))
+        c = periods._cache["c"] = [_quo(k * x, L) for k, x in enumerate(ratio)]
+    return c
+
+
 def ab_coefficients(periods):
-    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G:
-    the solution by Cramer's rule of those two equations, whose determinant
-    is -W."""
-    F, G, W = periods.F, periods.G, periods.W
-    tF, t2F = F.theta(), F.theta().theta()
-    tG, t2G = G.theta(), G.theta().theta()
-    Winv = W.invert()
-    A = ((F + tG) * t2F - tF * (t2G + 2 * tF)) * Winv
-    B = (F * (t2G + 2 * tF) - G * t2F) * Winv
-    return A, B
+    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G.
+    Cramer's rule on those two equations, whose determinant is -W, gives
+    B = thetaW/W; the equation for y = F then gives
+    A = (theta^2F - B thetaF)/F."""
+    F, W = _exact(periods.F), _exact(periods.W)
+    tF, t2F = _exact(periods.F.theta()), _exact(periods.F.theta().theta())
+    B = _over(_exact(periods.W.theta()), W)
+    A = _over([x - y for x, y in zip(t2F, _mul(tF, B))], F)
+    return RationalSeries(A, periods.D), RationalSeries(B, periods.D)
 
 
 def canonical_q(periods):
-    """q(t) = t exp(G(t)/F(t)), built once per PeriodData and kept in its
-    cache."""
+    """q(t) = t exp(G(t)/F(t)) = t u, with u(0) = 1 and theta u = u
+    theta(G/F); built once per PeriodData and kept in its cache."""
     q = periods._cache.get("q")
     if q is None:
-        F, G = periods.F, periods.G
-        q = periods._cache["q"] = (G * F.invert()).exp().shift(1)
+        u = _exp_theta(_theta_log_u(periods), 1, periods.F.D - 1)
+        q = periods._cache["q"] = RationalSeries([0] + u, periods.F.D)
     return q
 
 
 def mirror_map(periods):
-    """t as a power series in q: the reversion of canonical_q."""
-    return canonical_q(periods).reverse()
+    """t as a power series in q, the reversion of q = t u, by Lagrange
+    inversion: [q^k] t = (1/k) [t^(k-1)] u^(-k), where u^(-k) = exp(-k G/F)."""
+    c, D = _theta_log_u(periods), periods.F.D
+    t = [0] + [_quo(_exp_theta(c, -k, k - 1)[-1], k) for k in range(1, D + 1)]
+    return RationalSeries(t, D)
 
 
 def pq_polynomial(n, Q):

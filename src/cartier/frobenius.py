@@ -47,8 +47,9 @@ def check_lift_hypothesis(family, p):
 
 
 def reduced_q(periods, ctx):
-    """q(t) and the mirror map t(q) mod p^N.  q is reduced first and reverted
-    in Z/p^N: the reversion of a p-integral t + O(t^2) is p-integral, so the
+    """q(t) and the mirror map t(q) mod p^N.  q, exact in Q from the integer
+    recurrence of canonical_q, is reduced first and reverted in Z/p^N: the
+    reversion of a p-integral t + O(t^2) is p-integral, so the
     ReductionError raised on q is the whole integrality check."""
     q = reduce_mod(canonical_q(periods), ctx)
     return q, q.reverse()

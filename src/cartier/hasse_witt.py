@@ -2,6 +2,7 @@
 
 import json
 from itertools import permutations
+from operator import add
 
 from .errors import (
     ConfigError,
@@ -127,7 +128,8 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     point_set = set(points)
     entries = []
     for u in points:
-        img = cartier_poly(LaurentPoly.monomial(u, one) * Fk, p)
+        shifted = {tuple(map(add, v, u)): c for v, c in Fk.terms.items()}  # x^u Fk
+        img = cartier_poly(LaurentPoly(f.n, shifted), p)
         extra = [v for v in img.terms if v not in point_set]
         if extra:
             raise TheoremViolation(

@@ -2,10 +2,10 @@
 
 `_Series` holds the one copy of the truncated-series algorithms, and two
 thin ring classes supply what differs: `RationalSeries` over Q (Fraction
-coefficients) and `PadicSeries` over Z/p^N (int residues).  Period data is
-generated over Fraction coefficients and pushed into PadicSeries through
-reduce_mod at the last possible moment, so that any hidden p in a
-denominator raises ReductionError instead of corrupting residues.
+coefficients) and `PadicSeries` over Z/p^N (int residues).  Period data,
+built by integer recurrences in `families` and carried as RationalSeries,
+is pushed into PadicSeries through reduce_mod at the last possible moment,
+so that any hidden p in a denominator raises ReductionError.
 
 A series stores its degree bound D explicitly and its coefficients `_c`
 only up to the last nonzero one (the zero series stores []), so the

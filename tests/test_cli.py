@@ -180,6 +180,25 @@ def test_hw_golden_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("periods --family an --n 3 --degree 20 --format json",
+         "6a8a68e98be504aa13ff7c37ace74f4013608c4b83b628782c978371d735d104"),
+        ("periods --family hyperoctahedral --n 2 --degree 60 --format text",
+         "c638d90dd99d2b0d8b244e91830b915a893d6f4da62a1c2f218f8136cd10a517"),
+        # degree 147 as in the benchmark's lift, where the mirror map is longest
+        ("periods --family hyperoctahedral --n 2 --degree 147 --format json",
+         "ed7405f9c25fb8da9a387d2539f0480607a0e0319723029b86c21f65e1b06b6b"),
+    ],
+)
+def test_periods_golden_bytes(argv, digest, capsys):
+    # recorded while W, q, A, B and the mirror map were still Q-series
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
 )

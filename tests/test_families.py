@@ -6,12 +6,13 @@ from math import comb, factorial
 import pytest
 
 from cartier import harness
-from cartier.errors import ConfigError, DomainError
+from cartier.errors import ConfigError, DomainError, ReductionError
 from cartier.expansion import expand_cy
 from cartier.families import (
     FamilySpec,
     PeriodData,
     _closed_FG,
+    _theta_log_u,
     ab_coefficients,
     canonical_q,
     generic_periods,
@@ -21,7 +22,7 @@ from cartier.families import (
 )
 from cartier.laurent import LaurentPoly, poly_pow
 from cartier.padic import PadicContext
-from cartier.series import PadicSeries, RationalSeries, is_p_integral
+from cartier.series import PadicSeries, RationalSeries, is_p_integral, reduce_mod
 
 
 def brute_force_F(family, D):
@@ -279,3 +280,55 @@ def test_canonical_q_is_cached_at_full_degree():
     periods = PeriodData(FamilySpec.hypercubic(2), 14)
     q = canonical_q(periods)
     assert canonical_q(periods) is q
+
+
+def q_series_oracle(F, G):
+    """W, q, A, B and the mirror map by Q-series arithmetic, as the runtime
+    built them before the integer period layer: W = F^2 + F thetaG - thetaF G,
+    q = t exp(G/F), A and B by Cramer's rule, and Newton reversion of q."""
+    tF, t2F = F.theta(), F.theta().theta()
+    tG, t2G = G.theta(), G.theta().theta()
+    W = F * F + F * tG - tF * G
+    Winv = W.invert()
+    A = ((F + tG) * t2F - tF * (t2G + 2 * tF)) * Winv
+    B = (F * (t2G + 2 * tF) - G * t2F) * Winv
+    q = (G * F.invert()).exp().shift(1)
+    return W, q, A, B, q.reverse()
+
+
+def integer_layer(periods):
+    A, B = ab_coefficients(periods)
+    return periods.W, canonical_q(periods), A, B, mirror_map(periods)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [FamilySpec.by_name(kind, n) for kind, n in CATALOG] + [FamilySpec.custom(CUSTOM_G)],
+    ids=lambda f: "%s-n%d" % (f.kind, f.n),
+)
+def test_integer_period_layer_matches_q_series_oracle(family):
+    periods = PeriodData(family, 30)
+    got = integer_layer(periods)
+    expected = q_series_oracle(periods.F, periods.G)
+    assert [s.coeffs for s in got] == [s.coeffs for s in expected]
+    # theta(G/F) is integral, so the recurrences never leave the ints
+    assert all(type(c) is int for c in _theta_log_u(periods))
+
+
+def test_integer_period_layer_keeps_a_non_integral_G_exact():
+    # negative control: G = t/p + t^3/p^2 makes every derived series
+    # non-integral at p; the exact divisions keep its value in Q, and
+    # reduce_mod is where it fails
+    p, D = 5, 12
+    periods = PeriodData.__new__(PeriodData)
+    periods.family, periods.D, periods._cache = None, D, {}
+    periods.F = PeriodData(FamilySpec.hypercubic(2), D).F
+    periods.G = RationalSeries([0, Fraction(1, p), 0, Fraction(1, p * p)], D)
+    got = integer_layer(periods)
+    expected = q_series_oracle(periods.F, periods.G)
+    assert [s.coeffs for s in got] == [s.coeffs for s in expected]
+    assert not is_p_integral(got[1], p)
+    ctx = PadicContext(p, 4)
+    for s in got:
+        with pytest.raises(ReductionError):
+            reduce_mod(s, ctx)
