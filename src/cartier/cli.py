@@ -121,7 +121,10 @@ def load_config(path):
             key = key.strip().replace("-", "_")
             val = val.strip()
             if key in _INT_KEYS:
-                values[key] = int(val)
+                try:
+                    values[key] = int(val)
+                except ValueError:
+                    raise ConfigError("config line %r: %s is not an integer" % (line, key)) from None
             elif key in _BOOL_KEYS:
                 values[key] = val.lower() in ("1", "true", "yes", "on")
             else:
@@ -211,10 +214,12 @@ def make_lift(spec, family, periods, ctx, Dt):
             toks = fh.read().split()
         coeffs = [0] * (Dt + 1)
         for tok in toks:
-            k, c = tok.split(":")
-            k = int(k)
+            try:
+                k, c = map(int, tok.split(":"))
+            except ValueError:
+                raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
             if 0 <= k <= Dt:
-                coeffs[k] = int(c)
+                coeffs[k] = c
         tsigma = PadicSeries(ctx, coeffs)
         for i, c in enumerate(tsigma.coeffs):
             if (c - (1 if i == ctx.p else 0)) % ctx.p:

@@ -6,11 +6,11 @@ A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
 whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  Period series are computed by closed forms for the named
 families and by enumeration of the relation lattice of the vertices for
-custom ones; the tests compare the two paths on the catalog.  The closed
-forms keep F in integers and G over one common denominator: for `an` and
-`hyperoctahedral`, the powers of E = sum t^j/(j!)^2 they need are the
-binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
-e_j(k) = (k!)^2 [t^k] E^j.
+custom ones; the tests compare the two paths on the catalog.  Both keep F
+in integers and G in integers over one common denominator.  For `an` and
+`hyperoctahedral`, the powers of E = sum t^j/(j!)^2 the closed forms need
+are the binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i),
+where e_j(k) = (k!)^2 [t^k] E^j.
 
 The same enumeration gives the coefficients [x^{c v_1}] g^k along the first
 vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
@@ -18,10 +18,11 @@ vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
 at x^{c v_1}.  c = 0 is F.  The enumeration keeps integer weights (sums of
 multinomials), so these coefficients are exact ints.
 
-W, q, A, B and the mirror map come from F and G by exact recurrences on
-coefficient lists.  A division gives an int when it divides and a Fraction
-otherwise, so the catalog stays in integers, and a family that is not
-p-integral keeps its exact value in Q and fails in reduce_mod.
+W, q, A, B and the mirror map are RationalSeries formulas in F and
+l = G/F.  A RationalSeries keeps an integral coefficient as an int, and for
+the catalog theta(l) is integral, so these products and recurrences run in
+ints; a family that is not p-integral keeps its exact value in Q and fails
+in reduce_mod.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .errors import ConfigError, DomainError
 from .exactla import solve
 from .laurent import LaurentPoly
 from .polytope import newton_polytope, support_lattice_index
-from .series import RationalSeries
+from .series import RationalSeries, quo
 
 
 def _sign_vectors(n):
@@ -144,10 +145,12 @@ class FamilySpec:
 
 
 def _harmonics(D):
-    H = [Fraction(0)]
+    """L = lcm(1..D) and the harmonic numbers L H_0, .., L H_D over it."""
+    L = lcm(*range(1, D + 1))
+    H = [0]
     for j in range(1, D + 1):
-        H.append(H[-1] + Fraction(1, j))
-    return H
+        H.append(H[-1] + L // j)
+    return L, H
 
 
 def _square_binomial_powers(m, D):
@@ -159,32 +162,29 @@ def _square_binomial_powers(m, D):
     return e
 
 
+def _series_over(F, G, L):
+    """F and G/L as RationalSeries, for int lists F and G."""
+    return RationalSeries(F), RationalSeries([quo(x, L) for x in G])
+
+
 def _closed_FG(family, D):
+    """F in ints and G as ints over L = lcm(1..D), with the harmonic
+    numbers L H_j of _harmonics."""
     kind, n = family.kind, family.n
-    F = [Fraction(0)] * (D + 1)
-    G = [Fraction(0)] * (D + 1)
-    H = _harmonics(D)
+    F = [0] * (D + 1)
+    G = [0] * (D + 1)
+    L, H = _harmonics(D)
     if kind == "simplicial":
-        k = 0
-        while (n + 1) * k <= D:
-            d = (n + 1) * k
-            c = Fraction(factorial((n + 1) * k), factorial(k) ** (n + 1))
-            F[d] = c
-            G[d] = c * (H[(n + 1) * k] - H[k])
-            k += 1
-        return RationalSeries(F), RationalSeries(G)
-    if kind == "hypercubic":
-        k = 0
-        while 2 * k <= D:
-            c = Fraction(comb(2 * k, k) ** n)
+        for k in range(D // (n + 1) + 1):
+            c = factorial((n + 1) * k) // factorial(k) ** (n + 1)
+            F[(n + 1) * k] = c
+            G[(n + 1) * k] = c * (H[(n + 1) * k] - H[k])
+    elif kind == "hypercubic":
+        for k in range(D // 2 + 1):
+            c = comb(2 * k, k) ** n
             F[2 * k] = c
             G[2 * k] = c * n * (H[2 * k] - H[k])
-            k += 1
-        return RationalSeries(F), RationalSeries(G)
-    # the harmonic weights over one denominator L, so that G sums ints
-    L = lcm(*range(1, D + 1))
-    HL = [int(h * L) for h in H]
-    if kind == "hyperoctahedral":
+    elif kind == "hyperoctahedral":
         # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
         # E_H = sum_j H_j t^j/(j!)^2
         e = _square_binomial_powers(n - 1, D // 2)
@@ -192,17 +192,17 @@ def _closed_FG(family, D):
             c = comb(2 * k, k)
             terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
             F[2 * k] = c * sum(terms)
-            G[2 * k] = Fraction(c * sum(x * (HL[2 * k] - HL[i]) for i, x in enumerate(terms)), L)
-        return RationalSeries(F), RationalSeries(G)
-    if kind == "an":
+            G[2 * k] = c * sum(x * (H[2 * k] - H[i]) for i, x in enumerate(terms))
+    elif kind == "an":
         # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
         e = _square_binomial_powers(n, D)
         for k in range(D + 1):
             terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
             F[k] = sum(terms)
-            G[k] = Fraction(2 * sum(x * (HL[k] - HL[i]) for i, x in enumerate(terms)), L)
-        return RationalSeries(F), RationalSeries(G)
-    raise ConfigError("no closed form for kind %r" % (kind,))
+            G[k] = 2 * sum(x * (H[k] - H[i]) for i, x in enumerate(terms))
+    else:
+        raise ConfigError("no closed form for kind %r" % (kind,))
+    return _series_over(F, G, L)
 
 
 def relation_mu(family):
@@ -376,11 +376,14 @@ def vertex_coefficients(family, D, cs):
 
 def generic_periods(family, D):
     """F and G to degree D by direct enumeration of the relation lattice: F
-    is [x^0] of 1/(1 - t g), and G adds the relations with ell_1 < 0."""
+    is [x^0] of 1/(1 - t g), and G adds the relations with ell_1 < 0.  G is
+    summed in ints over L = lcm(1..S), S the largest s of a relation: the
+    term d!(a-1)!/(m! s!) of a relation with ell_1 = -a has denominator
+    a C(s, a), which divides lcm(1..s)."""
     weights = _weights_to_degree(family, D)
-    H = _harmonics(D)
+    L, H = _harmonics(max([D] + [s for _, s in weights]))
     F = [0] * (D + 1)
-    G = [Fraction(0)] * (D + 1)
+    G = [0] * (D + 1)
     for d, ell1, term in _shifted_terms(family, weights, 0, D):
         F[d] += term
         G[d] += term * (H[d] - H[ell1])
@@ -392,11 +395,11 @@ def generic_periods(family, D):
         sign = -1 if ell1 % 2 == 0 else 1  # (-1)^(ell1+1)
         for m in _constant_powers(alpha, D - total):
             d = total + m
-            G[d] += Fraction(
-                sign * factorial(d) * factorial(-1 - ell1) * alpha ** m * gamma ** total * val,
-                factorial(m) * factorial(s),
+            G[d] += (
+                sign * L * factorial(d) * factorial(-1 - ell1) // (factorial(m) * factorial(s))
+                * alpha ** m * gamma ** total * val
             )
-    return RationalSeries(F), RationalSeries(G)
+    return _series_over(F, G, L)
 
 
 def _periods(family, D):
@@ -406,9 +409,9 @@ def _periods(family, D):
 
 
 class PeriodData:
-    """F and G to degree D.  Series derived from them, the Wronskian W and
-    the canonical coordinate q, are built on first read and kept in
-    `_cache`."""
+    """F and G to degree D.  Series derived from them, l = G/F, the
+    Wronskian W and the canonical coordinate q, are built on first read and
+    kept in `_cache`."""
 
     __slots__ = ("family", "D", "F", "G", "_cache")
 
@@ -427,8 +430,7 @@ class PeriodData:
         """The Wronskian W = F^2 + F thetaG - thetaF G = F^2 (1 + theta(G/F))."""
         W = self._cache.get("W")
         if W is None:
-            F, c = _exact(self.F), _theta_log_u(self)
-            W = self._cache["W"] = RationalSeries(_mul(_mul(F, F), [1] + c[1:]), self.D)
+            W = self._cache["W"] = self.F * self.F * (_log_u(self).theta() + 1)
         return W
 
     def truncated_F(self, Nt):
@@ -438,52 +440,16 @@ class PeriodData:
         return RationalSeries(self.F._c[:Nt], self.D)
 
 
-def _exact(s):
-    """The D + 1 coefficients of a RationalSeries, integers as ints."""
-    return [c.numerator if c.denominator == 1 else c for c in s.coeffs]
-
-
-def _quo(x, d):
-    """x / d exactly: an int when d divides the int x, else a Fraction."""
-    return x // d if type(x) is int and x % d == 0 else Fraction(x, d)
-
-
-def _mul(a, b):
-    """The product of two coefficient lists of one length, cut there."""
-    return [sum(b[k] * a[m - k] for k in range(m + 1) if b[k]) for m in range(len(a))]
-
-
-def _over(a, b):
-    """a/b for two coefficient lists of one length, b[0] = 1."""
-    out, nonzero = [], []
-    for m, y in enumerate(b):
-        if y and m:
-            nonzero.append((m, y))
-        out.append(a[m] - sum(y * out[m - k] for k, y in nonzero))
-    return out
-
-
-def _exp_theta(c, s, n):
-    """Coefficients 0..n of exp(s l), where l(0) = 0 and theta l = c: the
-    recurrence m e_m = s sum_{j=1..m} c_j e_{m-j}."""
-    e, nonzero = [1], []
-    for m in range(1, n + 1):
-        if c[m]:
-            nonzero.append((m, c[m]))
-        e.append(_quo(s * sum(y * e[m - j] for j, y in nonzero), m))
-    return e
-
-
-def _theta_log_u(periods):
-    """c = theta(G/F) = theta log(q/t), as theta(G^/F)/L for G = G^/L over
-    the lcm L of G's denominators; kept in the cache."""
-    c = periods._cache.get("c")
-    if c is None:
-        G = periods.G.coeffs
-        L = lcm(*(x.denominator for x in G))
-        ratio = _over([x.numerator * (L // x.denominator) for x in G], _exact(periods.F))
-        c = periods._cache["c"] = [_quo(k * x, L) for k, x in enumerate(ratio)]
-    return c
+def _log_u(periods):
+    """l = G/F = log(q/t), as (G L) F^-1 (1/L) over the lcm L of G's
+    denominators, so that the product is taken in ints; kept in the cache.
+    theta(l) is integral for the catalog families."""
+    l = periods._cache.get("l")
+    if l is None:
+        F, G = periods.F, periods.G
+        L = lcm(*(c.denominator for c in G._c))
+        l = periods._cache["l"] = G * L * F.invert() * Fraction(1, L)
+    return l
 
 
 def ab_coefficients(periods):
@@ -491,29 +457,27 @@ def ab_coefficients(periods):
     Cramer's rule on those two equations, whose determinant is -W, gives
     B = thetaW/W; the equation for y = F then gives
     A = (theta^2F - B thetaF)/F."""
-    F, W = _exact(periods.F), _exact(periods.W)
-    tF, t2F = _exact(periods.F.theta()), _exact(periods.F.theta().theta())
-    B = _over(_exact(periods.W.theta()), W)
-    A = _over([x - y for x, y in zip(t2F, _mul(tF, B))], F)
-    return RationalSeries(A, periods.D), RationalSeries(B, periods.D)
+    F, W = periods.F, periods.W
+    B = W.theta() * W.invert()
+    A = (F.theta().theta() - F.theta() * B) * F.invert()
+    return A, B
 
 
 def canonical_q(periods):
-    """q(t) = t exp(G(t)/F(t)) = t u, with u(0) = 1 and theta u = u
-    theta(G/F); built once per PeriodData and kept in its cache."""
+    """q(t) = t exp(G(t)/F(t)); built once per PeriodData and kept in its
+    cache."""
     q = periods._cache.get("q")
     if q is None:
-        u = _exp_theta(_theta_log_u(periods), 1, periods.F.D - 1)
-        q = periods._cache["q"] = RationalSeries([0] + u, periods.F.D)
+        q = periods._cache["q"] = _log_u(periods).exp().shift(1)
     return q
 
 
 def mirror_map(periods):
-    """t as a power series in q, the reversion of q = t u, by Lagrange
-    inversion: [q^k] t = (1/k) [t^(k-1)] u^(-k), where u^(-k) = exp(-k G/F)."""
-    c, D = _theta_log_u(periods), periods.F.D
-    t = [0] + [_quo(_exp_theta(c, -k, k - 1)[-1], k) for k in range(1, D + 1)]
-    return RationalSeries(t, D)
+    """t as a power series in q, the reversion of q = t exp(l), l = G/F, by
+    Lagrange inversion: [q^k] t = (1/k) [t^(k-1)] exp(-k l)."""
+    l = _log_u(periods)
+    t = [0] + [quo((l.truncate(k - 1) * -k).exp()[k - 1], k) for k in range(1, l.D + 1)]
+    return RationalSeries(t, l.D)
 
 
 def pq_polynomial(n, Q):

@@ -9,6 +9,10 @@ from .sigma import FrobLift
 
 
 class FrobeniusData:
+    """The Cartier matrix Lambda with the connection matrices it was built
+    from, mod p^N: N = [[0, 1], [A, B]] and
+    Ns = N_theta^sigma = (theta(t^sigma)/t^sigma) [[0, 1], [A(t^sigma), B(t^sigma)]]."""
+
     __slots__ = (
         "ctx",
         "family",
@@ -18,8 +22,8 @@ class FrobeniusData:
         "lambda1",
         "Lambda",
         "Lambda0",
-        "A",
-        "B",
+        "N",
+        "Ns",
     )
 
     def __init__(self, ctx, family, periods, lift):
@@ -31,8 +35,8 @@ class FrobeniusData:
         self.lambda1 = None
         self.Lambda = None
         self.Lambda0 = None
-        self.A = None
-        self.B = None
+        self.N = None
+        self.Ns = None
 
 
 def check_lift_hypothesis(family, p):
@@ -116,15 +120,14 @@ def frobenius_matrix(family, periods, lift, ctx):
     (mu0, mu1) = (theta lambda0, theta lambda1) + c (lambda0, lambda1) N_theta(t^sigma),
     c = theta(t^sigma)/t^sigma."""
     data = FrobeniusData(ctx, family, periods, lift)
-    A, B = ab_coefficients(periods)
-    data.A, data.B = A, B
     lam0, lam1 = lambda_pair(family, periods, lift, ctx)
     data.lambda0, data.lambda1 = lam0, lam1
+    A, B = (reduce_mod(x, ctx) for x in ab_coefficients(periods))
     c = lift.theta_ratio()
-    As = lift.on_series(reduce_mod(A, ctx))
-    Bs = lift.on_series(reduce_mod(B, ctx))
-    mu0 = lam0.theta() + lam1 * c * As
-    mu1 = lam1.theta() + lam0 * c + lam1 * c * Bs
+    data.N = [[PadicSeries.zero(ctx, lam0.D), PadicSeries.one(ctx, lam0.D)], [A, B]]
+    data.Ns = [[PadicSeries.zero(ctx, c.D), c], [c * lift.on_series(A), c * lift.on_series(B)]]
+    mu0 = lam0.theta() + lam1 * data.Ns[1][0]
+    mu1 = lam1.theta() + lam0 * c + lam1 * data.Ns[1][1]
     p = ctx.p
     for co in mu1.coeffs:
         if co % p:
@@ -135,28 +138,10 @@ def frobenius_matrix(family, periods, lift, ctx):
     return data
 
 
-def n_theta_sigma(data):
-    """N_theta^sigma = (theta(t^sigma)/t^sigma) [[0,1],[A(t^sigma),B(t^sigma)]]."""
-    ctx, lift = data.ctx, data.lift
-    c = lift.theta_ratio()
-    As = lift.on_series(reduce_mod(data.A, ctx))
-    Bs = lift.on_series(reduce_mod(data.B, ctx))
-    zero = PadicSeries.zero(ctx, c.D)
-    return [[zero, c], [c * As, c * Bs]]
-
-
 def structure_residual(data):
     """N_theta Lambda - Lambda N_theta^sigma - theta(Lambda); zero when the
     Cartier matrix is compatible with the connection."""
-    ctx = data.ctx
     L = data.Lambda
-    A = reduce_mod(data.A, ctx)
-    B = reduce_mod(data.B, ctx)
-    D = L[0][0].D
-    zero = PadicSeries.zero(ctx, D)
-    one = PadicSeries.one(ctx, D)
-    N = [[zero, one], [A, B]]
-    Ns = n_theta_sigma(data)
 
     def mul(X, Y):
         return [
@@ -164,8 +149,8 @@ def structure_residual(data):
             for i in range(2)
         ]
 
-    NL = mul(N, L)
-    LNs = mul(L, Ns)
+    NL = mul(data.N, L)
+    LNs = mul(L, data.Ns)
     return [
         [NL[i][j] - LNs[i][j] - L[i][j].theta() for j in range(2)]
         for i in range(2)

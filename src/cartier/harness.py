@@ -212,10 +212,10 @@ def verify_dwork(family, p, s, m, lift_kind="tp", Dt=None, control=False):
     # explicit bump of size p^{s-1} in that case.
     periods = get_periods(family, Dt)
     e = m * p ** s
-    nxt = periods.F[e] if e <= Dt else Fraction(0)
+    nxt = periods.F[e] if e <= Dt else 0
     notes = []
     ctx = PadicContext(p, s + GUARD)
-    if nxt != 0 and ord_p(nxt.numerator, p, s) < s:
+    if nxt != 0 and ord_p(nxt, p, s) < s:
         bump = PadicSeries(ctx, [0] * e + [nxt], Dt)
         notes.append("control: truncation extended by the t^%d term" % e)
     else:

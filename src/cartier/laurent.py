@@ -177,21 +177,24 @@ class LaurentPoly:
 
     @classmethod
     def from_text(cls, text, n=None):
+        """One term 'e1,..,en : c' per line, with int exponents and a
+        rational c; a malformed line raises ConfigError."""
         terms = []
         for line in text.strip().splitlines():
             if not line.strip():
                 continue
-            exps, coeff = line.split(":")
-            u = tuple(int(e) for e in exps.strip().split(","))
+            try:
+                exps, coeff = line.split(":")
+                u = tuple(int(e) for e in exps.split(","))
+                c = Fraction(coeff.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError("polynomial line %r is not 'e1,..,en : c'" % line) from None
             if n is None:
                 n = len(u)
-            terms.append((u, Fraction(coeff.strip())))
+            terms.append((u, c.numerator if c.denominator == 1 else c))
         if n is None:
             raise ConfigError("empty polynomial literal")
-        out = []
-        for u, c in terms:
-            out.append((u, int(c) if c.denominator == 1 else c))
-        return cls(n, out)
+        return cls(n, terms)
 
 
 def poly_pow(f, e):

@@ -1,19 +1,21 @@
 """Degree-truncated power series over exact rationals or Z/p^N.
 
 `_Series` holds the one copy of the truncated-series algorithms, and two
-thin ring classes supply what differs: `RationalSeries` over Q (Fraction
-coefficients) and `PadicSeries` over Z/p^N (int residues).  Period data,
-built by integer recurrences in `families` and carried as RationalSeries,
-is pushed into PadicSeries through reduce_mod at the last possible moment,
-so that any hidden p in a denominator raises ReductionError.
+thin ring classes supply what differs: `RationalSeries` over Q and
+`PadicSeries` over Z/p^N (int residues).  A RationalSeries keeps an
+integral coefficient as an int and any other as a Fraction, normalised in
+its constructor and at each step of `invert`, and its divisions (`invert`,
+`log`, `exp`) go through the exact `quo`, so arithmetic on integral series
+runs in ints.  Period data, computed in `families` as RationalSeries, is
+pushed into PadicSeries through reduce_mod at the last possible moment, so
+that any hidden p in a denominator raises ReductionError.
 
 A series stores its degree bound D explicitly and its coefficients `_c`
 only up to the last nonzero one (the zero series stores []), so the
 Hasse-Witt polynomials, whose coefficients have t-degree about 3p under
 D = 3p^2, cost what they hold.  Its `coeffs` is a fresh padded list of
-length D + 1, and s[i] reads 0 for len(_c) <= i <= D.  In both rings those
-padded zeros are the int 0, so Q-side code divides only Fractions: 0 / n
-would be a float.
+length D + 1, and s[i] reads 0 for len(_c) <= i <= D; in both rings those
+padded zeros are the int 0.
 
 Products in Z/p^N follow one length rule.  When both operands store at
 least _PACK_MIN = 12 residues (within the product's degree bound),
@@ -217,6 +219,24 @@ class _Series:
         return self._new([i * c for i, c in enumerate(self._c)][1:], self.D)
 
 
+def _rational(c):
+    """c as an exact rational: an int when it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def quo(x, d):
+    """x / d exactly, for x and d int or Fraction: an int when it is one."""
+    if type(x) is int and type(d) is int:
+        q, r = divmod(x, d)
+        if not r:
+            return q
+    return _rational(Fraction(x, d))
+
+
 # Each ring class binds the shared operations in its own body rather than
 # only inheriting them: perfbench/spans.py wraps entry points through
 # `owner.__dict__[attr]`, one wrapper per ring, so each ring's spans stay apart.
@@ -234,7 +254,7 @@ class RationalSeries(_Series):
             coeffs = coeffs[: D + 1]
         if D < 0:
             raise ConfigError("empty coefficient list")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.D = D
@@ -270,11 +290,9 @@ class RationalSeries(_Series):
     def _unit_inverse(c):
         if not c:
             raise InvertError("constant term is zero")
-        return 1 / c
+        return quo(1, c)
 
-    @staticmethod
-    def _reduce(c):
-        return c
+    _reduce = staticmethod(_rational)
 
     __add__ = __radd__ = _Series.__add__
     __sub__ = _Series.__sub__
@@ -289,20 +307,20 @@ class RationalSeries(_Series):
         if self[0] != 1:
             raise DomainError("log requires constant term 1 in rational mode")
         d = self.derivative() * self.invert()
-        return RationalSeries([0] + [Fraction(c, n) for n, c in enumerate(d._c, 1)], self.D)
+        return RationalSeries([0] + [quo(c, n) for n, c in enumerate(d._c, 1)], self.D)
 
     def exp(self):
-        """Rational-mode exp: constant term must be 0."""
+        """Rational-mode exp: constant term must be 0.  e = exp(self) solves
+        theta e = e theta(self), so n e_n = sum_k theta(self)_k e_(n-k): the
+        recurrence stays in ints whenever theta(self) is integral."""
         if self[0] != 0:
             raise DomainError("exp requires zero constant term")
-        e, D = self._c, self.D
-        out = [Fraction(1)] + [0] * D
+        c, D = self.theta()._c, self.D
+        out, nonzero = [1], []
         for n in range(1, D + 1):
-            s = Fraction(0)
-            for k in range(1, min(n, len(e) - 1) + 1):
-                if e[k]:
-                    s += k * e[k] * out[n - k]
-            out[n] = s / n
+            if n < len(c) and c[n]:
+                nonzero.append((n, c[n]))
+            out.append(quo(sum(y * out[n - k] for k, y in nonzero), n))
         return RationalSeries(out, D)
 
 
@@ -557,15 +575,11 @@ def padic_log_unit(ctx, u):
 
 
 def reduce_mod(a, ctx):
-    """RationalSeries -> PadicSeries, coefficient-wise."""
+    """RationalSeries -> PadicSeries, coefficient-wise; a p in a denominator
+    raises ReductionError."""
     if not isinstance(a, RationalSeries):
         raise ConfigError("reduce_mod expects a RationalSeries")
-    out = []
-    for i, c in enumerate(a._c):
-        if c.denominator % ctx.p == 0:
-            raise ReductionError("p=%d divides denominator at degree %d" % (ctx.p, i))
-        out.append(c.numerator * pow(c.denominator, -1, ctx.modulus) % ctx.modulus)
-    return PadicSeries(ctx, out, a.D)
+    return PadicSeries(ctx, a._c, a.D)
 
 
 def is_p_integral(a, p, upto=None):

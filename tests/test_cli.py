@@ -259,6 +259,33 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "source,text,bad",
+    [
+        ("g-file", "1,0:1\n0,1 : x\n", "0,1 : x"),
+        ("g-file", "1,0:1\n0,1 1\n", "0,1 1"),
+        ("config", "family=hypercubic\nprime=abc\n", "prime=abc"),
+        ("explicit-lift", "3:1 5:x\n", "5:x"),
+    ],
+    ids=["g-file-coefficient", "g-file-colon", "config-int", "explicit-lift-token"],
+)
+def test_malformed_input_is_a_usage_error(source, text, bad, tmp_path, capsys):
+    # each names the bad line or token and exits 2, without a traceback
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = {
+        "g-file": ["periods", "--family", "custom", "--g-file", str(path)],
+        "config": ["hw", "--config", str(path)],
+        "explicit-lift": [
+            "hw", "--family", "square", "--prime", "3", "--degree", "12",
+            "--lift", "explicit:%s" % path,
+        ],
+    }[source]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and bad in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(

@@ -12,7 +12,6 @@ from cartier.families import (
     FamilySpec,
     PeriodData,
     _closed_FG,
-    _theta_log_u,
     ab_coefficients,
     canonical_q,
     generic_periods,
@@ -311,8 +310,9 @@ def test_integer_period_layer_matches_q_series_oracle(family):
     got = integer_layer(periods)
     expected = q_series_oracle(periods.F, periods.G)
     assert [s.coeffs for s in got] == [s.coeffs for s in expected]
-    # theta(G/F) is integral, so the recurrences never leave the ints
-    assert all(type(c) is int for c in _theta_log_u(periods))
+    # F and every derived series are integral, so they are held as ints
+    for s in (periods.F,) + got:
+        assert all(type(c) is int for c in s.coeffs)
 
 
 def test_integer_period_layer_keeps_a_non_integral_G_exact():

@@ -336,7 +336,8 @@ def _dense_reverse(a, reduce):
 def _assert_is(s, want):
     assert len(s.coeffs) == s.D + 1 == len(want)
     assert s.coeffs == want
-    assert all(type(c) in (int, Fraction) for c in s.coeffs)
+    # an integral coefficient is an int, in both rings
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in s.coeffs)
     assert [s[i] for i in range(s.D + 1)] == want
     with pytest.raises(IndexError):
         s[s.D + 1]
