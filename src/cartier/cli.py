@@ -35,19 +35,7 @@ _INT_KEYS = {
 }
 _BOOL_KEYS = {"strict_precision"}
 
-VERIFY_SUITES = (
-    "all",
-    "dwork",
-    "super",
-    "simple",
-    "cy-super",
-    "straub",
-    "hw",
-    "modular",
-    "fixed-point",
-    "frobenius",
-    "pq",
-)
+VERIFY_SUITES = ("all",) + tuple(harness.SUITES)
 
 
 def build_parser():

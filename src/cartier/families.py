@@ -28,11 +28,11 @@ in reduce_mod.
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
+from operator import add, mul
 
 from .errors import ConfigError, DomainError
-from .exactla import solve
 from .laurent import LaurentPoly
-from .polytope import newton_polytope, support_lattice_index
+from .polytope import newton_polytope, signed_minors, support_lattice_index
 from .series import RationalSeries, quo
 
 
@@ -153,13 +153,18 @@ def _harmonics(D):
     return L, H
 
 
-def _square_binomial_powers(m, D):
-    """e_m(0..D) for e_0(k) = [k = 0] and e_{j+1}(k) = sum_i C(k,i)^2 e_j(i),
-    so that e_m(k) = (k!)^2 [t^k] E^m for E = sum_j t^j/(j!)^2."""
-    e = [1] + [0] * D
+def _square_binomials(m, K):
+    """The rows C(k, 0)^2, .., C(k, k)^2 for k = 0..K, and e_m(0..K) for
+    e_0(k) = [k = 0] and e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), so that
+    e_m(k) = (k!)^2 [t^k] E^m for E = sum_j t^j/(j!)^2."""
+    rows, row = [], [1]
+    for _ in range(K + 1):
+        rows.append([c * c for c in row])
+        row = list(map(add, [0] + row, row + [0]))
+    e = [1] + [0] * K
     for _ in range(m):
-        e = [sum(comb(k, i) ** 2 * e[i] for i in range(k + 1)) for k in range(D + 1)]
-    return e
+        e = [sum(map(mul, sq, e)) for sq in rows]
+    return rows, e
 
 
 def _series_over(F, G, L):
@@ -187,50 +192,41 @@ def _closed_FG(family, D):
     elif kind == "hyperoctahedral":
         # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
         # E_H = sum_j H_j t^j/(j!)^2
-        e = _square_binomial_powers(n - 1, D // 2)
-        for k in range(D // 2 + 1):
+        rows, e = _square_binomials(n - 1, D // 2)
+        for k, sq in enumerate(rows):
             c = comb(2 * k, k)
-            terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
-            F[2 * k] = c * sum(terms)
-            G[2 * k] = c * sum(x * (H[2 * k] - H[i]) for i, x in enumerate(terms))
+            terms = [b * e[k - i] for i, b in enumerate(sq)]
+            f = sum(terms)
+            F[2 * k] = c * f
+            G[2 * k] = c * (H[2 * k] * f - sum(map(mul, terms, H)))
     elif kind == "an":
         # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
-        e = _square_binomial_powers(n, D)
-        for k in range(D + 1):
-            terms = [comb(k, i) ** 2 * e[k - i] for i in range(k + 1)]
+        rows, e = _square_binomials(n, D)
+        for k, sq in enumerate(rows):
+            terms = [b * e[k - i] for i, b in enumerate(sq)]
             F[k] = sum(terms)
-            G[k] = 2 * sum(x * (H[k] - H[i]) for i, x in enumerate(terms))
+            G[k] = 2 * (H[k] * F[k] - sum(map(mul, terms, H)))
     else:
         raise ConfigError("no closed form for kind %r" % (kind,))
     return _series_over(F, G, L)
 
 
 def relation_mu(family):
-    """mu = max{mu' : mu' v1 in conv(v2,..,vN)}, by exact enumeration of
-    basic solutions of the defining linear program."""
+    """mu = max{mu' : mu' v1 in conv(v2,..,vN)}, the linear program
+    mu v1 = sum lam_i v_i, sum lam_i = 1, lam >= 0.  An optimum with mu > 0
+    is a basic solution whose basis is mu and n of the lam: the columns
+    (v_i, 1) and (-v1, 0) span Q^(n+1), as 0 is interior to Delta.  So
+    Cramer's rule over the n-subsets of v2..vN finds it, with the last-row
+    cofactors over their sum, the determinant."""
     verts = family.vertices
     v1 = verts[0]
-    others = verts[1:]
     n = family.n
     best = Fraction(0)
-    for size in range(1, n + 2):
-        for sub in combinations(others, size):
-            # mu*v1 = sum lam_i v_i, sum lam_i = 1; unknowns (lam_1.., mu)
-            rows = [[Fraction(v[i]) for v in sub] + [-Fraction(v1[i])] for i in range(n)]
-            rows.append([Fraction(1)] * size + [Fraction(0)])
-            rhs = [Fraction(0)] * n + [Fraction(1)]
-            sol = solve(rows, rhs)
-            if sol is None:
-                continue
-            lams, mu = sol[:size], sol[size]
-            if all(l >= 0 for l in lams) and mu > best:
-                # confirm (solve may return one of many solutions)
-                ok = all(
-                    sum(lams[j] * sub[j][i] for j in range(size)) == mu * v1[i]
-                    for i in range(n)
-                )
-                if ok:
-                    best = mu
+    for sub in combinations(verts[1:], n):
+        cof = signed_minors([[v[i] for v in sub] + [-v1[i]] for i in range(n)])
+        d = sum(cof[:n])
+        if d and all(c * d >= 0 for c in cof[:n]):
+            best = max(best, Fraction(cof[n], d))
     if best >= 1:
         raise DomainError("relation cone is degenerate (mu >= 1)")
     return best

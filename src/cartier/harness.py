@@ -294,13 +294,6 @@ def _square_example_closed(Q):
     return out
 
 
-def _subst_tp(coeffs, p):
-    out = [0] * ((len(coeffs) - 1) * p + 1)
-    for e, c in enumerate(coeffs):
-        out[e * p] = c
-    return out
-
-
 def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     """Coefficient congruences for 1/(1 - x1 - x2 + (1-t) x1 x2).
 
@@ -331,12 +324,11 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     ctx = PadicContext(p, target + GUARD)
     excess = None
     if variant == "generic":
+        sigma = FrobLift.tp(ctx, K + L)
         for k, l in coeff_list:
-            cur = table[k * p ** s][l * p ** s]
-            prev = _subst_tp(table[k * p ** (s - 1)][l * p ** (s - 1)], p)
-            diff = [a - b for a, b in
-                    zip(cur + [0] * len(prev), prev + [0] * len(cur))]
-            e = PadicSeries(ctx, diff).min_excess_ord(target)
+            cur = PadicSeries(ctx, table[k * p ** s][l * p ** s], K + L)
+            prev = PadicSeries(ctx, table[k * p ** (s - 1)][l * p ** (s - 1)], K + L)
+            e = (cur - sigma.on_series(prev)).min_excess_ord(target)
             excess = e if excess is None else min(excess, e)
     elif variant == "t=-1":
         for k, l in coeff_list:
@@ -352,21 +344,14 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
         unit = 1 + p
+        sigma = FrobLift.explicit(ctx, PadicSeries.constant(ctx, unit, K + L), K + L)
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
         logu = -padic_log_unit(ctx, unit)
         for k, l in coeff_list:
             cur = PadicSeries(ctx, table[k * p][l * p], K + L)
-            base = table[k][l]
-            theta = [e * c for e, c in enumerate(base)]
-            # substitute t -> t^p (1+p)
-            rhs = PadicSeries.zero(ctx, K + L)
-            for series, scale in ((base, 1), (theta, logu)):
-                acc = [0] * (K + L + 1)
-                for e, c in enumerate(series):
-                    if e * p <= K + L:
-                        acc[e * p] = c * pow(unit, e, ctx.modulus)
-                rhs = rhs + PadicSeries(ctx, acc) * scale
+            base = PadicSeries(ctx, table[k][l], K + L)
+            rhs = sigma.on_series(base) + sigma.on_series(base.theta()) * logu
             e = (cur - rhs).min_excess_ord(target)
             excess = e if excess is None else min(excess, e)
         notes.append("lift t^sigma = t^p (1+p) with correction log(t^p/t^sigma) theta(a)")
@@ -798,7 +783,7 @@ def _desk_checks():
                     for m in (1, 2):
                         checks.append(("dwork", dict(family=family, p=p, s=s, m=m)))
     checks.append(("dwork", dict(family=get_family("hyperoctahedral", 4), p=3, s=1, m=1, Dt=27)))
-    checks.append(("dwork-control", dict(family=get_family("simplicial", 2), p=5, s=1, m=1)))
+    checks.append(("dwork", dict(family=get_family("simplicial", 2), p=5, s=1, m=1, control=True)))
     checks.append(("super", dict(family=get_family("hypercubic", 2), p=5, s=1, m=2)))
     checks.append(("super", dict(family=get_family("simplicial", 2), p=5, s=1, m=3)))
     checks.append(("super", dict(family=get_family("hypercubic", 2), p=5, s=1, m=2, lift_kind="tp")))
@@ -820,12 +805,12 @@ def _desk_checks():
             checks.append(("hw", dict(family=get_family(kind, 2), p=p)))
     checks.append(("modular", dict(p=3)))
     checks.append(("modular", dict(p=5)))
-    checks.append(("modular-control", dict(p=3)))
+    checks.append(("modular", dict(p=3, control=True)))
     for p in (3, 5, 7):
         checks.append(("fixed-point", dict(p=p)))
     for lift_kind in ("tp", "excellent"):
         checks.append(("frobenius", dict(family=get_family("hypercubic", 2), p=3, lift_kind=lift_kind)))
-    checks.append(("frobenius-control", dict(family=get_family("hypercubic", 2), p=3)))
+    checks.append(("frobenius", dict(family=get_family("hypercubic", 2), p=3, control=True)))
     for n in (1, 2):
         checks.append(("pq", dict(p=3, s=1, n=n)))
     # no excellent lift for the cubic family at p=3 (p divides #G), use p=5
@@ -838,7 +823,7 @@ def _desk_checks():
 def _smoke_checks():
     return [
         ("dwork", dict(family=get_family("simplicial", 2), p=5, s=1, m=1, Dt=30)),
-        ("dwork-control", dict(family=get_family("simplicial", 2), p=5, s=1, m=1, Dt=30)),
+        ("dwork", dict(family=get_family("simplicial", 2), p=5, s=1, m=1, Dt=30, control=True)),
         ("simple", dict(p=3, s=1, variant="generic")),
         ("simple", dict(p=3, s=1, variant="t=-1")),
         ("straub", dict(p=5, s=1)),
@@ -850,26 +835,25 @@ def _smoke_checks():
     ]
 
 
-_RUNNERS = {
+# the verify suites by name, in the order `cartier verify` lists them; a
+# negative control runs under its suite's name with control=True
+SUITES = {
     "dwork": verify_dwork,
-    "dwork-control": lambda **kw: verify_dwork(control=True, **kw),
     "super": verify_super_conjecture,
     "simple": verify_simple_example,
     "cy-super": verify_cy_supercongruence,
     "straub": verify_straub,
     "hw": verify_hw_congruences,
     "modular": verify_modular_polynomial,
-    "modular-control": lambda **kw: verify_modular_polynomial(control=True, **kw),
     "fixed-point": verify_fixed_point_n1,
     "frobenius": verify_frobenius_structure,
-    "frobenius-control": lambda **kw: verify_frobenius_structure(control=True, **kw),
     "pq": verify_pq,
 }
 
 
 def run_suite(grid="desk", suites=None):
     """Run the named verification suites over the chosen grid and return
-    reports sorted by check id.  suites: iterable of runner names, or None
+    reports sorted by check id.  suites: iterable of SUITES names, or None
     for all."""
     if grid == "desk":
         checks = _desk_checks()
@@ -879,11 +863,11 @@ def run_suite(grid="desk", suites=None):
         raise ConfigError("unknown grid %r" % (grid,))
     if suites is not None:
         wanted = set(suites)
-        unknown = wanted - {name.split("-control")[0] for name in _RUNNERS}
+        unknown = wanted - SUITES.keys()
         if unknown:
             raise ConfigError("unknown suite names: %s" % sorted(unknown))
-        checks = [c for c in checks if c[0].split("-control")[0] in wanted]
-    reports = [_RUNNERS[name](**kwargs) for name, kwargs in checks]
+        checks = [c for c in checks if c[0] in wanted]
+    reports = [SUITES[name](**kwargs) for name, kwargs in checks]
     reports.sort(key=lambda r: r.check_id)
     return reports
 

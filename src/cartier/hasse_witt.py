@@ -1,7 +1,10 @@
-"""Level-k Hasse-Witt matrices, normalized determinants and extended bases."""
+"""Level-k Hasse-Witt matrices, normalized determinants and extended bases.
+
+Determinants are `exactla.det` over PadicSeries entries; it returns the int
+0 when every term vanishes, so each is taken back into the coefficient ring
+by `_constant` before dividing by p^L_k."""
 
 import json
-from itertools import permutations
 from operator import add
 
 from .errors import (
@@ -10,6 +13,7 @@ from .errors import (
     ReductionError,
     TheoremViolation,
 )
+from .exactla import det
 from .expansion import grading_functional, invert_coefficient
 from .laurent import LaurentPoly, cartier_poly, poly_pow
 from .padic import unit_inverse
@@ -54,9 +58,6 @@ class HasseWittMatrix:
         self.L_k = L_k
         self.hw = hw
 
-    def size(self):
-        return len(self.entries)
-
     def to_json(self):
         obj = {
             "level": self.level,
@@ -71,27 +72,6 @@ class HasseWittMatrix:
             "hw_det": self.hw.coeffs,
         }
         return json.dumps(obj, sort_keys=True)
-
-
-def _det(entries):
-    """Determinant by signed permutation expansion (sizes here are <= 5)."""
-    m = len(entries)
-    if m == 1:
-        return entries[0][0]
-    total = None
-    for perm in permutations(range(m)):
-        inv = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if perm[i] > perm[j]:
-                    inv += 1
-        prod = entries[0][perm[0]]
-        for i in range(1, m):
-            prod = prod * entries[i][perm[i]]
-        if inv % 2:
-            prod = -prod
-        total = prod if total is None else total + prod
-    return total
 
 
 def _point_levels(P, k, region):
@@ -136,9 +116,8 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
                 "Cartier image supported outside the level-%d region at %r" % (k, extra[0])
             )
         entries.append([img.coeff(v, 0) for v in points])
-    det = _constant(_det(entries), one)
     try:
-        hw = det.divide_exact_p(L_k)
+        hw = _constant(det(entries), one).divide_exact_p(L_k)
     except ReductionError as exc:
         raise TheoremViolation("det HW^(%d) not divisible by p^%d: %s" % (k, L_k, exc))
     return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
@@ -247,10 +226,9 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
             rows.append([c0, c0 + c1])
         else:
             rows.append([c0, c1])
-    det = _det(rows)
     L_k = 1
     try:
-        hw = det.divide_exact_p(L_k)
+        hw = _constant(det(rows), one).divide_exact_p(L_k)
     except ReductionError as exc:
         raise TheoremViolation("det HW^(2) not divisible by p: %s" % exc)
     return HasseWittMatrix(2, p, ctx.N, labels, rows, L_k, hw)

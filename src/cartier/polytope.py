@@ -1,12 +1,18 @@
 """Newton polytopes: facet inequalities, reflexivity, the degree function,
-region lattice points and the support-lattice index."""
+region lattice points and the support-lattice index.
 
-from fractions import Fraction
+The geometry is read off integer minors (`exactla.det`): a facet normal is
+the vector of signed maximal minors of the rows [p, 1] of n points, a
+point set is full-dimensional and a point is a vertex when some n x n
+minor is nonzero, and the index of the support lattice is the gcd of the
+n x n minors of the support."""
+
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .errors import ConfigError, DomainError, InfiniteIndexError
-from .exactla import nullspace, rank, smith_diagonal
+from .exactla import det
 
 
 class Polytope:
@@ -27,7 +33,7 @@ class Polytope:
         self.points = pts
         base = pts[0]
         diffs = [[q[i] - base[i] for i in range(self.n)] for q in pts[1:]]
-        self.full_dimensional = rank(diffs) == self.n if diffs else self.n == 0
+        self.full_dimensional = _spans(diffs, self.n)
         if self.full_dimensional:
             self.facets = _facets(pts, self.n)
             self.vertices = _extreme_points(pts, self.facets, self.n)
@@ -76,66 +82,47 @@ class Polytope:
         )
 
 
+def signed_minors(rows):
+    """The signed maximal minors (-1)^j det(rows without column j) of an
+    m x (m + 1) matrix: a vector orthogonal to every row, nonzero
+    exactly when the rows are independent."""
+    return [(-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(len(rows) + 1)]
+
+
 def _facets(pts, n):
-    seen = {}
+    """The facets <a, x> <= c, a primitive, through each n points whose rows
+    [p, 1] have a nonzero maximal minor: (a, -c) is the vector of signed
+    maximal minors, divided by the gcd of a and oriented so that every
+    point lies on the <= side.  Subsets whose hyperplane cuts the points
+    give no facet."""
+    seen = set()
     for subset in combinations(pts, n):
-        rows = [list(p) + [1] for p in subset]
-        ns = nullspace(rows)
-        if len(ns) != 1:
-            continue
-        vec = ns[0]
-        a = vec[:n]
-        c = -vec[n]
-        # clear denominators, make primitive
-        den = 1
-        for x in list(a) + [c]:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ai = [int(x * den) for x in a]
-        ci = int(c * den)
-        g = 0
-        for x in ai:
-            g = gcd(g, abs(x))
+        normal = signed_minors([p + (1,) for p in subset])
+        g = gcd(*normal[:n])
         if g == 0:
             continue
-        ai = [x // g for x in ai]
-        ci_f = Fraction(ci, g)
-        # orient so that all points lie on the <= side
-        side = None
-        ok = True
-        for p in pts:
-            v = sum(x * y for x, y in zip(ai, p))
-            if v == ci_f:
-                continue
-            s = v < ci_f
-            if side is None:
-                side = s
-            elif side != s:
-                ok = False
-                break
-        if not ok or side is None:
-            continue
-        if not side:
-            ai = [-x for x in ai]
-            ci_f = -ci_f
-        if ci_f.denominator != 1:
-            # primitive normal through lattice points gives integer offset
-            continue
-        key = (tuple(ai), int(ci_f))
-        seen[key] = True
+        a = [x // g for x in normal[:n]]
+        c = -normal[n] // g
+        sides = {(v > c) - (v < c) for v in (sum(map(mul, a, p)) for p in pts)} - {0}
+        if sides == {-1}:
+            seen.add((tuple(a), c))
+        elif sides == {1}:
+            seen.add((tuple(-x for x in a), -c))
     return sorted(seen)
 
 
+def _spans(rows, n):
+    """Do the rows span Q^n, that is, is some n x n minor nonzero?"""
+    return any(det(sub) for sub in combinations(rows, n))
+
+
 def _extreme_points(pts, facets, n):
-    verts = []
-    for p in pts:
-        active = [
-            a
-            for a, c in facets
-            if sum(x * y for x, y in zip(a, p)) == c
-        ]
-        if len(active) >= n and rank([list(a) for a in active]) == n:
-            verts.append(p)
-    return verts
+    """The points whose active facet normals span Q^n."""
+    return [
+        p
+        for p in pts
+        if _spans([a for a, c in facets if sum(map(mul, a, p)) == c], n)
+    ]
 
 
 class RegionSpec:
@@ -212,14 +199,17 @@ def newton_polytope(f):
 
 
 def support_lattice_index(g):
-    """[Z^n : Gamma] for the lattice Gamma generated by Supp(g)."""
+    """[Z^n : Gamma] for the lattice Gamma generated by Supp(g): the gcd of
+    the n x n minors of the support vectors (the product of the elementary
+    divisors).  A gcd of 0 means Gamma has rank < n."""
     supp = g.support()
     if not supp:
         raise InfiniteIndexError("empty support")
-    diag = smith_diagonal([list(u) for u in supp])
-    if len(diag) < g.n:
-        raise InfiniteIndexError("support spans rank %d < %d" % (len(diag), g.n))
-    idx = 1
-    for d in diag:
-        idx *= d
+    idx = 0
+    for sub in combinations(supp, g.n):
+        idx = gcd(idx, det(sub))
+        if idx == 1:
+            break
+    if idx == 0:
+        raise InfiniteIndexError("support spans rank < %d" % g.n)
     return idx

@@ -33,7 +33,7 @@ class FrobLift:
     def explicit(cls, ctx, v, D, kind="explicit"):
         """t^sigma = t^p * v(t) for a given unit series v = 1 mod p."""
         v = v.truncate(D)
-        if v[0] % ctx.p != 1 and (v[0] - 1) % ctx.p != 0:
+        if v[0] % ctx.p != 1:
             raise ConfigError("v(0) must be 1 mod p for a Frobenius lift")
         ts = v.shift(ctx.p)
         return cls(kind, ctx, ts, v)

@@ -1,6 +1,6 @@
 """Dead-code guard: every function, class and method that `src/cartier`
 defines must be named somewhere in `src/` or `tests/` outside its own
-definition."""
+definition; a method counts as named only as an attribute, `.name`."""
 
 import ast
 import re
@@ -11,21 +11,33 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def unreferenced(modules, others=()):
     """Names defined in `modules` (path -> source) that occur in no module
-    and no text of `others` outside the definitions of that name.  Dunder
-    names are exempt."""
+    and no text of `others` outside the definitions of that name.  A name
+    defined only as a method occurs only as `.name`.  Dunder names are
+    exempt."""
     spans = {}  # name -> [(path, first line, last line)] of its definitions
+    free = set()  # names with a definition outside a class body
     for path, src in modules.items():
-        for node in ast.walk(ast.parse(src)):
+        tree = ast.parse(src)
+        in_class = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("__") and node.name.endswith("__"):
                     continue
                 spans.setdefault(node.name, []).append(
                     (path, node.lineno, node.end_lineno)
                 )
+                if id(node) not in in_class:
+                    free.add(node.name)
     texts = list(modules.items()) + list(others)
     dead = []
     for name, defs in sorted(spans.items()):
-        word = re.compile(r"\b%s\b" % re.escape(name))
+        prefix = r"\b" if name in free else r"\."
+        word = re.compile(prefix + re.escape(name) + r"\b")
         used = False
         for path, src in texts:
             own = [(a, b) for q, a, b in defs if q == path]
@@ -53,7 +65,8 @@ def test_every_definition_in_src_is_referenced():
 def test_scanner_flags_an_unreferenced_helper():
     module = (
         "def used():\n"
-        "    return _helper_twice(1)\n"
+        "    size = 1\n"
+        "    return _helper_twice(size)\n"
         "\n"
         "def _helper_twice(x):\n"
         "    return 2 * x\n"
@@ -67,7 +80,11 @@ def test_scanner_flags_an_unreferenced_helper():
         "\n"
         "    def lonely(self):\n"
         "        return self.v\n"
+        "\n"
+        "    def size(self):\n"
+        "        return 1\n"
     )
     caller = ("test_mod.py", "from mod import Box\nBox()\n")
-    # _orphan only calls itself, and no one calls Box.lonely
-    assert unreferenced({"mod.py": module}, [caller]) == ["_orphan", "lonely"]
+    # _orphan only calls itself, no one calls Box.lonely, and the local
+    # variable size in used() is no call of Box.size
+    assert unreferenced({"mod.py": module}, [caller]) == ["_orphan", "lonely", "size"]
