@@ -1,4 +1,4 @@
-"""Level-k Hasse-Witt matrices, normalized determinants and extended bases.
+"""Level-k Hasse-Witt matrices and their normalized determinants.
 
 Determinants are `exactla.det` over PadicSeries entries; it returns the int
 0 when every term vanishes, so each is taken back into the coefficient ring
@@ -14,32 +14,38 @@ from .errors import (
     TheoremViolation,
 )
 from .exactla import det
-from .expansion import grading_functional, invert_coefficient
-from .laurent import LaurentPoly, cartier_poly, poly_pow
+from .laurent import LaurentPoly, cartier_poly, mul_classes, poly_pow
 from .padic import unit_inverse
 from .polytope import lattice_points, newton_polytope
 from .series import PadicSeries
 
 
-def F_k_polynomial(f, lift, k, ctx):
-    """F^(k) = f^{p-k} sum_{r<k} (f^sigma(x^p) - f^p)^r f^sigma(x^p)^{k-r-1}.
+def F_k_polynomial(f, lift, k, ctx, shifts):
+    """The part of F^(k) = f^{p-k} sum_{r<k} (f^sigma(x^p) - f^p)^r
+    f^sigma(x^p)^{k-r-1} that the Cartier operator reads after the shifts:
+    the terms at exponents w = -u (mod p), u in shifts, so that
+    Phi(x^u F^(k)) is exact for each u in shifts and nothing else is
+    formed.  Shifts covering every class mod p give the whole F^(k).
 
     The sum S_k is formed as S_2 = f^sigma(x^p) + P, S_(j+1) = S_j
     f^sigma(x^p) + P^j with P = f^sigma(x^p) - f^p, and S_1 = 1 is not
-    multiplied at all, so every product stays in f's coefficient ring."""
+    multiplied at all, so every product stays in f's coefficient ring; f^p
+    is f^{p-k} f^k, reusing f^{p-k}.  The last product, f^{p-k} S_k (f^{p-2} f when k = 1), is the restricted
+    `mul_classes`."""
     p = ctx.p
     if k >= p:
         raise DomainError("F^(k) requires k < p")
-    fpk = poly_pow(f, p - k)
+    classes = [tuple(-e for e in u) for u in shifts]
     if k == 1:
-        return fpk
+        return mul_classes(poly_pow(f, p - 2), f, p, classes)
+    fpk = poly_pow(f, p - k)
     fsp = lift.on_poly(f).scale_exponents(p)
-    P = fsp - poly_pow(f, p)
+    P = fsp - fpk * poly_pow(f, k)
     S, Pj = fsp + P, P
     for _ in range(k - 2):
         Pj = Pj * P
         S = S * fsp + Pj
-    return fpk * S
+    return mul_classes(fpk, S, p, classes)
 
 
 class HasseWittMatrix:
@@ -103,7 +109,7 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     points, counts = _point_levels(newton_polytope(f), k, region)
     m_k = counts[-1]
     L_k = sum(m_k - counts[l - 1] for l in range(1, k))
-    Fk = F_k_polynomial(f, lift, k, ctx)
+    Fk = F_k_polynomial(f, lift, k, ctx, points)
     one = _ring_one(f, ctx)
     point_set = set(points)
     entries = []
@@ -138,46 +144,16 @@ def _constant(c, one):
     return PadicSeries.constant(one.ctx, c, one.D)
 
 
-def extended_basis_division(A, f, b, k, region):
-    """Euclidean division A = P f + Q with Supp(P) in (k-1)mu and
-    Supp(Q) in (k mu) minus (b + (k-1)mu)."""
-    P_delta = newton_polytope(f)
-    b = tuple(b)
-    # a DomainError unless the coefficient of x^b in f is a unit
-    fb_inv = invert_coefficient(f.coeff(b))
-    lower = set(lattice_points(P_delta, k - 1, region)) if k > 1 else set()
-    shifted = {tuple(u[i] + b[i] for i in range(f.n)): u for u in lower}
-    # process candidates in increasing grading order: eliminating x^{u+b}
-    # only creates terms of strictly larger grade, so each shifted point is
-    # handled at most once
-    gens = [tuple(v[i] - b[i] for i in range(f.n)) for v in P_delta.vertices if v != b]
-    ell = grading_functional(gens, f.n)
-    Q = A
-    Pq = LaurentPoly.zero(f.n)
-    max_iter = len(lower) + 1
-    it = 0
-    while True:
-        candidates = [u for u in Q.terms if u in shifted]
-        if not candidates:
-            break
-        it += 1
-        if it > max_iter:
-            raise RuntimeError("division loop exceeded the region size")
-        pick = min(
-            candidates, key=lambda u: (sum(l * e for l, e in zip(ell, u)), u)
-        )
-        c = Q.coeff(pick) * fb_inv
-        mono = LaurentPoly.monomial(shifted[pick], c)
-        Pq = Pq + mono
-        Q = Q - mono * f
-    return Pq, Q
-
-
 def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     """HW^(k) for the invariant crystal of f = 1 - t g(x), k in {1, 2}.
 
     basis 'omega': level-2 basis (f, t g) matching (1/f, theta(1/f)).
     basis 'unit':  level-2 basis (1, t g) matching (1/f^2, t g/f^2).
+
+    F^(k) is formed only where the Cartier operator reads it: with shifts
+    {0} at level 1, and at level 2 with the supports of both basis
+    polynomials b, so Phi(b F^(2)) is exact; each product b F^(2) forms only
+    its p-divisible exponents.
     """
     if k not in (1, 2):
         raise ConfigError("CY Hasse-Witt implemented for k in {1,2}")
@@ -191,9 +167,9 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     P = newton_polytope(g.map_coefficients(lambda c: 1))
     verts = P.vertices
     v1 = verts[0]
-    Fk = F_k_polynomial(f, lift, k, ctx)
+    zero = (0,) * n
     if k == 1:
-        img = cartier_poly(Fk, p)
+        img = cartier_poly(F_k_polynomial(f, lift, 1, ctx, [zero]), p)
         _check_cy_support(img, verts, 1)
         entry = _constant(img.constant_term(0), one)
         return HasseWittMatrix(1, p, ctx.N, ["1"], [[entry]], 0, entry)
@@ -206,11 +182,12 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
         labels = ["1", "t*g"]
     else:
         raise ConfigError("unknown CY basis %r" % (basis,))
+    Fk = F_k_polynomial(f, lift, 2, ctx, b1.terms.keys() | tg.terms.keys())
     gamma_inv = unit_inverse(gamma, ctx)
     v_inv = lift.vsigma.invert()
     rows = []
     for bi in (b1, tg):
-        img = cartier_poly(bi * Fk, p)
+        img = cartier_poly(mul_classes(bi, Fk, p, [zero]), p)
         _check_cy_support(img, verts, 2)
         C0 = _constant(img.constant_term(0), one)
         Cv = _constant(img.coeff(v1, 0), one)

@@ -8,13 +8,16 @@ dropped eagerly.
 A product whose coefficients are all PadicSeries of one degree bound goes
 to `series.packed_term_mul`, which forms each pair of terms as one bigint
 product of Kronecker-packed residues; any other product multiplies and
-adds the coefficients pair by pair.
+adds the coefficients pair by pair.  `mul_classes` is the same product
+restricted to the terms whose exponents lie in given classes mod p, the
+only ones a Cartier operator reads after a shift: both kernels then form
+only the pairs of terms that land in those classes.
 """
 
 from fractions import Fraction
 
 from .errors import ConfigError, DomainError
-from .series import packed_term_mul
+from .series import packed_term_mul, pair_partners
 
 
 class LaurentPoly:
@@ -106,27 +109,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            if self.n != other.n:
-                raise ConfigError("dimension mismatch")
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
-            out = packed_term_mul(a, b)
-            if out is None:
-                out = {}
-                for u, cu in a.items():
-                    for v, cv in b.items():
-                        w = tuple(ui + vi for ui, vi in zip(u, v))
-                        c = cu * cv
-                        s = out.get(w)
-                        s = c if s is None else s + c
-                        if s:
-                            out[w] = s
-                        elif w in out:
-                            del out[w]
-            p = LaurentPoly(self.n)
-            p.terms = out
-            return p
+            return _term_product(self, other, None)
         # scalar
         out = {}
         for u, c in self.terms.items():
@@ -195,6 +178,40 @@ class LaurentPoly:
         if n is None:
             raise ConfigError("empty polynomial literal")
         return cls(n, terms)
+
+
+def mul_classes(f, g, p, classes):
+    """The terms of f * g whose exponents mod p lie in classes (exponent
+    tuples, taken mod p); only the pairs of terms that land there are formed."""
+    return _term_product(f, g, (p, classes))
+
+
+def _term_product(f, g, keep):
+    """f * g for LaurentPoly f and g, restricted by keep as in
+    `series.pair_partners`: packed when `packed_term_mul` takes the
+    coefficients, else coefficient by coefficient."""
+    if f.n != g.n:
+        raise ConfigError("dimension mismatch")
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = packed_term_mul(a, b, keep)
+    if out is None:
+        out = {}
+        partners = pair_partners(list(b.items()), keep)
+        for u, cu in a.items():
+            for v, cv in partners(u):
+                w = tuple(ui + vi for ui, vi in zip(u, v))
+                c = cu * cv
+                s = out.get(w)
+                s = c if s is None else s + c
+                if s:
+                    out[w] = s
+                elif w in out:
+                    del out[w]
+    p = LaurentPoly(f.n)
+    p.terms = out
+    return p
 
 
 def poly_pow(f, e):

@@ -30,8 +30,12 @@ those on its own made `hw` about 70% slower.  So a LaurentPoly product whose
 coefficients are all PadicSeries of one D packs at the level of the whole
 product instead (`packed_term_mul`): each coefficient is packed once, each
 pair of terms is one small bigint product summed unreduced per output
-monomial, and each output coefficient is unpacked once.  `RationalSeries`
-always uses the schoolbook loop.
+monomial, and each output coefficient is unpacked once.  Given exponent
+classes mod p, it forms only the pairs of terms whose exponent sums lie in
+them: `pair_partners` buckets the other operand's terms by class once, and
+the one pair loop draws each term's partners from it (the LaurentPoly
+schoolbook loop draws from it too).  `RationalSeries` always uses the
+schoolbook loop.
 
 The p-adic measurements live here and in `padic` only: `padic.ord_p` is
 the valuation, `PadicSeries.min_excess_ord` the excess over a target power
@@ -354,10 +358,35 @@ def _packed_mul(a, b, n, m):
     return _unpack(_pack(a, w) * _pack(b, w), n, w)
 
 
-def packed_term_mul(a, b):
+def pair_partners(items, keep):
+    """The pairing of a term product: a map u -> the items (v, y) of the
+    other operand that the term at u is paired with.  With keep None that
+    is every item; with keep = (p, classes) only the v with u + v in one of
+    the exponent classes mod p (tuples, reduced here), the items bucketed
+    by class once."""
+    if keep is None:
+        return lambda u: items
+    p, classes = keep
+    classes = {tuple(e % p for e in c) for c in classes}
+    buckets = {}
+    for v, y in items:
+        buckets.setdefault(tuple(e % p for e in v), []).append((v, y))
+
+    def partners(u):
+        out = []
+        for c in classes:
+            out += buckets.get(tuple((ci - ui) % p for ci, ui in zip(c, u)), ())
+        return out
+
+    return partners
+
+
+def packed_term_mul(a, b, keep=None):
     """Term map of the product of two Laurent polynomials, given as maps
     exponent tuple -> coefficient, or None unless every coefficient is a
-    PadicSeries of one degree bound D.  Mismatched contexts raise.
+    PadicSeries of one degree bound D.  Mismatched contexts raise.  With
+    keep = (p, classes) only the terms whose exponents mod p lie in classes
+    are formed (`pair_partners`).
 
     Each coefficient is packed once; each pair of terms is one bigint
     product, added unreduced into the packed sum of its exponent sum; each
@@ -378,11 +407,11 @@ def packed_term_mul(a, b):
     la = max(len(c._c) for c in a.values())
     lb = max(len(c._c) for c in b.values())
     w = _slot_bytes(ctx.modulus, min(len(a), len(b)) * min(la, lb))
-    pb = [(v, _pack(c._c, w)) for v, c in b.items()]
+    partners = pair_partners([(v, _pack(c._c, w)) for v, c in b.items()], keep)
     sums = {}
     for u, c in a.items():
         x = _pack(c._c, w)
-        for v, y in pb:
+        for v, y in partners(u):
             uv = tuple(map(add, u, v))
             sums[uv] = sums.get(uv, 0) + x * y
     n = min(la + lb - 1, D + 1)

@@ -1,16 +1,17 @@
 """Level-k Hasse-Witt matrices, extended-basis division, CY crystals."""
 
+import itertools
 from math import comb
 
 import pytest
 
+from cartier import hasse_witt, laurent, series
 from cartier.errors import ConfigError, DomainError
 from cartier.families import FamilySpec
 from cartier.hasse_witt import (
     F_k_polynomial,
     _point_levels,
     cy_hasse_witt,
-    extended_basis_division,
     hasse_witt_matrix,
 )
 from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
@@ -18,6 +19,13 @@ from cartier.padic import PadicContext
 from cartier.polytope import RegionSpec, lattice_points, newton_polytope
 from cartier.series import PadicSeries
 from cartier.sigma import FrobLift
+from division_oracle import extended_basis_division
+
+
+def _every_class(p, n):
+    """Shifts covering every exponent class mod p: F_k_polynomial then
+    forms the whole F^(k)."""
+    return list(itertools.product(range(p), repeat=n))
 
 
 def test_F1_is_f_to_p_minus_1():
@@ -25,7 +33,7 @@ def test_F1_is_f_to_p_minus_1():
     one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): 2 * one})
     lift = FrobLift.identity()
-    assert F_k_polynomial(f, lift, 1, ctx) == poly_pow(f, ctx.p - 1)
+    assert F_k_polynomial(f, lift, 1, ctx, _every_class(5, 2)) == poly_pow(f, ctx.p - 1)
 
 
 def test_Fk_requires_k_below_p():
@@ -33,7 +41,7 @@ def test_Fk_requires_k_below_p():
     one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(1, {(0,): one, (1,): one})
     with pytest.raises(DomainError):
-        F_k_polynomial(f, FrobLift.identity(), 3, ctx)
+        F_k_polynomial(f, FrobLift.identity(), 3, ctx, _every_class(3, 1))
 
 
 def test_level1_interval_matrix_is_identity():
@@ -125,7 +133,7 @@ def test_cy_level1_matches_direct_decimation():
     one = PadicSeries.one(ctx, Dt)
     t = PadicSeries.t(ctx, Dt)
     f = LaurentPoly.one(2, one) - fam.g.map_coefficients(lambda c: t * c)
-    direct = cartier_poly(F_k_polynomial(f, lift, 1, ctx), p).constant_term(0)
+    direct = cartier_poly(F_k_polynomial(f, lift, 1, ctx, _every_class(p, 2)), p).constant_term(0)
     assert hw.entries[0][0] == direct
 
 
@@ -195,7 +203,7 @@ def test_powers_over_series_make_no_scalar_products(monkeypatch):
     for e in range(1, 7):
         assert poly_pow(f, e) == powers[e]
     for k in (1, 2):
-        assert F_k_polynomial(f, lift, k, ctx) == expected_F[k]
+        assert F_k_polynomial(f, lift, k, ctx, _every_class(p, 2)) == expected_F[k]
     assert seen == []
     # the recorder sees a scalar product when one is made
     assert LaurentPoly.one(2) * f == f and seen
@@ -222,3 +230,98 @@ def test_point_levels_rejects_unnested_region():
     region = RegionSpec.custom({1: [(0, 0), (1, 0)], 2: [(0, 0), (2, 0), (0, 2)]})
     with pytest.raises(ConfigError, match="not nested"):
         hasse_witt_matrix(f, FrobLift.identity(), 2, region, ctx)
+
+
+def _shifted_image(F, u, p):
+    """Phi(x^u F)."""
+    return cartier_poly(LaurentPoly(F.n, {tuple(a + b for a, b in zip(w, u)): c
+                                          for w, c in F.terms.items()}), p)
+
+
+def test_restricted_F_k_keeps_every_cartier_image_it_is_asked_for():
+    fam = FamilySpec.hyperoctahedral(2)
+    p, Dt = 5, 15
+    ctx = PadicContext(p, 4)
+    lift = FrobLift.tp(ctx, Dt)
+    one = PadicSeries.one(ctx, Dt)
+    t = PadicSeries.t(ctx, Dt)
+    f = LaurentPoly.one(2, one) - fam.g.map_coefficients(lambda c: t * c)
+    shifts = sorted(set(f.terms) | {(2, -1)})
+    for k in (1, 2):
+        whole = F_k_polynomial(f, lift, k, ctx, _every_class(p, 2))
+        part = F_k_polynomial(f, lift, k, ctx, shifts)
+        wanted = {tuple(-e % p for e in u) for u in shifts}
+        assert part == LaurentPoly(2, {w: c for w, c in whole.terms.items()
+                                       if tuple(e % p for e in w) in wanted})
+        assert len(part.terms) < len(whole.terms) / 2
+        for u in shifts:
+            image = _shifted_image(whole, u, p)
+            assert image and _shifted_image(part, u, p) == image
+            # negative control: without u's class, Phi(x^u F^(k)) changes
+            rest = [v for v in shifts if v != u]
+            assert _shifted_image(F_k_polynomial(f, lift, k, ctx, rest), u, p) != image
+
+
+def _pairs_outside_powers(monkeypatch, run):
+    """run() and [pairs formed, pairs of the unrestricted products] over the
+    Laurent products it makes outside `poly_pow`: the powers of f are the
+    same whatever part of F^(k) is formed.  Counts each term's partners as
+    the kernels' pair loops draw them from `pair_partners`."""
+    counts = [0, 0]
+    in_power = [0]
+    real_partners, real_pow = series.pair_partners, hasse_witt.poly_pow
+
+    def counting_partners(items, keep):
+        partners = real_partners(items, keep)
+
+        def counted(u):
+            got = partners(u)
+            if not in_power[0]:
+                counts[0] += len(got)
+                counts[1] += len(items)
+            return got
+
+        return counted
+
+    def power(f, e):
+        in_power[0] += 1
+        try:
+            return real_pow(f, e)
+        finally:
+            in_power[0] -= 1
+
+    with monkeypatch.context() as m:
+        m.setattr(series, "pair_partners", counting_partners)
+        m.setattr(laurent, "pair_partners", counting_partners)
+        m.setattr(hasse_witt, "poly_pow", power)
+        result = run()
+    return result, counts
+
+
+def _assert_restricted(counts):
+    formed, unrestricted = counts
+    assert 0 < formed < unrestricted / 10
+
+
+def test_cy_level2_forms_under_a_tenth_of_the_pairs(monkeypatch):
+    fam = FamilySpec.hyperoctahedral(2)
+    p, Dt = 11, 363
+    ctx = PadicContext(p, 4)
+    lift = FrobLift.tp(ctx, Dt)
+
+    def run():
+        return cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 2, ctx, Dt)
+
+    hw, counts = _pairs_outside_powers(monkeypatch, run)
+    _assert_restricted(counts)
+    # negative control: F^(2) formed whole, for every class mod p
+    real_F = hasse_witt.F_k_polynomial
+
+    def whole_F(f, lift, k, ctx, shifts):
+        return real_F(f, lift, k, ctx, _every_class(ctx.p, f.n))
+
+    monkeypatch.setattr(hasse_witt, "F_k_polynomial", whole_F)
+    whole, counts = _pairs_outside_powers(monkeypatch, run)
+    with pytest.raises(AssertionError):
+        _assert_restricted(counts)
+    assert whole.to_json() == hw.to_json()

@@ -1,10 +1,12 @@
 """Sparse Laurent polynomial arithmetic and the coefficient-decimation map."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartier.errors import ConfigError, DomainError
-from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
+from cartier.laurent import LaurentPoly, cartier_poly, mul_classes, poly_pow
 from cartier.padic import PadicContext
 from cartier.series import _PACK_MIN, PadicSeries, _Series, packed_term_mul
 
@@ -107,14 +109,17 @@ def _assert_packed_product(f, g):
 
 
 @st.composite
-def series_poly(draw, ctx, n, D):
-    """A LaurentPoly in n variables with PadicSeries coefficients at D;
-    residues 0, p^N - 1 or any, stored lengths up to 3 _PACK_MIN."""
+def series_poly(draw, ctx, n, D, span=2, max_size=8):
+    """A LaurentPoly in n variables with PadicSeries coefficients at D (or
+    at any of the degree bounds D when D is a tuple) and exponents in
+    -span..span; residues 0, p^N - 1 or any, stored lengths up to 3 _PACK_MIN."""
     m = ctx.modulus
     residue = st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
-    coeff = st.lists(residue, max_size=3 * _PACK_MIN).map(lambda cs: PadicSeries(ctx, cs, D))
-    exps = st.tuples(*[st.integers(-2, 2)] * n)
-    return LaurentPoly(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=8)))
+    bound = st.sampled_from(D) if isinstance(D, tuple) else st.just(D)
+    coeff = st.builds(lambda cs, d: PadicSeries(ctx, cs, d),
+                      st.lists(residue, max_size=3 * _PACK_MIN), bound)
+    exps = st.tuples(*[st.integers(-span, span)] * n)
+    return LaurentPoly(n, draw(st.dictionaries(exps, coeff, min_size=1, max_size=max_size)))
 
 
 @given(p=st.sampled_from([3, 5, 7, 11]), N=st.integers(1, 8), n=st.integers(1, 3),
@@ -180,3 +185,37 @@ def test_mixed_contexts_raise():
     for x, y in ((f, g), (g, f), (mixed, f), (f, mixed)):
         with pytest.raises(ConfigError):
             x * y
+
+
+# The restricted product: the full product filtered to exponent classes mod p.
+
+
+def _filtered(terms, p, classes):
+    keep = {tuple(e % p for e in c) for c in classes}
+    return {w: c for w, c in terms.items() if tuple(e % p for e in w) in keep}
+
+
+@given(p=st.sampled_from([2, 3, 5]), n=st.integers(1, 3),
+       kind=st.sampled_from(["packed", "int", "mixed D"]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_restricted_product_is_the_filtered_product(p, n, kind, data):
+    ctx = PadicContext(7, 2)
+    if kind == "int":
+        poly = st.dictionaries(st.tuples(*[st.integers(-6, 6)] * n), st.integers(-4, 4),
+                               max_size=12).map(lambda d: LaurentPoly(n, d))
+    else:
+        D = _PACK_MIN if kind == "packed" else (3, _PACK_MIN, 2 * _PACK_MIN)
+        poly = series_poly(ctx, n, D, span=6, max_size=12)
+    f, g = data.draw(poly), data.draw(poly)
+    # classes as any exponent tuples, negative ones and repeats included
+    classes = data.draw(st.lists(st.tuples(*[st.integers(-2 * p, 2 * p)] * n), max_size=4))
+    got = mul_classes(f, g, p, classes)
+    want = _filtered((f * g).terms, p, classes)
+    if kind == "int":
+        assert got.terms == want
+    else:
+        _assert_terms(got.terms, want)
+    if kind == "packed" and f and g:
+        _assert_terms(packed_term_mul(f.terms, g.terms, (p, classes)), want)
+    every = list(itertools.product(range(p), repeat=n))
+    assert mul_classes(f, g, p, every) == f * g

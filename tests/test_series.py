@@ -2,7 +2,7 @@
 
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +48,51 @@ def test_invert_requires_unit_constant():
 def test_exp_oracle():
     e = RationalSeries.t(8).exp()
     assert e.coeffs == [Fraction(1, factorial(m)) for m in range(9)]
+
+
+def _fractions_built(monkeypatch, fn):
+    """fn() and the number of Fraction objects constructed while it runs."""
+    built = [0]
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return real_new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counting_new))
+        result = fn()
+    return result, built[0]
+
+
+def _fraction_recurrence_exp(self):
+    """exp by the recurrence n e_n = sum_k k g_k e_(n-k) in Fractions."""
+    e, D = self._c, self.D
+    out = [Fraction(1)] + [0] * D
+    for n in range(1, D + 1):
+        s = Fraction(0)
+        for k in range(1, min(n, len(e) - 1) + 1):
+            if e[k]:
+                s += k * e[k] * out[n - k]
+        out[n] = s / n
+    return RationalSeries(out, D)
+
+
+def test_exp_of_integral_theta_builds_no_fraction(monkeypatch):
+    # g = 2520 sum_j t^j / j = log (1 - t)^-2520 up to degree 10, as
+    # 2520 = lcm(1..10): g, theta(g) = 2520 sum_j t^j and exp(g) are integral
+    D = 10
+    g = RationalSeries([0] + [2520 // j for j in range(1, D + 1)], D)
+    want = [comb(2519 + j, j) for j in range(D + 1)]
+    e, built = _fractions_built(monkeypatch, g.exp)
+    assert e.coeffs == want and all(type(c) is int for c in e.coeffs)
+    assert built == 0
+    # negative control: the Fraction recurrence gives the same ints, and the
+    # count sees its Fractions
+    monkeypatch.setattr(RationalSeries, "exp", _fraction_recurrence_exp)
+    e, built = _fractions_built(monkeypatch, g.exp)
+    assert e.coeffs == want and all(type(c) is int for c in e.coeffs)
+    assert built > 0
 
 
 def test_log_exp_roundtrip_rational():
