@@ -19,10 +19,10 @@ from .errors import (
 )
 from .families import FamilySpec, PeriodData, canonical_q, mirror_map
 from .frobenius import excellent_lift, frobenius_matrix
-from .hasse_witt import cy_hasse_witt, hasse_witt_matrix
+from .hasse_witt import cy_hasse_witt, hasse_witt_matrix, level_points
 from .laurent import LaurentPoly
 from .padic import PadicContext
-from .polytope import RegionSpec, newton_polytope
+from .polytope import Polytope, RegionSpec
 from .series import PadicSeries, reduce_mod
 from .sigma import FrobLift
 
@@ -35,7 +35,23 @@ _INT_KEYS = {
 }
 _BOOL_KEYS = {"strict_precision"}
 
-VERIFY_SUITES = ("all",) + tuple(harness.SUITES)
+# the check parameter that each single-check verify flag sets; --n also
+# picks the catalog family
+_FLAG_PARAMS = {
+    "family": "family", "g_file": "family", "n": "n", "prime": "p", "s": "s",
+    "m": "m", "q_exponent": "Q", "degree": "Dt", "lift": "lift_kind",
+}
+
+
+def _takes(suite):
+    """The parameter names of the suite's check, read without importing inspect."""
+    code = harness.SUITES[suite].__code__
+    return code.co_varnames[: code.co_argcount]
+
+
+def _read_by(param):
+    """Help text naming the verify suites whose check takes `param`."""
+    return "read by %s" % ", ".join(name for name in harness.SUITES if param in _takes(name))
 
 
 def build_parser():
@@ -79,16 +95,16 @@ def build_parser():
     common(sp, ("text", "json"), "output format: text or json (default text)")
 
     sp = sub.add_parser("verify", help="run congruence checks")
-    sp.add_argument("suite", choices=VERIFY_SUITES)
-    sp.add_argument("--family")
+    sp.add_argument("suite", choices=("all", *harness.SUITES))
+    sp.add_argument("--family", help=_read_by("family"))
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--prime", type=int)
-    sp.add_argument("--degree", type=int, default=None)
+    sp.add_argument("--degree", type=int, default=None, help="t-degree Dt; " + _read_by("Dt"))
     sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--q-exponent", type=int, default=1, dest="q_exponent")
-    sp.add_argument("--lift", default=None, help="tp | excellent")
-    sp.add_argument("--grid", choices=("desk", "smoke"), default="desk")
+    sp.add_argument("--m", type=int, default=None, help=_read_by("m"))
+    sp.add_argument("--q-exponent", type=int, default=1, dest="q_exponent", help=_read_by("Q"))
+    sp.add_argument("--lift", choices=("tp", "excellent"), default=None, help=_read_by("lift_kind"))
+    sp.add_argument("--grid", choices=tuple(harness.GRIDS), default="desk")
     sp.add_argument("--strict-precision", action="store_true", dest="strict_precision")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
     common(sp, ("json", "text", "junit"), "output format: json, text or junit (default json)")
@@ -187,6 +203,8 @@ def get_family(args):
         with open(args.g_file) as fh:
             g = LaurentPoly.from_text(fh.read())
         return FamilySpec.custom(g)
+    if getattr(args, "g_file", None):
+        raise ConfigError("--g-file is read only with --family custom")
     return FamilySpec.by_name(kind, args.n)
 
 
@@ -258,13 +276,14 @@ def cmd_periods(args):
     return EXIT_OK
 
 
+SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
 def square_example_f(ctx, Dt):
-    """f = 1 - x1 - x2 + (1-t) x1 x2 on the unit square."""
+    """f = 1 - x1 - x2 + (1-t) x1 x2 on the unit square SQUARE."""
     one = PadicSeries.one(ctx, Dt)
     t = PadicSeries.t(ctx, Dt)
-    return LaurentPoly(
-        2, {(0, 0): one, (1, 0): -one, (0, 1): -one, (1, 1): one - t}
-    )
+    return LaurentPoly(2, dict(zip(SQUARE, (one, -one, -one, one - t))))
 
 
 def square_example_region(P, k):
@@ -285,9 +304,17 @@ def _hw_text(hw):
     ]
     for i, row in enumerate(hw.entries):
         for j, e in enumerate(row):
-            lines.append("entry %d %d %s" % (i, j, _series_text(e.coeffs) if e else "0"))
+            lines.append("entry %d %d %s" % (i, j, _series_text(e.coeffs)))
     lines.append("hw %s" % _series_text(hw.hw.coeffs))
     return "\n".join(lines)
+
+
+def _hw_context(args, L_k):
+    """Z/p^N for `hw`: --precision, by default k + GUARD raised to L_k + k,
+    so that det HW^(k) / p^L_k keeps k digits."""
+    k = args.level
+    N = args.precision if args.precision is not None else max(k + harness.GUARD, L_k + k)
+    return PadicContext(args.prime, N)
 
 
 def cmd_hw(args):
@@ -298,17 +325,17 @@ def cmd_hw(args):
     if k >= p:
         raise DomainError("level k=%d requires k < p=%d" % (k, p))
     Dt = args.degree if args.degree is not None else 3 * p * p
-    N = args.precision if args.precision is not None else k + harness.GUARD
-    ctx = PadicContext(p, N)
     if args.family and args.family.lower() == "square":
-        f = square_example_f(ctx, Dt)
-        P = newton_polytope(f)
+        P = Polytope(SQUARE)
         region = square_example_region(P, k)
+        ctx = _hw_context(args, level_points(P, k, region)[1])
         lift = make_lift(args.lift, None, None, ctx, Dt)
         if lift.kind == "excellent":
             raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
-        hw = hasse_witt_matrix(f, lift, k, region, ctx)
+        hw = hasse_witt_matrix(square_example_f(ctx, Dt), lift, k, region, ctx)
     else:
+        # the CY matrices have l basis elements at level l <= 2, so L_k = k - 1
+        ctx = _hw_context(args, k - 1)
         family = get_family(args)
         periods = PeriodData(family, Dt) if args.lift == "excellent" else None
         lift = make_lift(args.lift, family, periods, ctx, Dt)
@@ -366,50 +393,31 @@ def cmd_lift(args):
 
 
 def _single_check(args):
-    """Run one named check with explicit parameters."""
-    suite = args.suite
-    p = args.prime
-    kw = {}
-    if suite in ("dwork", "super", "cy-super", "hw", "frobenius"):
-        kw["family"] = get_family(args)
-    if args.degree is not None and suite not in ("straub", "fixed-point", "simple"):
-        kw["Dt"] = args.degree
-    if suite == "dwork":
-        kw.update(p=p, s=args.s, m=args.m if args.m is not None else 1)
-        if args.lift:
-            kw["lift_kind"] = args.lift
-        return harness.verify_dwork(**kw)
-    if suite == "super":
-        kw.update(p=p, s=args.s, m=args.m)
-        if args.lift:
-            kw["lift_kind"] = args.lift
-        return harness.verify_super_conjecture(**kw)
-    if suite == "simple":
-        return harness.verify_simple_example(p, args.s)
-    if suite == "cy-super":
-        kw.update(p=p, s=args.s, Q=args.q_exponent)
-        if args.lift:
-            kw["lift_kind"] = args.lift
-        return harness.verify_cy_supercongruence(**kw)
-    if suite == "straub":
-        return harness.verify_straub(p, args.s)
-    if suite == "hw":
-        kw["p"] = p
-        return harness.verify_hw_congruences(**kw)
-    if suite == "modular":
-        kw["p"] = p
-        return harness.verify_modular_polynomial(**kw)
-    if suite == "fixed-point":
-        return harness.verify_fixed_point_n1(p)
-    if suite == "frobenius":
-        kw["p"] = p
-        if args.lift:
-            kw["lift_kind"] = args.lift
-        return harness.verify_frobenius_structure(**kw)
-    if suite == "pq":
-        kw.update(p=p, s=args.s, n=args.n)
-        return harness.verify_pq(**kw)
-    raise ConfigError("suite %r cannot run as a single check" % (suite,))
+    """Run one check on the flags that set parameters its suite takes."""
+    takes = _takes(args.suite)
+    kw = {
+        param: getattr(args, dest)
+        for dest, param in _FLAG_PARAMS.items()
+        if param in takes and getattr(args, dest) is not None
+    }
+    if "family" in takes:
+        kw["family"] = get_family(args)  # the spec --family, --g-file and --n name
+    return harness.run_check(args.suite, **kw)
+
+
+def _unread_flags(args, single):
+    """The verify flags set to other than their default that the run does
+    not read: a grid run reads only --grid, a single check only the flags
+    of its suite's parameters, and --n with --family."""
+    takes = _takes(args.suite) if single else ("grid",)
+    if "family" in takes:
+        takes += ("n",)
+    defaults = {a.dest: a.default for a in _walk_actions(build_parser(), "verify")}
+    return [
+        "--" + dest.replace("_", "-")
+        for dest, param in (("grid", "grid"), *_FLAG_PARAMS.items())
+        if param not in takes and getattr(args, dest) != defaults[dest]
+    ]
 
 
 def _reports_text(reports):
@@ -426,9 +434,14 @@ def _reports_text(reports):
 
 
 def cmd_verify(args):
-    if args.lift and args.lift.startswith("explicit:"):
-        raise ConfigError("verify supports --lift tp or excellent")
-    if args.suite != "all" and (args.prime is not None or args.family):
+    single = args.suite != "all" and (args.prime is not None or args.family)
+    unread = _unread_flags(args, single)
+    if unread:
+        raise ConfigError(
+            "verify %s %s does not read %s"
+            % (args.suite, "as a single check" if single else "over a grid", ", ".join(unread))
+        )
+    if single:
         if args.prime is None:
             raise ConfigError("single-check verify requires --prime")
         reports = [_single_check(args)]

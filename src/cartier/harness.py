@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 from xml.etree import ElementTree
 
 from .errors import ConfigError, TheoremViolation
@@ -38,39 +39,18 @@ FAIL = "FAIL"
 PRECISION_LIMITED = "PRECISION_LIMITED"
 
 
-class CongruenceReport:
-    """Outcome of one congruence check."""
+class CongruenceReport(NamedTuple):
+    """Outcome of one congruence check; min_excess is None exactly when the
+    status is PRECISION_LIMITED."""
 
-    __slots__ = (
-        "check_id",
-        "params",
-        "target",
-        "min_excess",
-        "status",
-        "runtime",
-        "conjecture",
-        "notes",
-    )
-
-    def __init__(
-        self,
-        check_id,
-        params,
-        target,
-        min_excess,
-        status,
-        runtime,
-        conjecture=False,
-        notes=None,
-    ):
-        self.check_id = check_id
-        self.params = params
-        self.target = target
-        self.min_excess = min_excess
-        self.status = status
-        self.runtime = runtime
-        self.conjecture = conjecture
-        self.notes = list(notes or [])
+    check_id: str
+    params: dict
+    target: int
+    min_excess: int | None
+    status: str
+    runtime: float
+    conjecture: bool = False
+    notes: tuple = ()
 
     def to_dict(self, include_runtime=False):
         out = {
@@ -80,7 +60,7 @@ class CongruenceReport:
             "min_excess_valuation": self.min_excess,
             "status": self.status,
             "conjecture": self.conjecture,
-            "notes": self.notes,
+            "notes": list(self.notes),
         }
         if include_runtime:
             out["runtime_seconds"] = round(self.runtime, 3)
@@ -90,37 +70,19 @@ class CongruenceReport:
         return "<%s %s excess=%r>" % (self.status, self.check_id, self.min_excess)
 
 
-def _report(check_id, params, target, excess, start, conjecture=False, notes=None, precision_limited=False):
-    if precision_limited:
+def _report(check_id, params, target, excess, conjecture=False, notes=(), control=False):
+    """A check's report, PRECISION_LIMITED when excess is None; `run_check`
+    sets its runtime.  A negative control (control=True) passes exactly when
+    the perturbed check fails."""
+    if excess is None:
         status = PRECISION_LIMITED
+    elif control:
+        params = dict(params, expected="FAIL")
+        notes = (*notes, "negative control: PASS means the perturbed input fails as intended")
+        status = PASS if excess < 0 else FAIL
     else:
-        status = PASS if excess is not None and excess >= 0 else FAIL
-    return CongruenceReport(
-        check_id,
-        params,
-        target,
-        excess,
-        status,
-        time.perf_counter() - start,
-        conjecture=conjecture,
-        notes=notes,
-    )
-
-
-def _control_report(check_id, params, target, excess, start, notes=None):
-    """A negative control passes exactly when the perturbed check fails."""
-    notes = list(notes or [])
-    notes.append("negative control: PASS means the perturbed input fails as intended")
-    status = PASS if excess is not None and excess < 0 else FAIL
-    return CongruenceReport(
-        check_id,
-        dict(params, expected="FAIL"),
-        target,
-        excess,
-        status,
-        time.perf_counter() - start,
-        notes=notes,
-    )
+        status = PASS if excess >= 0 else FAIL
+    return CongruenceReport(check_id, params, target, excess, status, 0.0, conjecture, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +124,6 @@ def get_lift(kind, family, periods, ctx, Dt):
     return _LIFT_CACHE[key]
 
 
-def _family_params(family):
-    return {"family": family.kind, "n": family.n}
-
-
 # ---------------------------------------------------------------------------
 # truncation-ratio congruences
 
@@ -186,26 +144,23 @@ def _truncation_excess(family, p, s, m, lift_kind, Dt, target, perturb=None):
     return diff.min_excess_ord(target)
 
 
-def verify_dwork(family, p, s, m, lift_kind="tp", Dt=None, control=False):
+def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
     """F(t)/F(t^sigma) = F_{mp^s}(t)/F_{mp^{s-1}}(t^sigma) mod p^s, in
     cross-multiplied form so no truncated series is inverted."""
-    start = time.perf_counter()
     if s < 1 or m < 1:
         raise ConfigError("s >= 1 and m >= 1 required")
     if Dt is None:
         Dt = 3 * p * p
-    params = dict(
-        _family_params(family), p=p, s=s, m=m, lift=lift_kind, Dt=Dt
-    )
+    params = dict(family=family.kind, n=family.n, p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
     check_id = "dwork/%s-n%d-p%d-s%d-m%d-%s" % (
         family.kind, family.n, p, s, m, lift_kind
     )
     if Dt < m * p ** s:
-        return _report(check_id, params, s, None, start, precision_limited=True,
+        return _report(check_id, params, s, None,
                        notes=["Dt=%d below the truncation order %d" % (Dt, m * p ** s)])
     if not control:
         excess = _truncation_excess(family, p, s, m, lift_kind, Dt, s)
-        return _report(check_id, params, s, excess, start)
+        return _report(check_id, params, s, excess)
     # negative control: perturb the upper truncation.  Extending it by one
     # term only works when the next coefficient is not itself divisible by
     # p^s, which the congruence forces whenever f_1 = 0; fall back to an
@@ -226,7 +181,7 @@ def verify_dwork(family, p, s, m, lift_kind="tp", Dt=None, control=False):
             "t^%d coefficient by p^%d instead" % (s, e, s - 1)
         )
     bad = _truncation_excess(family, p, s, m, lift_kind, Dt, s, perturb=bump)
-    return _control_report(check_id + "!truncation-control", params, s, bad, start, notes=notes)
+    return _report(check_id + "!truncation-control", params, s, bad, notes=notes, control=True)
 
 
 def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"):
@@ -234,13 +189,12 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
 
     This is reported, never asserted: the source statement is conjectural.
     The tp-lift variant records that excellence appears to matter."""
-    start = time.perf_counter()
     if m is None:
         m = family.n + 1 if family.kind == "simplicial" else 2
     if Dt is None:
         Dt = 3 * p * p
     target = 2 * s
-    params = dict(_family_params(family), p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
+    params = dict(family=family.kind, n=family.n, p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
     check_id = "super-conjecture/%s-n%d-p%d-s%d-m%d-%s" % (
         family.kind, family.n, p, s, m, lift_kind
     )
@@ -248,10 +202,9 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     if lift_kind != "excellent":
         notes.append("non-excellent lift: failure here is expected but not asserted")
     if Dt < m * p ** s:
-        return _report(check_id, params, target, None, start, conjecture=True,
-                       precision_limited=True)
+        return _report(check_id, params, target, None, conjecture=True)
     excess = _truncation_excess(family, p, s, m, lift_kind, Dt, target)
-    return _report(check_id, params, target, excess, start, conjecture=True, notes=notes)
+    return _report(check_id, params, target, excess, conjecture=True, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +254,6 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     variant 't=-1':         the integer specialization with f = 1-x-y+2xy
     variant 'general-lift': s=1 with t^sigma = t^p(1+p), correction term
                             log(t^sigma/t^p) * theta(alpha)."""
-    start = time.perf_counter()
     if p < 3:
         raise ConfigError("p >= 3 required")
     if s < 1:
@@ -322,24 +274,22 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         if got != closed:
             raise TheoremViolation("diagonal coefficient oracle mismatch at Q=%d" % Q)
     ctx = PadicContext(p, target + GUARD)
-    excess = None
+
+    def series(coeffs):
+        return PadicSeries(ctx, coeffs, K + L)
+
+    # diff(cur, prev): the residual from cur = alpha_{kp^s,lp^s}, prev = alpha_{kp^{s-1},lp^{s-1}}
     if variant == "generic":
         sigma = FrobLift.tp(ctx, K + L)
-        for k, l in coeff_list:
-            cur = PadicSeries(ctx, table[k * p ** s][l * p ** s], K + L)
-            prev = PadicSeries(ctx, table[k * p ** (s - 1)][l * p ** (s - 1)], K + L)
-            e = (cur - sigma.on_series(prev)).min_excess_ord(target)
-            excess = e if excess is None else min(excess, e)
+
+        def diff(cur, prev):
+            return series(cur) - sigma.on_series(series(prev))
     elif variant == "t=-1":
-        for k, l in coeff_list:
-            cur = sum(c * (-1) ** e for e, c in enumerate(table[k * p ** s][l * p ** s]))
-            prev = sum(
-                c * (-1) ** e
-                for e, c in enumerate(table[k * p ** (s - 1)][l * p ** (s - 1)])
-            )
-            e = PadicSeries(ctx, [cur - prev]).min_excess_ord(target)
-            excess = e if excess is None else min(excess, e)
         notes.append("specialization t=-1, f = 1 - x - y + 2xy")
+
+        def diff(cur, prev):
+            at_minus_one = [sum(c * (-1) ** e for e, c in enumerate(a)) for a in (cur, prev)]
+            return PadicSeries(ctx, [at_minus_one[0] - at_minus_one[1]])
     elif variant == "general-lift":
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
@@ -348,16 +298,19 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
         logu = -padic_log_unit(ctx, unit)
-        for k, l in coeff_list:
-            cur = PadicSeries(ctx, table[k * p][l * p], K + L)
-            base = PadicSeries(ctx, table[k][l], K + L)
-            rhs = sigma.on_series(base) + sigma.on_series(base.theta()) * logu
-            e = (cur - rhs).min_excess_ord(target)
-            excess = e if excess is None else min(excess, e)
         notes.append("lift t^sigma = t^p (1+p) with correction log(t^p/t^sigma) theta(a)")
+
+        def diff(cur, prev):
+            base = series(prev)
+            return series(cur) - (sigma.on_series(base) + sigma.on_series(base.theta()) * logu)
     else:
         raise ConfigError("unknown variant %r" % (variant,))
-    return _report(check_id, params, target, excess, start, notes=notes)
+    excess = min(
+        diff(table[k * p ** s][l * p ** s], table[k * p ** (s - 1)][l * p ** (s - 1)])
+        .min_excess_ord(target)
+        for k, l in coeff_list
+    )
+    return _report(check_id, params, target, excess, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +321,17 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     """a_{p^s Q}(t) = (F(t)/F(t^sigma)) a_{p^{s-1} Q}(t^sigma) mod p^{2s}
     along the vertex direction, with the excellent lift.  With lift t^p the
     weak level-1 form (modulus p) is checked instead."""
-    start = time.perf_counter()
     if s < 1 or Q < 1:
         raise ConfigError("s >= 1 and Q >= 1 required")
     target = 2 * s if lift_kind == "excellent" else 1
     if Dt is None:
         Dt = max(3 * p * p, p ** s * Q + 2 * p)
-    params = dict(_family_params(family), p=p, s=s, Q=Q, lift=lift_kind, Dt=Dt)
+    params = dict(family=family.kind, n=family.n, p=p, s=s, Q=Q, lift=lift_kind, Dt=Dt)
     check_id = "cy-supercongruence/%s-n%d-p%d-s%d-Q%d-%s" % (
         family.kind, family.n, p, s, Q, lift_kind
     )
     if Dt < p ** s * Q:
-        return _report(check_id, params, target, None, start, precision_limited=True)
+        return _report(check_id, params, target, None)
     ctx = PadicContext(p, target + GUARD)
     periods = get_periods(family, Dt)
     lift = get_lift(lift_kind, family, periods, ctx, Dt)
@@ -402,7 +354,7 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
         notes.append("leading-coefficient unit ratio is 1 mod p^%d" % target)
     else:
         raise TheoremViolation("leading-coefficient bookkeeping failed")
-    return _report(check_id, params, target, excess, start, notes=notes)
+    return _report(check_id, params, target, excess, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +403,6 @@ def verify_straub(p, s, multiples=(1,)):
     """Diagonal supercongruence alpha_{dp^s} = alpha_{dp^{s-1}} mod p^{3s}
     for the four-variable product family; the diagonal entries are the
     Apery numbers.  p = 3 is outside the proved range and reported only."""
-    start = time.perf_counter()
     if s < 1:
         raise ConfigError("s >= 1 required")
     target = 3 * s
@@ -465,15 +416,15 @@ def verify_straub(p, s, multiples=(1,)):
         if _layer_diagonal(d) != direct[d]:
             raise TheoremViolation("layer formula disagrees with the expansion at d=%d" % d)
     ctx = PadicContext(p, target + GUARD)
-    excess = None
-    for d in multiples:
-        diff = _layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))
-        e = PadicSeries(ctx, [diff]).min_excess_ord(target)
-        excess = e if excess is None else min(excess, e)
+    excess = min(
+        PadicSeries(ctx, [_layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))])
+        .min_excess_ord(target)
+        for d in multiples
+    )
     notes = ["diagonal oracle cross-checked against the raw expansion for d <= 5"]
     if conjecture:
         notes.append("p < 5 is outside the proved range; recorded as an observation")
-    return _report(check_id, params, target, excess, start, conjecture=conjecture, notes=notes)
+    return _report(check_id, params, target, excess, conjecture=conjecture, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +434,9 @@ def verify_straub(p, s, multiples=(1,)):
 def verify_hw_congruences(family, p, Dt=None):
     """hw^(1) = F_p(t) mod p, hw^(2) = W(t)^{1-p} mod p, and the full
     level-2 matrix agrees with the Cartier matrix mod p^2."""
-    start = time.perf_counter()
     if Dt is None:
         Dt = 3 * p * p
-    params = dict(_family_params(family), p=p, Dt=Dt)
+    params = dict(family=family.kind, n=family.n, p=p, Dt=Dt)
     check_id = "hw-congruences/%s-n%d-p%d" % (family.kind, family.n, p)
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
@@ -525,15 +475,13 @@ def verify_hw_congruences(family, p, Dt=None):
     notes.append("hw^(1) vs F^{1-p} mod p excess %d" % eF)
     # the Cartier matrix reduces to HW^(2) mod p^2 in the matched basis
     data = frobenius_matrix(family, periods, lift, ctx)
-    eL = None
-    for i in range(2):
-        for j in range(2):
-            d = (data.Lambda[i][j] - hw2m.entries[i][j]).truncate(Dt - p)
-            e = d.min_excess_ord(2)
-            eL = e if eL is None else min(eL, e)
+    eL = min(
+        (data.Lambda[i][j] - hw2m.entries[i][j]).truncate(Dt - p).min_excess_ord(2)
+        for i in range(2) for j in range(2)
+    )
     notes.append("Cartier matrix vs HW^(2) mod p^2 excess %d" % eL)
     excess = min(e1, e2, eF, eL)
-    return _report(check_id, params, 1, excess, start, notes=notes)
+    return _report(check_id, params, 1, excess, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +514,6 @@ def _eval_phi(phi, X, ctx, Dt):
 def verify_modular_polynomial(p, Dt=None, control=False):
     """Phi_p(t^sigma, t) = 0 for the n=2 hypercubic excellent lift; the
     printed polynomials are known for p in {3, 5}."""
-    start = time.perf_counter()
     if p == 3:
         phi, target = PHI_3, 5
         Dt = 40 if Dt is None else Dt
@@ -582,14 +529,13 @@ def verify_modular_polynomial(p, Dt=None, control=False):
     periods = get_periods(family, Dt)
     if control:
         X = PadicSeries(ctx, [0] * p + [1], Dt)
-        val = _eval_phi(phi, X, ctx, Dt)
-        excess = val.min_excess_ord(target)
-        return _control_report(check_id + "!tp-control", params, target, excess, start,
-                               notes=["the naive lift t^p is not a root of Phi_p"])
-    lift = get_lift("excellent", family, periods, ctx, Dt)
-    val = _eval_phi(phi, lift.tsigma, ctx, Dt)
-    excess = val.min_excess_ord(target)
-    return _report(check_id, params, target, excess, start)
+    else:
+        X = get_lift("excellent", family, periods, ctx, Dt).tsigma
+    excess = _eval_phi(phi, X, ctx, Dt).min_excess_ord(target)
+    if control:
+        return _report(check_id + "!tp-control", params, target, excess, control=True,
+                       notes=["the naive lift t^p is not a root of Phi_p"])
+    return _report(check_id, params, target, excess)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +568,6 @@ def verify_fixed_point_n1(p):
 
     t0 = 1/2 is q = 1, and t0 = 1 and t0 = -1 are roots of unity; each is
     handled as exact arithmetic modulo the quadratic satisfied by q."""
-    start = time.perf_counter()
     params = {"family": "hypercubic", "n": 1, "p": p}
     check_id = "fixed-point-n1/p%d" % p
     notes = []
@@ -658,7 +603,7 @@ def verify_fixed_point_n1(p):
         unit = val.numerator % p != 0
         notes.append("F_p(%s) %s a unit mod p" % (t0, "is" if unit else "is not"))
     excess = 0 if failures == 0 else -1
-    return _report(check_id, params, 0, excess, start, notes=notes)
+    return _report(check_id, params, 0, excess, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -668,10 +613,9 @@ def verify_fixed_point_n1(p):
 def verify_frobenius_structure(family, p, lift_kind="excellent", Dt=None, control=False):
     """N_theta Lambda - Lambda N_theta^sigma - theta(Lambda) vanishes to
     degree Dt - p at working precision."""
-    start = time.perf_counter()
     if Dt is None:
         Dt = 3 * p * p
-    params = dict(_family_params(family), p=p, lift=lift_kind, Dt=Dt)
+    params = dict(family=family.kind, n=family.n, p=p, lift=lift_kind, Dt=Dt)
     check_id = "frobenius-structure/%s-n%d-p%d-%s" % (family.kind, family.n, p, lift_kind)
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
@@ -681,18 +625,14 @@ def verify_frobenius_structure(family, p, lift_kind="excellent", Dt=None, contro
     if control:
         bump = PadicSeries.constant(ctx, p ** (ctx.N - 1), Dt)
         data.Lambda[0][0] = data.Lambda[0][0] + bump
-        R = structure_residual(data)
-        excess = min(
-            R[i][j].truncate(Dt - p).min_excess_ord(target)
-            for i in range(2) for j in range(2)
-        )
-        return _control_report(check_id + "!perturbed-control", params, target, excess, start)
     R = structure_residual(data)
     excess = min(
         R[i][j].truncate(Dt - p).min_excess_ord(target)
         for i in range(2) for j in range(2)
     )
-    return _report(check_id, params, target, excess, start,
+    if control:
+        return _report(check_id + "!perturbed-control", params, target, excess, control=True)
+    return _report(check_id, params, target, excess,
                    notes=["residual compared to zero at full working precision"])
 
 
@@ -716,7 +656,6 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
     """P_{p^s}(t) = (F(t)/F(t^sigma)) P_{p^{s-1}}(t^sigma) mod p^{2s} for the
     hypercubic family, cleared of t^{-Q} prefactors by multiplying through
     by t^{p^s} and cross-multiplying by F(t^sigma)."""
-    start = time.perf_counter()
     if s < 1:
         raise ConfigError("s >= 1 required")
     if Dt is None:
@@ -726,7 +665,7 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
               "interpretation": interpretation}
     check_id = "pq/n%d-p%d-s%d" % (n, p, s)
     if Dt < p ** s:
-        return _report(check_id, params, target, None, start, precision_limited=True)
+        return _report(check_id, params, target, None)
     Q, Qp = p ** s, p ** (s - 1)
     notes = []
     polys = {}
@@ -763,7 +702,7 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
     rhs = (F * cleared(Qp).compose(lift.tsigma)).shift(Q)
     diff = lhs - rhs
     excess = diff.min_excess_ord(target)
-    return _report(check_id, params, target, excess, start, notes=notes)
+    return _report(check_id, params, target, excess, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +774,8 @@ def _smoke_checks():
     ]
 
 
+GRIDS = {"desk": _desk_checks, "smoke": _smoke_checks}
+
 # the verify suites by name, in the order `cartier verify` lists them; a
 # negative control runs under its suite's name with control=True
 SUITES = {
@@ -851,23 +792,27 @@ SUITES = {
 }
 
 
+def run_check(name, **kw):
+    """The report of SUITES[name](**kw), with its runtime measured."""
+    start = time.perf_counter()
+    report = SUITES[name](**kw)
+    return report._replace(runtime=time.perf_counter() - start)
+
+
 def run_suite(grid="desk", suites=None):
     """Run the named verification suites over the chosen grid and return
     reports sorted by check id.  suites: iterable of SUITES names, or None
     for all."""
-    if grid == "desk":
-        checks = _desk_checks()
-    elif grid == "smoke":
-        checks = _smoke_checks()
-    else:
+    if grid not in GRIDS:
         raise ConfigError("unknown grid %r" % (grid,))
+    checks = GRIDS[grid]()
     if suites is not None:
         wanted = set(suites)
         unknown = wanted - SUITES.keys()
         if unknown:
             raise ConfigError("unknown suite names: %s" % sorted(unknown))
         checks = [c for c in checks if c[0] in wanted]
-    reports = [SUITES[name](**kwargs) for name, kwargs in checks]
+    reports = [run_check(name, **kwargs) for name, kwargs in checks]
     reports.sort(key=lambda r: r.check_id)
     return reports
 

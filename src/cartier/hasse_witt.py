@@ -49,9 +49,8 @@ def F_k_polynomial(f, lift, k, ctx, shifts):
 
 
 class HasseWittMatrix:
-    """Entries are PadicSeries, except that the monomial-basis matrix keeps
-    the int 0 for a monomial its Cartier image lacks: JSON prints that 0 as
-    0 and a zero series as its D + 1 zero coefficients.  hw is a PadicSeries."""
+    """Entries and hw are PadicSeries; JSON prints each as its D + 1
+    coefficients, so a zero entry is D + 1 zeros."""
 
     __slots__ = ("level", "prime", "precision", "basis", "entries", "L_k", "hw")
 
@@ -70,20 +69,18 @@ class HasseWittMatrix:
             "prime": self.prime,
             "precision": self.precision,
             "basis": [list(map(str, b)) if isinstance(b, tuple) else str(b) for b in self.basis],
-            "entries": [
-                [c.coeffs if isinstance(c, PadicSeries) else c for c in row]
-                for row in self.entries
-            ],
+            "entries": [[c.coeffs for c in row] for row in self.entries],
             "L_k": self.L_k,
             "hw_det": self.hw.coeffs,
         }
         return json.dumps(obj, sort_keys=True)
 
 
-def _point_levels(P, k, region):
+def level_points(P, k, region):
     """The points of level k, ordered by the least level each lies in, and
-    the point counts of levels 1..k.  Each level's points must lie in the
-    next level's."""
+    L_k = sum over l < k of (m_k - m_l), m_l the number of level-l points:
+    the power of p that divides det HW^(k).  Each level's points must lie in
+    the next level's."""
     levels = [lattice_points(P, lev, region) for lev in range(1, k + 1)]
     first = {}
     for lev, pts in enumerate(levels, 1):
@@ -96,7 +93,7 @@ def _point_levels(P, k, region):
         for u in pts:
             first.setdefault(u, lev)
     ordered = sorted(levels[-1], key=lambda u: (first[u], u))
-    return ordered, [len(pts) for pts in levels]
+    return ordered, sum(len(ordered) - len(pts) for pts in levels[:-1])
 
 
 def hasse_witt_matrix(f, lift, k, region, ctx):
@@ -106,9 +103,7 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     Entry (i, j) is the coefficient of x^(u_j) in Phi(x^(u_i) * F^(k)).
     """
     p = ctx.p
-    points, counts = _point_levels(newton_polytope(f), k, region)
-    m_k = counts[-1]
-    L_k = sum(m_k - counts[l - 1] for l in range(1, k))
+    points, L_k = level_points(newton_polytope(f), k, region)
     Fk = F_k_polynomial(f, lift, k, ctx, points)
     one = _ring_one(f, ctx)
     point_set = set(points)
@@ -121,12 +116,23 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
             raise TheoremViolation(
                 "Cartier image supported outside the level-%d region at %r" % (k, extra[0])
             )
-        entries.append([img.coeff(v, 0) for v in points])
+        entries.append([_constant(img.coeff(v, 0), one) for v in points])
+    hw = _normalized_det(entries, one, k, L_k)
+    return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
+
+
+def _normalized_det(rows, one, k, L_k):
+    """det HW^(k) / p^L_k in the coefficient ring whose one is `one`, which
+    keeps a digit only when its precision N exceeds L_k."""
+    if one.ctx.N <= L_k:
+        raise ConfigError(
+            "precision %d leaves no digit of det HW^(%d) / p^%d; "
+            "the least precision that works is %d" % (one.ctx.N, k, L_k, L_k + 1)
+        )
     try:
-        hw = _constant(det(entries), one).divide_exact_p(L_k)
+        return _constant(det(rows), one).divide_exact_p(L_k)
     except ReductionError as exc:
         raise TheoremViolation("det HW^(%d) not divisible by p^%d: %s" % (k, L_k, exc))
-    return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
 
 
 def _ring_one(f, ctx):
@@ -203,12 +209,7 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
             rows.append([c0, c0 + c1])
         else:
             rows.append([c0, c1])
-    L_k = 1
-    try:
-        hw = _constant(det(rows), one).divide_exact_p(L_k)
-    except ReductionError as exc:
-        raise TheoremViolation("det HW^(2) not divisible by p: %s" % exc)
-    return HasseWittMatrix(2, p, ctx.N, labels, rows, L_k, hw)
+    return HasseWittMatrix(2, p, ctx.N, labels, rows, 1, _normalized_det(rows, one, 2, 1))
 
 
 def _check_cy_support(img, verts, k):

@@ -2,13 +2,15 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from cartier import cli
+from cartier import cli, harness
+from cartier.families import FamilySpec
 
 
 def run(capsys, *argv):
@@ -69,16 +71,38 @@ def test_hw_square_json(capsys):
     ],
 )
 def test_hw_json_lists_every_residue_up_to_Dt(family, capsys):
-    # a series entry and hw_det list all Dt + 1 = 3p^2 + 1 residues,
-    # trailing zeros included; scalar entries of the square example are ints
+    # every entry and hw_det list all Dt + 1 = 3p^2 + 1 residues, trailing
+    # zeros included, and so does a zero entry of the square example
     code, out, _ = run(capsys, "hw", *family, "--prime", "5", "--level", "2", "--format", "json")
     assert code == 0
     obj = json.loads(out)
-    series = [e for row in obj["entries"] for e in row if isinstance(e, list)]
-    assert series and all(len(e) == 76 for e in series)
-    assert all(isinstance(e, int) for row in obj["entries"] for e in row if not isinstance(e, list))
+    entries = [e for row in obj["entries"] for e in row]
+    assert all(isinstance(e, list) and len(e) == 76 for e in entries)
     assert len(obj["hw_det"]) == 76
-    assert any(e[-1] == 0 for e in series)
+    assert any(e[-1] == 0 for e in entries)
+    assert ([0] * 76 in entries) == (family == ["--family", "square"])
+
+
+@pytest.mark.parametrize(
+    "argv,L_k",
+    [
+        ("hw --family square --prime 5 --level 3 --degree 12", 13),
+        ("hw --family hypercubic --n 2 --prime 5 --level 2 --degree 12", 1),
+    ],
+)
+def test_hw_precision_must_exceed_L_k(argv, L_k, capsys):
+    # the default keeps k digits of det HW^(k) / p^L_k
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    obj = json.loads(out)
+    k = obj["level"]
+    assert obj["L_k"] == L_k and obj["precision"] == max(k + harness.GUARD, L_k + k)
+    # an explicit precision of at most L_k is a usage error naming the least that works
+    code, out, err = run(capsys, *argv.split(), "--precision", str(L_k))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "the least precision that works is %d" % (L_k + 1) in err
+    code, out, _ = run(capsys, *argv.split(), "--precision", str(L_k + 1))
+    assert code == 0 and json.loads(out)["precision"] == L_k + 1
 
 
 def test_hw_level_must_stay_below_p(capsys):
@@ -130,6 +154,82 @@ def test_verify_straub(capsys):
     assert code == 0
 
 
+# one single check per suite: its flags and the keyword arguments they name;
+# dwork sets --n to other than its default, which only --family reads
+SINGLE_CHECKS = {
+    "dwork": ("--family simplicial --n 1 --prime 5 --s 1",
+              dict(family=("simplicial", 1), p=5, s=1)),
+    "super": ("--family simplicial --n 2 --prime 5 --s 1 --m 3 --lift tp",
+              dict(family=("simplicial", 2), p=5, s=1, m=3, lift_kind="tp")),
+    "simple": ("--prime 3 --s 1", dict(p=3, s=1)),
+    "cy-super": ("--family hypercubic --n 2 --prime 3 --s 1 --q-exponent 2 --lift tp",
+                 dict(family=("hypercubic", 2), p=3, s=1, Q=2, lift_kind="tp")),
+    "straub": ("--prime 5 --s 1", dict(p=5, s=1)),
+    "hw": ("--family hyperoctahedral --n 2 --prime 5 --degree 60",
+           dict(family=("hyperoctahedral", 2), p=5, Dt=60)),
+    "modular": ("--prime 5 --degree 50", dict(p=5, Dt=50)),
+    "fixed-point": ("--prime 7", dict(p=7)),
+    "frobenius": ("--family hypercubic --n 2 --prime 3 --lift tp --degree 21",
+                  dict(family=("hypercubic", 2), p=3, lift_kind="tp", Dt=21)),
+    "pq": ("--prime 5 --s 1 --n 3 --degree 60", dict(p=5, s=1, n=3, Dt=60)),
+}
+
+
+@pytest.mark.parametrize("suite", list(harness.SUITES))
+def test_single_check_runs_the_suite_on_its_flags(suite, capsys):
+    flags, kw = SINGLE_CHECKS[suite]
+    if "family" in kw:
+        kw = dict(kw, family=FamilySpec.by_name(*kw["family"]))
+    code, out, _ = run(capsys, "verify", suite, *flags.split())
+    assert code == 0
+    assert out == harness.reports_to_json([harness.run_check(suite, **kw)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("verify hw --family hypercubic --n 2 --prime 3 --lift excellent", "--lift"),
+        ("verify straub --prime 5 --s 1 --degree 40", "--degree"),
+        ("verify pq --family hypercubic --prime 3 --s 1 --n 2", "--family"),
+        ("verify all --prime 5", "--prime"),
+        ("verify dwork --grid smoke --m 2", "--m"),
+        ("verify straub --prime 5 --s 1 --grid smoke", "--grid"),
+        ("verify dwork --family simplicial --n 2 --prime 5 --s 1 --g-file g.txt", "--g-file"),
+    ],
+)
+def test_verify_flag_the_run_does_not_read_is_a_usage_error(argv, flag, tmp_path, capsys):
+    argv = argv.split()
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == "" and flag in err
+    # the same flag set through a config file
+    i = argv.index(flag)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (flag[2:], argv[i + 1]))
+    code, out, err = run(capsys, *argv[:i], *argv[i + 2:], "--config", str(cfg))
+    assert code == cli.EXIT_USAGE and out == "" and flag in err
+
+
+def test_every_required_check_parameter_has_a_verify_flag():
+    for name, check in harness.SUITES.items():
+        parameters = inspect.signature(check).parameters
+        assert list(cli._takes(name)) == list(parameters)
+        for param in parameters.values():
+            if param.default is param.empty:
+                assert param.name in cli._FLAG_PARAMS.values(), (name, param.name)
+
+
+@pytest.mark.parametrize(
+    "dest,param",
+    [("family", "family"), ("degree", "Dt"), ("m", "m"), ("lift", "lift_kind"), ("q_exponent", "Q")],
+)
+def test_verify_help_names_the_suites_that_read_a_flag(dest, param):
+    named = re.search(r"read by (.*)", _help("verify", dest)).group(1).split(", ")
+    assert named == [
+        name for name, check in harness.SUITES.items()
+        if param in inspect.signature(check).parameters
+    ]
+
+
 def test_verify_smoke_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "all", "--grid", "smoke")
     code2, out2, _ = run(capsys, "verify", "all", "--grid", "smoke")
@@ -159,7 +259,7 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
          "64ac7d9eb21722bd39cefd0f19aa6e53201346bff3053e2e21c3bb372d0c379f"),
         # hasse_witt_matrix on the monomial basis
         ("hw --family square --prime 5 --level 2",
-         "ba9c7b408e2bec0d304845783cd9f33c2586d1fa76bbec95e9d4af5270bf4299"),
+         "1305e337b798447e52e3784bdda17b004bcd8b63479a19866ad3c7a55127b788"),
         # the text rendering of the series entries
         ("hw --family square --prime 5 --level 2 --format text",
          "a3cc68650f294165ab378edf763b39cf52b3a85be69f072bbe71aa4917ace8f5"),
@@ -170,8 +270,9 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
 )
 def test_hw_golden_bytes(argv, digest, capsys):
     # recorded before LaurentPoly products over series were packed; the text
-    # and level-1 cases before Z/p^N scalars became residues.  JSON unless
-    # the case names a format.
+    # and level-1 cases before Z/p^N scalars became residues, the square JSON
+    # when its zero entries became D + 1 zeros.  JSON unless the case names
+    # a format.
     argv = argv.split()
     if "--format" not in argv:
         argv += ["--format", "json"]
@@ -305,15 +406,15 @@ DEFAULT_FORMAT_RUNS = {
 }
 
 
-def _format_help(command):
+def _help(command, dest="format"):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if a.dest == "format").help
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).help
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_FORMAT_RUNS))
 def test_format_help_names_the_default_in_use(command, capsys):
-    stated = re.search(r"\(default (\w+)\)", _format_help(command)).group(1)
+    stated = re.search(r"\(default (\w+)\)", _help(command)).group(1)
     code, out, _ = run(capsys, command, *DEFAULT_FORMAT_RUNS[command])
     assert code == 0
     try:
@@ -329,7 +430,7 @@ def test_junit_only_for_verify(command, tmp_path, capsys):
     code, out, err = run(capsys, command, *DEFAULT_FORMAT_RUNS[command], "--format", "junit")
     assert code == cli.EXIT_USAGE
     assert out == "" and "junit" in err
-    assert "junit" not in _format_help(command)
+    assert "junit" not in _help(command)
     # nor anywhere in --help, the usage line included
     code, out, _ = run(capsys, command, "--help")
     assert code == cli.EXIT_OK and "--format" in out and "junit" not in out

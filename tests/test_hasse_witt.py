@@ -6,13 +6,14 @@ from math import comb
 import pytest
 
 from cartier import hasse_witt, laurent, series
-from cartier.errors import ConfigError, DomainError
+from cartier.errors import ConfigError, DomainError, TheoremViolation
+from cartier.exactla import det
 from cartier.families import FamilySpec
 from cartier.hasse_witt import (
     F_k_polynomial,
-    _point_levels,
     cy_hasse_witt,
     hasse_witt_matrix,
+    level_points,
 )
 from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
 from cartier.padic import PadicContext
@@ -89,6 +90,31 @@ def test_square_family_level2_structure():
             if j < i:
                 assert not hw.entries[i][j]
     assert hw.entries[0][0] == PadicSeries.one(ctx, Dt)
+
+
+def test_square_level3_det_is_divisible_by_p_to_L_k(monkeypatch):
+    # 16 is the default precision of `hw` at level 3, L_3 + 3
+    p, Dt = 5, 12
+    ctx = PadicContext(p, 16)
+    f = _square_f(ctx, Dt)
+    region = _half_open_region(newton_polytope(f), 3)
+    lift = FrobLift.tp(ctx, Dt)
+    hw = hasse_witt_matrix(f, lift, 3, region, ctx)
+    assert hw.L_k == 13
+    d = det(hw.entries)
+    assert d and all(c % p ** 13 == 0 for c in d.coeffs)
+    assert hw.hw.coeffs == [c // p ** 13 for c in d.coeffs]
+
+    # negative control: one more unit on the last diagonal entry leaves a
+    # determinant that p^13 does not divide
+    def perturbed(rows):
+        rows = [list(row) for row in rows]
+        rows[-1][-1] = rows[-1][-1] + PadicSeries.one(ctx, Dt)
+        return det(rows)
+
+    monkeypatch.setattr(hasse_witt, "det", perturbed)
+    with pytest.raises(TheoremViolation, match=r"not divisible by p\^13"):
+        hasse_witt_matrix(f, lift, 3, region, ctx)
 
 
 def test_extended_basis_division_identity():
@@ -213,9 +239,9 @@ def test_point_levels_nested_regions_pass():
     ctx = PadicContext(3, 2)
     P = newton_polytope(_square_f(ctx, 6))
     for region in (_half_open_region(P, 3), RegionSpec.interior(), RegionSpec.full()):
-        points, counts = _point_levels(P, 3, region)
+        points, L_k = level_points(P, 3, region)
         levels = [lattice_points(P, k, region) for k in (1, 2, 3)]
-        assert counts == [len(pts) for pts in levels]
+        assert L_k == sum(len(levels[2]) - len(levels[l]) for l in (0, 1))
         assert sorted(points) == sorted(levels[2])
         # level-major: each point sits after every point of a lower level
         first = [min(k for k in (1, 2, 3) if u in levels[k - 1]) for u in points]
