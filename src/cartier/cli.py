@@ -322,10 +322,21 @@ def cmd_hw(args):
         raise ConfigError("--prime is required")
     p = args.prime
     k = args.level
+    square = bool(args.family) and args.family.lower() == "square"
+    # the square example reads neither --n, --g-file nor --basis, and the
+    # level-1 matrix has no basis to choose
+    unread = _changed(
+        args, "hw", ("n", "g_file", "basis") if square else ("basis",) if k == 1 else ()
+    )
+    if unread:
+        raise ConfigError(
+            "hw %s does not read %s"
+            % ("--family square" if square else "at --level 1", ", ".join(unread))
+        )
     if k >= p:
         raise DomainError("level k=%d requires k < p=%d" % (k, p))
     Dt = args.degree if args.degree is not None else 3 * p * p
-    if args.family and args.family.lower() == "square":
+    if square:
         P = Polytope(SQUARE)
         region = square_example_region(P, k)
         ctx = _hw_context(args, level_points(P, k, region)[1])
@@ -412,12 +423,20 @@ def _unread_flags(args, single):
     takes = _takes(args.suite) if single else ("grid",)
     if "family" in takes:
         takes += ("n",)
-    defaults = {a.dest: a.default for a in _walk_actions(build_parser(), "verify")}
-    return [
-        "--" + dest.replace("_", "-")
-        for dest, param in (("grid", "grid"), *_FLAG_PARAMS.items())
-        if param not in takes and getattr(args, dest) != defaults[dest]
-    ]
+    return _changed(
+        args,
+        "verify",
+        [dest for dest, param in (("grid", "grid"), *_FLAG_PARAMS.items()) if param not in takes],
+    )
+
+
+def _changed(args, command, dests):
+    """The flags of `command` among dests that are set to other than their
+    default, on the command line or through --config."""
+    if not dests:
+        return []  # the common case builds no second parser
+    defaults = {a.dest: a.default for a in _walk_actions(build_parser(), command)}
+    return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) != defaults[dest]]
 
 
 def _reports_text(reports):

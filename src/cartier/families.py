@@ -7,16 +7,16 @@ whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  Period series are computed by closed forms for the named
 families and by enumeration of the relation lattice of the vertices for
 custom ones; the tests compare the two paths on the catalog.  Both keep F
-in integers and G in integers over one common denominator.  For `an` and
-`hyperoctahedral`, the powers of E = sum t^j/(j!)^2 the closed forms need
-are the binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i),
-where e_j(k) = (k!)^2 [t^k] E^j.
-
-The same enumeration gives the coefficients [x^{c v_1}] g^k along the first
-vertex (`vertex_coefficients`): a relation ell_1 v_1 + sum_{i>=2} ell_i v_i
-= 0 with its v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k
-at x^{c v_1}.  c = 0 is F.  The enumeration keeps integer weights (sums of
-multinomials), so these coefficients are exact ints.
+in integers and G in integers over one common denominator.  The same split
+gives the coefficients [x^{c v_1}] g^k along the first vertex
+(`vertex_coefficients`); c = 0 is F.  The closed forms of `an` and
+`hyperoctahedral` are products of the series E_c(z) = sum_w z^w/(w!(w+c)!),
+taken in ints by one convolution (`_e_terms`); for c = 0 it is the
+binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
+e_j(k) = (k!)^2 [t^k] E_0^j.  In the enumeration, a relation
+ell_1 v_1 + sum_{i>=2} ell_i v_i = 0 with its v_1 exponent shifted to
+ell_1 + c >= 0 is a monomial of g^k at x^{c v_1}, and the weights are sums
+of multinomials, so these coefficients are exact ints too.
 
 W, q, A, B and the mirror map are RationalSeries formulas in F and
 l = G/F.  A RationalSeries keeps an integral coefficient as an int, and for
@@ -27,7 +27,7 @@ in reduce_mod.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add, mul
 
 from .errors import ConfigError, DomainError
@@ -153,18 +153,36 @@ def _harmonics(D):
     return L, H
 
 
-def _square_binomials(m, K):
-    """The rows C(k, 0)^2, .., C(k, k)^2 for k = 0..K, and e_m(0..K) for
-    e_0(k) = [k = 0] and e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), so that
-    e_m(k) = (k!)^2 [t^k] E^m for E = sum_j t^j/(j!)^2."""
+def _e_terms(us, M):
+    """The summands of R_m = m!(m-S)! [z^m] prod_i z^{max(u_i,0)} E_{|u_i|}(z),
+    m = 0..M, for nonempty shifts us with S = sum(us) >= 0 and
+    E_c(z) = sum_w z^w/(w!(w+c)!).  R_m is a sum of products of two
+    multinomials, so an int.  The factors are taken one at a time: a shift u
+    takes the R' of shift sum S' to R_m = sum_j C(m,j) C(m-S'-u, j-S') R'_j
+    over j >= S' and m - j >= max(u, 0), and the m-th list holds the terms
+    of this sum for the last factor.  For u = S' = 0 it is the binomial-square
+    convolution e_{i+1}(m) = sum_j C(m,j)^2 e_i(j) of e_i(m) = (m!)^2 [t^m] E_0^i."""
     rows, row = [], [1]
-    for _ in range(K + 1):
-        rows.append([c * c for c in row])
+    for _ in range(M + 1):
+        rows.append(row)
         row = list(map(add, [0] + row, row + [0]))
-    e = [1] + [0] * K
-    for _ in range(m):
-        e = [sum(map(mul, sq, e)) for sq in rows]
-    return rows, e
+    shifts = sorted(us, reverse=True)
+    R, S, key = [1] + [0] * M, 0, None
+    # in decreasing order every partial sum S is >= 0, and equal shifts in a
+    # row share one kernel
+    for i, u in enumerate(shifts, 1):
+        T, lo = S + u, max(u, 0)
+        if key != (S, T):
+            key = (S, T)
+            kernel = [
+                list(map(mul, rows[m][S : m - lo + 1], rows[m - T])) if m - lo >= S else []
+                for m in range(M + 1)
+            ]
+        Rs = R[S:]
+        if i == len(shifts):
+            return [list(map(mul, k, Rs)) for k in kernel]
+        R = [sum(map(mul, k, Rs)) for k in kernel]
+        S = T
 
 
 def _series_over(F, G, L):
@@ -191,21 +209,18 @@ def _closed_FG(family, D):
             G[2 * k] = c * n * (H[2 * k] - H[k])
     elif kind == "hyperoctahedral":
         # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
-        # E_H = sum_j H_j t^j/(j!)^2
-        rows, e = _square_binomials(n - 1, D // 2)
-        for k, sq in enumerate(rows):
+        # E = E_0 and E_H = sum_j H_j t^j/(j!)^2; the summands of e_n(k) are
+        # C(k,j)^2 e_(n-1)(j), which E_H weights by H_(k-j)
+        for k, terms in enumerate(_e_terms((0,) * n, D // 2)):
             c = comb(2 * k, k)
-            terms = [b * e[k - i] for i, b in enumerate(sq)]
             f = sum(terms)
             F[2 * k] = c * f
-            G[2 * k] = c * (H[2 * k] * f - sum(map(mul, terms, H)))
+            G[2 * k] = c * (H[2 * k] * f - sum(map(mul, terms, H[k::-1])))
     elif kind == "an":
         # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
-        rows, e = _square_binomials(n, D)
-        for k, sq in enumerate(rows):
-            terms = [b * e[k - i] for i, b in enumerate(sq)]
+        for k, terms in enumerate(_e_terms((0,) * (n + 1), D)):
             F[k] = sum(terms)
-            G[k] = 2 * (H[k] * F[k] - sum(map(mul, terms, H)))
+            G[k] = 2 * (H[k] * F[k] - sum(map(mul, terms, H[k::-1])))
     else:
         raise ConfigError("no closed form for kind %r" % (kind,))
     return _series_over(F, G, L)
@@ -354,12 +369,50 @@ def _shifted_terms(family, weights, c, D):
             yield d, ell1, term * alpha ** m * gamma ** total * val
 
 
+def _closed_vertex(family, u, D):
+    """[x^u] g^k for k = 0..D in ints, for a catalog family and any u; S is
+    sum(u) and E_c is the series of _e_terms."""
+    kind, n, S = family.kind, family.n, sum(u)
+    if kind == "hypercubic":
+        # prod_i C(k, (k+|u_i|)/2), 0 unless k = u_i mod 2
+        return [
+            prod(comb(k, (k + abs(x)) // 2) for x in u) if all((k - x) % 2 == 0 for x in u) else 0
+            for k in range(D + 1)
+        ]
+    out = [0] * (D + 1)
+    if kind == "simplicial":
+        # b factors 1/(x_1..x_n) and u_i + b factors x_i: k = S + (n+1) b
+        b0 = max(0, -min(u))
+        for k in range(S + (n + 1) * b0, D + 1, n + 1):
+            b = (k - S) // (n + 1)
+            out[k] = factorial(k) // (factorial(b) * prod(factorial(x + b) for x in u))
+    elif kind == "hyperoctahedral":
+        # k! [z^k] prod_i z^{|u_i|} E_{|u_i|}(z^2) = C(k, w) R_{w+T} at
+        # k = 2w + T, for the shifts |u_i|
+        T = sum(map(abs, u))
+        if T <= D:
+            R = _e_terms([abs(x) for x in u], (D + T) // 2)
+            for w in range((D - T) // 2 + 1):
+                out[2 * w + T] = comb(2 * w + T, w) * sum(R[w + T])
+    elif kind == "an":
+        # g = sum_{i,j=0..n} x_i/x_j with x_0 = 1, so [x^u] g^k = (k!)^2 [z^k] of
+        # the product over u_1..u_n and u_0 = -S, which is R_k for shift sum 0
+        out = list(map(sum, _e_terms(tuple(u) + (-S,), D)))
+    else:
+        raise ConfigError("no closed form for kind %r" % (kind,))
+    return out
+
+
 def vertex_coefficients(family, D, cs):
     """For each c in cs, the exact coefficients [x^{c v_1}] g^k, k = 0..D, of
-    1/(1 - t g) along the first vertex v_1, as a list of D + 1 ints.  All of
-    them come from one enumeration of the relation lattice."""
+    1/(1 - t g) along the first vertex v_1, as a list of D + 1 ints.  The
+    catalog families take closed forms (_closed_vertex); a custom family
+    takes them all from one enumeration of the relation lattice."""
     if any(c < 0 for c in cs):
         raise ConfigError("vertex multiples must be >= 0")
+    v1 = family.vertices[0]
+    if family.kind != "custom":
+        return [_closed_vertex(family, [c * x for x in v1], D) for c in cs]
     weights = _weights_to_degree(family, D)
     out = []
     for c in cs:

@@ -188,7 +188,13 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     """The same ratio congruence at modulus p^{2s} under the excellent lift.
 
     This is reported, never asserted: the source statement is conjectural.
-    The tp-lift variant records that excellence appears to matter."""
+    The tp-lift variant records that excellence appears to matter.  The
+    truncation order m defaults to n + 1 for simplicial and 2 otherwise, the
+    values the grids use; the check takes the congruence to hold there.
+    Other m are conjecture only: a scan over the catalog for n <= 4, p <= 7
+    and m <= 3 found no FAIL at these m and FAILs at others (every n = 1
+    family and hyperoctahedral n >= 3 at m = 1 and 3, simplicial n >= 2 at
+    m = 1, and simplicial n = 2 at m = 2 for p = 5, s = 2)."""
     if m is None:
         m = family.n + 1 if family.kind == "simplicial" else 2
     if Dt is None:

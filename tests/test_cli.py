@@ -198,7 +198,37 @@ def test_single_check_runs_the_suite_on_its_flags(suite, capsys):
     ],
 )
 def test_verify_flag_the_run_does_not_read_is_a_usage_error(argv, flag, tmp_path, capsys):
-    argv = argv.split()
+    _assert_unread_flag_exits_2(argv.split(), flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        ("hw --family square --prime 5 --basis unit", "--basis"),
+        ("hw --family square --prime 5 --n 3", "--n"),
+        ("hw --family square --prime 5 --g-file g.txt", "--g-file"),
+        ("hw --family hypercubic --n 2 --prime 5 --level 1 --basis unit", "--basis"),
+        ("hw --family custom --g-file g.txt --prime 5 --level 1 --basis unit", "--basis"),
+    ],
+)
+def test_hw_flag_the_run_does_not_read_is_a_usage_error(argv, flag, tmp_path, capsys):
+    # the square example reads neither --n, --g-file nor --basis, and
+    # cy_hasse_witt returns at level 1 before it reads the basis
+    _assert_unread_flag_exits_2(argv.split(), flag, tmp_path, capsys)
+
+
+def test_hw_reads_basis_at_level_2(capsys):
+    # the control: at level 2 --basis is read, and unit changes the bytes
+    argv = "hw --family hypercubic --n 2 --prime 5 --level 2 --degree 12".split()
+    outs = set()
+    for basis in ("omega", "unit"):
+        code, out, _ = run(capsys, *argv, "--basis", basis)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 2
+
+
+def _assert_unread_flag_exits_2(argv, flag, tmp_path, capsys):
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_USAGE and out == "" and flag in err
     # the same flag set through a config file
@@ -228,6 +258,18 @@ def test_verify_help_names_the_suites_that_read_a_flag(dest, param):
         name for name, check in harness.SUITES.items()
         if param in inspect.signature(check).parameters
     ]
+
+
+def test_verify_cy_super_hypercubic_n3(capsys):
+    # the closed-form vertex coefficients reach n = 3, where the
+    # relation-lattice enumeration did not finish in 150 s
+    code, out, _ = run(
+        capsys, "verify", "cy-super", "--family", "hypercubic", "--n", "3", "--prime", "5",
+        "--s", "1",
+    )
+    assert code == 0
+    (report,) = json.loads(out)
+    assert report["status"] == "PASS" and report["params"]["n"] == 3
 
 
 def test_verify_smoke_json_deterministic(capsys):

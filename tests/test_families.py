@@ -1,6 +1,7 @@
 """Period data for the catalog families against combinatorial oracles."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,7 @@ from cartier.families import (
     FamilySpec,
     PeriodData,
     _closed_FG,
+    _closed_vertex,
     ab_coefficients,
     canonical_q,
     generic_periods,
@@ -218,7 +220,7 @@ def test_closed_form_matches_e_series(kind, n):
     assert F.coeffs == Fe and G.coeffs == Ge
 
 
-@pytest.mark.parametrize("n,D", [(1, 40), (2, 40), (3, 16)])
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 40), (3, 16), (3, 75)])
 def test_vertex_coefficients_hypercubic_closed_form(n, D):
     # g = prod (x_i + 1/x_i), so [x^{c(1,..,1)}] g^k = binom(k, (k+c)/2)^n;
     # every vertex gives the same by symmetry
@@ -228,6 +230,91 @@ def test_vertex_coefficients_hypercubic_closed_form(n, D):
         assert coeffs == [
             comb(k, (k + c) // 2) ** n if (k + c) % 2 == 0 else 0 for k in range(D + 1)
         ]
+
+
+VERTEX_CASES = [(kind, n, 12) for kind, n in CATALOG if n <= 3]
+VERTEX_CASES += [(kind, 4, 6) for kind in ("simplicial", "hypercubic", "hyperoctahedral", "an")]
+VERTEX_CS = (0, 1, 2, 3, 5)
+
+
+@lru_cache(maxsize=None)
+def relation_lattice_vertex_coefficients(kind, n, D):
+    """The relation-lattice DP for the catalog polynomial as a custom family,
+    with the vertex it runs along."""
+    custom = FamilySpec.custom(FamilySpec.by_name(kind, n).g)
+    return custom.vertices[0], vertex_coefficients(custom, D, VERTEX_CS)
+
+
+@pytest.mark.parametrize("kind,n,D", VERTEX_CASES)
+def test_closed_vertex_coefficients_match_relation_lattice(kind, n, D):
+    family = FamilySpec.by_name(kind, n)
+    v1, expected = relation_lattice_vertex_coefficients(kind, n, D)
+    assert family.vertices[0] == v1
+    assert vertex_coefficients(family, D, VERTEX_CS) == expected
+    # the symmetry group moves every vertex to v_1, and the closed forms
+    # hold for any exponent, so every vertex gives the same coefficients
+    for v in family.vertices:
+        assert [_closed_vertex(family, [c * x for x in v], D) for c in VERTEX_CS] == expected
+
+
+def e_series(c, D, step):
+    """E_c(z^step) = sum_w z^(step w)/(w!(w+c)!) to degree D, in Fractions."""
+    out = [Fraction(0)] * (D + 1)
+    for w in range(D // step + 1):
+        out[step * w] = Fraction(1, factorial(w) * factorial(w + c))
+    return out
+
+
+def series_product(factors, D):
+    out = [Fraction(1)] + [Fraction(0)] * D
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(D + 1)]
+    return out
+
+
+def shifted(f, a):
+    return [Fraction(0)] * a + f[: len(f) - a]
+
+
+def hyperoctahedral_form(u, D, step):
+    """k! [z^k] prod_i z^{|u_i|} E_{|u_i|}(z^step); step 2 is the closed form."""
+    P = series_product([shifted(e_series(abs(x), D, step), abs(x)) for x in u], D)
+    return [factorial(k) * P[k] for k in range(D + 1)]
+
+
+def an_form(u, D, S):
+    """sum_m C(k,m) C(k,m-S) R_m, R_m = m!(m-S)! [z^m] prod_i z^{max(u_i,0)}
+    E_{|u_i|}(z); S = sum(u) is the closed form."""
+    P = series_product([shifted(e_series(abs(x), D, 1), max(x, 0)) for x in u], D)
+    R = [factorial(m) * factorial(m - S) * P[m] if m >= S else 0 for m in range(D + 1)]
+    return [
+        sum(comb(k, m) * comb(k, m - S) * R[m] for m in range(max(S, 0), k + 1))
+        for k in range(D + 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind,form,wrong",
+    [
+        # E_c(z) in place of E_c(z^2)
+        ("hyperoctahedral", lambda u, D: hyperoctahedral_form(u, D, 2),
+         lambda u, D: hyperoctahedral_form(u, D, 1)),
+        # sum |u_i| in place of S
+        ("an", lambda u, D: an_form(u, D, sum(u)),
+         lambda u, D: an_form(u, D, sum(map(abs, u)))),
+    ],
+)
+def test_wrong_closed_vertex_form_differs_from_relation_lattice(kind, form, wrong):
+    # the closed form written out in Fractions matches the DP; the same form
+    # with one deliberate error differs from it in at least one case
+    mismatches = 0
+    for n in (1, 2, 3):
+        v1, expected = relation_lattice_vertex_coefficients(kind, n, 12)
+        for c, coeffs in zip(VERTEX_CS, expected):
+            u = [c * x for x in v1]
+            assert form(u, 12) == coeffs
+            mismatches += wrong(u, 12) != coeffs
+    assert mismatches > 0
 
 
 # alpha = 3 and gamma = -2 exercise the constant term and the vertex coefficient
