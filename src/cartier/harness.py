@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
-from xml.etree import ElementTree
 
 from .errors import ConfigError, TheoremViolation
 from .families import (
@@ -217,12 +216,16 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
 # the square-polytope example f = 1 - x1 - x2 + (1-t) x1 x2
 
 
-@lru_cache(maxsize=1)
-def _square_example_table(K, L):
-    """alpha_{i,j}(t) for 1/f as integer coefficient lists in t, from
-    alpha_{i,j} = alpha_{i-1,j} + alpha_{i,j-1} - (1-t) alpha_{i-1,j-1}.
-    The last table is kept for the next variant at the same (K, L), so
-    callers must not change it."""
+def _square_example_alpha(i, j):
+    """alpha_{i,j}(t) for 1/f as an integer coefficient list in t:
+    1/f = sum_k t^k (x1 x2)^k / ((1-x1)(1-x2))^(k+1), so
+    alpha_{i,j} = sum_k C(i,k) C(j,k) t^k."""
+    return [comb(i, k) * comb(j, k) for k in range(min(i, j) + 1)]
+
+
+def _square_example_recurrence(K, L):
+    """The table of alpha_{i,j}, i <= K and j <= L, from
+    alpha_{i,j} = alpha_{i-1,j} + alpha_{i,j-1} - (1-t) alpha_{i-1,j-1}."""
     table = [[None] * (L + 1) for _ in range(K + 1)]
     for i in range(K + 1):
         for j in range(L + 1):
@@ -271,13 +274,17 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     check_id = "simple-example/%s-p%d-s%d" % (variant, p, s)
     K = max(k for k, _ in coeff_list) * p ** s
     L = max(l for _, l in coeff_list) * p ** s
-    table = _square_example_table(K, L)
     notes = []
-    # oracle agreement on the diagonal closed form
+    # oracle agreement: the recurrence on the whole table for i, j <= 8,
+    # and the diagonal closed form
+    for i, row in enumerate(_square_example_recurrence(8, 8)):
+        for j, want in enumerate(row):
+            if _square_example_alpha(i, j) != want:
+                raise TheoremViolation("recurrence oracle mismatch at (%d, %d)" % (i, j))
     for Q in range(1, min(K, L, 6) + 1):
         closed = _square_example_closed(Q)
-        got = table[Q][Q] + [0] * (len(closed) - len(table[Q][Q]))
-        if got != closed:
+        got = _square_example_alpha(Q, Q)
+        if got + [0] * (len(closed) - len(got)) != closed:
             raise TheoremViolation("diagonal coefficient oracle mismatch at Q=%d" % Q)
     ctx = PadicContext(p, target + GUARD)
 
@@ -312,7 +319,8 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
     else:
         raise ConfigError("unknown variant %r" % (variant,))
     excess = min(
-        diff(table[k * p ** s][l * p ** s], table[k * p ** (s - 1)][l * p ** (s - 1)])
+        diff(_square_example_alpha(k * p ** s, l * p ** s),
+             _square_example_alpha(k * p ** (s - 1), l * p ** (s - 1)))
         .min_excess_ord(target)
         for k, l in coeff_list
     )
@@ -844,6 +852,10 @@ def reports_to_json(reports, include_runtime=False):
 
 
 def reports_to_junit(reports):
+    # imported here: only --format junit reads it, and the import costs a
+    # few ms of every cold start
+    from xml.etree import ElementTree
+
     suite = ElementTree.Element(
         "testsuite",
         name="congruence-checks",

@@ -22,11 +22,16 @@ least _PACK_MIN = 12 residues (within the product's degree bound),
 `PadicSeries` packs each operand into one int by Kronecker substitution,
 one residue per slot wide enough that no carry crosses slots, and does one
 bigint product; its `compose` runs Brent-Kung baby steps and giant steps
-over the same packing.  Shorter operands take the shared schoolbook loop,
-which skips zero coefficients.  On dense operands the packed product is
-already ahead at 6 to 8 residues, but the Hasse-Witt products have stored
-lengths of 8 to 11 with about 5 nonzero pairs each, and packing each of
-those on its own made `hw` about 70% slower.  So a LaurentPoly product whose
+over the same packing.  A slot that needs at most 8 bytes is widened to one
+8-byte machine word, so a whole residue list converts to and from bytes in
+one `struct` call ("<nQ"); the widths `desk`, `lift` and `hw` ask for are 3
+to 7 bytes.  A slot wider than 8 bytes, as for `hw --family square --level
+3` at 10 to 11 bytes, converts residue by residue through int.to_bytes.
+Shorter operands take the shared schoolbook loop, which skips zero
+coefficients.  On dense operands the packed product is already ahead at 6
+to 8 residues, but the Hasse-Witt products have stored lengths of 8 to 11
+with about 5 nonzero pairs each, and packing each of those on its own made
+`hw` about 70% slower.  So a LaurentPoly product whose
 coefficients are all PadicSeries of one D packs at the level of the whole
 product instead (`packed_term_mul`): each coefficient is packed once, each
 pair of terms is one small bigint product summed unreduced per output
@@ -44,6 +49,7 @@ guard)), and `PadicSeries.log` the logarithm; `padic_log_unit` reads the
 constant term of a degree-0 log.
 """
 
+import struct
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import isqrt
@@ -56,6 +62,7 @@ from .errors import (
     InvertError,
     ReductionError,
     ReversionError,
+    TheoremViolation,
 )
 from .padic import ord_p, reduce_fraction, unit_inverse
 
@@ -181,28 +188,34 @@ class _Series:
         return acc
 
     def reverse(self):
-        """Compositional inverse of self = t + O(t^2) by Newton iteration."""
+        """Compositional inverse of self = t + O(t^2) by Newton iteration.
+
+        A step from r, right to degree d_old, to degree d <= 2 d_old + 1
+        composes once: with a(r) = t + err, the chain rule gives
+        a'(r) = (a(r))' / r' = (1 + err') / r', so the correction
+        err / a'(r) is err r' (1 + err')^-1.  Both r' and 1 + err' have
+        constant term 1, in Q and in Z/p^N alike.  err vanishes to degree
+        d_old, so the product reads its other factors only below degree
+        d - d_old <= d, never the unknown top coefficient of a derivative.
+        A last composition at D checks a(r) = t and raises TheoremViolation
+        otherwise."""
         if self.D == 0 or self[0] != 0 or self[1] != 1:
             # unit linear coefficient other than 1 is not needed anywhere downstream
             raise ReversionError("reversion requires a = t + O(t^2)")
         D = self.D
-        aprime = self.derivative()
         r = self._new([0, 1], D)
         d = 1
         while d < D:
             d = min(2 * d + 1, D)
-            rt = r.truncate(d)
-            err = self.truncate(d).compose(rt) - self._new([0, 1], d)
-            if not err:
-                r = rt
-                continue
-            corr = err * aprime.truncate(d).compose(rt).invert()
-            r = rt - corr
-        # final safety pass
-        err = self.compose(r) - self._new([0, 1], D)
-        if err:
-            r = r - err * aprime.compose(r).invert()
-        return r.truncate(D)
+            r = r.truncate(d)
+            err = self.truncate(d).compose(r) - self._new([0, 1], d)
+            if err:
+                r = r - err * r.derivative() * (err.derivative() + 1).invert()
+        # each step is exact, so a step that lost a term shows here rather
+        # than being patched by a further step
+        if self.compose(r) != self._new([0, 1], D):
+            raise TheoremViolation("Newton reversion left a(r) != t to degree %d" % D)
+        return r
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -331,23 +344,32 @@ class RationalSeries(_Series):
 # Kronecker substitution: a list of residues mod m becomes one int with a
 # slot of w bytes per residue, so one bigint product forms every coefficient
 # of a series product.  A slot holds a sum of `terms` products of residues,
-# each below (m - 1)^2, so no carry crosses into the next slot.
+# each below (m - 1)^2, so no carry crosses into the next slot.  A slot of at
+# most 8 bytes is widened to one machine word, so that a whole residue list
+# converts in one struct call.
 _PACK_MIN = 12
 
 
 def _slot_bytes(m, terms):
-    """Bytes per slot for sums of `terms` products of residues mod m."""
-    return (2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8
+    """Bytes per slot for sums of `terms` products of residues mod m: at
+    least 8, one machine word."""
+    return max((2 * (m - 1).bit_length() + terms.bit_length() + 7) // 8, 8)
 
 
 def _pack(cs, w):
     """The int sum of cs[i] 2^(8wi), for residues that fit in w bytes."""
-    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+    if w == 8:
+        buf = struct.pack("<%dQ" % len(cs), *cs)
+    else:
+        buf = b"".join([c.to_bytes(w, "little") for c in cs])
+    return int.from_bytes(buf, "little")
 
 
 def _unpack(x, n, w):
     """Slots 0..n-1 of x, w bytes each."""
     buf = (x & ((1 << 8 * w * n) - 1)).to_bytes(w * n, "little")
+    if w == 8:
+        return list(struct.unpack("<%dQ" % n, buf))
     return [int.from_bytes(buf[i : i + w], "little") for i in range(0, w * n, w)]
 
 

@@ -1,12 +1,17 @@
 """Verification harness: report plumbing, suites, controls, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
 from cartier import harness
-from cartier.errors import ConfigError
+from cartier.errors import ConfigError, TheoremViolation
 from cartier.families import FamilySpec
 from cartier.series import PadicSeries
 
@@ -129,6 +134,19 @@ def test_simple_example_variants():
         assert r.status == harness.PASS, (variant, r.min_excess, r.notes)
 
 
+def test_square_example_closed_form_matches_the_recurrence():
+    table = harness._square_example_recurrence(12, 12)
+    assert all(harness._square_example_alpha(i, j) == table[i][j]
+               for i in range(13) for j in range(13))
+
+
+def test_wrong_square_example_closed_form_trips_the_oracle(monkeypatch):
+    monkeypatch.setattr(harness, "_square_example_alpha", lambda i, j: [
+        comb(i, k) * comb(j, k + 1) for k in range(min(i, j) + 1)])
+    with pytest.raises(TheoremViolation, match="recurrence oracle"):
+        harness.verify_simple_example(3, 1)
+
+
 def test_report_json_shape_and_determinism():
     reports = harness.run_suite("smoke", suites=["simple", "pq"])
     blob1 = harness.reports_to_json(reports)
@@ -156,6 +174,40 @@ def test_junit_rendering():
     assert root.tag == "testsuite"
     assert int(root.get("tests")) == len(reports)
     assert int(root.get("failures")) == 0
+
+
+def test_junit_bytes_of_each_status():
+    R = harness.CongruenceReport
+    reports = [
+        R("a/pass", {"p": 3}, 2, 1, harness.PASS, 0.25),
+        R("b/fail", {"p": 5}, 4, -1, harness.FAIL, 1.5),
+        R("c/prec", {}, 2, None, harness.PRECISION_LIMITED, 0.0),
+        R("d/conj", {}, 2, -2, harness.FAIL, 0.0, conjecture=True),
+    ]
+    assert harness.reports_to_junit(reports) == (
+        '<testsuite name="congruence-checks" tests="4" failures="1" skipped="2">'
+        '<testcase name="a/pass" time="0.250" />'
+        '<testcase name="b/fail" time="1.500"><failure message="congruence failed">'
+        '{"check": "b/fail", "conjecture": false, "min_excess_valuation": -1, '
+        '"notes": [], "params": {"p": 5}, "status": "FAIL", "target_modulus_exponent": 4}'
+        '</failure></testcase>'
+        '<testcase name="c/prec" time="0.000"><skipped message="precision limited" /></testcase>'
+        '<testcase name="d/conj" time="0.000"><skipped message="conjecture">FAIL</skipped>'
+        '</testcase></testsuite>'
+    )
+
+
+def test_cli_import_leaves_xml_out():
+    # only --format junit reads xml.etree, so a cold command does not import it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cartier.cli; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "cartier.harness" in loaded
+    assert [m for m in loaded if m == "xml" or m.startswith("xml.")] == []
 
 
 def test_exit_code_counts_only_non_conjecture():

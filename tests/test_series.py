@@ -1,5 +1,6 @@
 """Truncated power series: oracles and algebraic properties."""
 
+import random
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial
@@ -14,16 +15,22 @@ from cartier.errors import (
     InvertError,
     ReductionError,
     ReversionError,
+    TheoremViolation,
 )
 from cartier.padic import PadicContext
 from cartier.series import (
     _PACK_MIN,
     PadicSeries,
     RationalSeries,
+    _pack,
     _packed_mul,
+    _Series,
+    _slot_bytes,
+    _unpack,
     dieudonne_dwork_check,
     divided_power_reverse,
     is_p_integral,
+    packed_term_mul,
     reduce_mod,
 )
 
@@ -371,10 +378,17 @@ def _dense_compose(outer, inner, reduce):
 
 def _dense_reverse(a, reduce):
     """r with a(r) = t, degree by degree: [t^n] a(r) is r_n plus terms in
-    r_1..r_{n-1}, for a = t + O(t^2)."""
-    r = [0, 1] + [0] * (len(a) - 2)
-    for n in range(2, len(a)):
-        r[n] = reduce(-_dense_compose(a, r, reduce)[n])
+    r_1..r_{n-1}, for a = t + O(t^2).  pw[k][n] = [t^n] r^k is formed a
+    degree at a time, as sum_j r_j [t^(n-j)] r^(k-1) with j < n for k >= 2,
+    so r_n = -sum_(k>=2) a_k pw[k][n]."""
+    D = len(a) - 1
+    r = [0, 1] + [0] * (D - 1)
+    pw = [[0] * (D + 1) for _ in range(D + 1)]
+    pw[1][1] = 1
+    for n in range(2, D + 1):
+        for k in range(2, n + 1):
+            pw[k][n] = reduce(sum(r[j] * pw[k - 1][n - j] for j in range(1, n - k + 2)))
+        r[n] = pw[1][n] = reduce(-sum(a[k] * pw[k][n] for k in range(2, n + 1)))
     return r
 
 
@@ -517,3 +531,140 @@ def test_packed_compose_worst_case_block_sums(p):
             inner = PadicSeries(ctx, [1, m - 1] + [0] * (_PACK_MIN - 3) + [m - 1], 20)
             _assert_is(outer.compose(inner, outer_polynomial=True),
                        _dense_compose(outer.coeffs, inner.coeffs, lambda c: c % m))
+
+
+# The slot rule on both sides of one machine word: at 7^8 every slot width
+# the kernels ask for rounds up to one 8-byte word and converts through
+# struct; at 5^16 slots are 10 to 11 bytes and take the byte path.  Operands
+# of all p^N - 1 give the largest slot sums; lengths run from _PACK_MIN to 200.
+
+_WORD_CASES = ((7, 8), (5, 16))
+_KERNEL_LENGTHS = (_PACK_MIN, 13, 47, 200)
+
+
+def _kernel_operands(m, L, seed):
+    rng = random.Random(seed)
+    return ([m - 1] * L, [rng.randrange(m) for _ in range(L)],
+            [rng.choice((0, m - 1)) for _ in range(L - 1)] + [m - 1])
+
+
+def _schoolbook_compose(outer, inner):
+    """outer(inner) by Horner's rule over the shared schoolbook product."""
+    acc = PadicSeries.zero(inner.ctx, inner.D)
+    for c in reversed(outer.coeffs):
+        acc = _Series.__mul__(acc, inner) + c
+    return acc
+
+
+def test_slot_bytes_is_one_word_up_to_eight_bytes():
+    assert _slot_bytes(7 ** 8, 200) == _slot_bytes(3, 1) == 8
+    assert _slot_bytes(3 ** 17, 200) == 8
+    assert _slot_bytes(5 ** 16, _PACK_MIN) == 10 and _slot_bytes(5 ** 16, 200) == 11
+
+
+@pytest.mark.parametrize("p,N", _WORD_CASES)
+@pytest.mark.parametrize("L", _KERNEL_LENGTHS)
+def test_packed_mul_matches_schoolbook_across_the_word_rule(p, N, L):
+    ctx = PadicContext(p, N)
+    m = ctx.modulus
+    for a in _kernel_operands(m, L, L):
+        for b in _kernel_operands(m, L, L + 1):
+            want = _Series.__mul__(PadicSeries(ctx, a), PadicSeries(ctx, b))
+            assert [c % m for c in _packed_mul(a, b, L, m)] == want.coeffs
+            _assert_is(PadicSeries(ctx, a) * PadicSeries(ctx, b), want.coeffs)
+            # a shorter operand, and a product longer than either degree bound
+            short = PadicSeries(ctx, b[: _PACK_MIN], 2 * L)
+            got = PadicSeries(ctx, a, 2 * L) * short
+            _assert_is(got, _Series.__mul__(PadicSeries(ctx, a, 2 * L), short).coeffs)
+
+
+@pytest.mark.parametrize("p,N", _WORD_CASES)
+@pytest.mark.parametrize("L,D", [(_PACK_MIN, _PACK_MIN), (13, 40), (47, 47), (200, 40)])
+def test_packed_compose_matches_schoolbook_across_the_word_rule(p, N, L, D):
+    ctx = PadicContext(p, N)
+    m = ctx.modulus
+    for outer in _kernel_operands(m, L, L):
+        for inner in _kernel_operands(m, D, D + 1):
+            s, u = PadicSeries(ctx, outer), PadicSeries(ctx, [0] + inner[1:], D)
+            _assert_is(s.compose(u), _schoolbook_compose(s, u).coeffs)
+            u = PadicSeries(ctx, inner, D)
+            _assert_is(s.compose(u, outer_polynomial=True), _schoolbook_compose(s, u).coeffs)
+
+
+@pytest.mark.parametrize("p,N", _WORD_CASES)
+@pytest.mark.parametrize("L", _KERNEL_LENGTHS)
+def test_packed_term_mul_matches_schoolbook_across_the_word_rule(p, N, L):
+    # three pairs of terms land on exponent 0, so a slot holds 3 L products
+    ctx = PadicContext(p, N)
+    m = ctx.modulus
+    xs = [PadicSeries(ctx, cs) for cs in _kernel_operands(m, L, L)]
+    ys = [PadicSeries(ctx, cs) for cs in _kernel_operands(m, L, L + 1)]
+    a = {(i,): x for i, x in enumerate(xs)}
+    b = {(-i,): y for i, y in enumerate(ys)}
+    want = {}
+    for (u,), x in a.items():
+        for (v,), y in b.items():
+            c = _Series.__mul__(x, y)
+            want[(u + v,)] = want[(u + v,)] + c if (u + v,) in want else c
+    got = packed_term_mul(a, b)
+    assert got.keys() == {k for k, c in want.items() if c}
+    for k, c in got.items():
+        _assert_is(c, want[k].coeffs)
+
+
+@pytest.mark.parametrize("p,N", [(5, 16), (3, 17)])
+def test_one_byte_narrower_slot_carries_into_the_next(p, N):
+    # negative control of the carry bound: where the bound itself is 8 bytes
+    # or more, a slot one byte narrower overflows on all-(p^N - 1) operands
+    m, L = p ** N, 200
+    a = [m - 1] * L
+    want = _Series.__mul__(PadicSeries(PadicContext(p, N), a), PadicSeries(PadicContext(p, N), a))
+    w = _slot_bytes(m, L)
+    assert [c % m for c in _unpack(_pack(a, w) * _pack(a, w), L, w)] == want.coeffs
+    assert [c % m for c in _unpack(_pack(a, w - 1) * _pack(a, w - 1), L, w - 1)] != want.coeffs
+
+
+def test_one_word_slot_only_widens_the_bound():
+    # at 7^8 the bound is 7 bytes, widened to the 8-byte word: the byte path
+    # at 7 bytes and the struct path at 8 give the same product
+    m, L = 7 ** 8, 200
+    a = [m - 1] * L
+    assert _slot_bytes(m, L) == 8
+    by_word = _unpack(_pack(a, 8) * _pack(a, 8), 2 * L - 1, 8)
+    assert _unpack(_pack(a, 7) * _pack(a, 7), 2 * L - 1, 7) == by_word
+    assert max(by_word) == L * (m - 1) ** 2 < 2 ** 56
+
+
+# Newton reversion against the degree-by-degree oracle in both rings, at
+# degree bounds around the doubling steps 1, 3, 7, 15, ... and at 147 = 3 p^2
+# for p = 7, the degree `lift` reverts at.
+
+
+def _random_coefficient(ring, rng):
+    if ring is _RINGS[0]:
+        return rng.choice((0, rng.randrange(-2 * _M, 2 * _M)))
+    return rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["padic", "rational"])
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 8, 147])
+def test_reverse_matches_degree_by_degree_oracle(ring, D):
+    rng, red = random.Random(D), ring.reduce
+    for _ in range(1 if D == 147 else 8):
+        cs = [0, 1] + [_random_coefficient(ring, rng) for _ in range(D - 1)]
+        if D == 147 and ring is _RINGS[1]:
+            # integral, so the exact oracle runs in ints
+            cs, red = [0, 1] + [rng.randint(-1, 1) for _ in range(D - 1)], int
+        a = ring.make(cs, D)
+        r = a.reverse()
+        assert a.compose(r) == ring.make([0, 1], D)
+        _assert_is(r, _dense_reverse(_dense(cs, D, red), red))
+
+
+def test_reverse_checks_its_newton_steps(monkeypatch):
+    # negative control of the last composition: with r' read as 0 no step
+    # corrects r = t, and the check at D raises instead of returning it
+    monkeypatch.setattr(_Series, "derivative", lambda self: self._new([], self.D))
+    for a in (RationalSeries([0, 1, 1], 5), PadicSeries(_CTX, [0, 1, 1], 5)):
+        with pytest.raises(TheoremViolation):
+            a.reverse()
