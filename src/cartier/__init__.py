@@ -11,8 +11,6 @@ from .padic import PadicContext
 from .series import (
     PadicSeries,
     RationalSeries,
-    dieudonne_dwork_check,
-    divided_power_reverse,
     padic_log_unit,
     reduce_mod,
 )

@@ -460,7 +460,8 @@ def _periods(family, D):
 class PeriodData:
     """F and G to degree D.  Series derived from them, l = G/F, the
     Wronskian W and the canonical coordinate q, are built on first read and
-    kept in `_cache`."""
+    kept in `_cache`.  `truncate` serves a lower degree from the same data
+    without building it again."""
 
     __slots__ = ("family", "D", "F", "G", "_cache")
 
@@ -481,6 +482,20 @@ class PeriodData:
         if W is None:
             W = self._cache["W"] = self.F * self.F * (_log_u(self).theta() + 1)
         return W
+
+    def truncate(self, D):
+        """The same data at degree D <= self.D, without calling `__init__`:
+        F, G and every series in `_cache` cut at D, while a series first
+        read later is built at D on the result.  This is exact, as each
+        derived series is causal over Q: its coefficient k reads only the
+        coefficients <= k of F and G."""
+        if D > self.D:
+            raise ConfigError("cannot extend periods of degree %d to %d" % (self.D, D))
+        view = PeriodData.__new__(PeriodData)
+        view.family, view.D = self.family, D
+        view.F, view.G = self.F.truncate(D), self.G.truncate(D)
+        view._cache = {name: series.truncate(D) for name, series in self._cache.items()}
+        return view
 
     def truncated_F(self, Nt):
         """The truncation F_Nt = g_0 + g_1 t + ... + g_{Nt-1} t^{Nt-1}."""

@@ -155,14 +155,3 @@ def structure_residual(data):
         [NL[i][j] - LNs[i][j] - L[i][j].theta() for j in range(2)]
         for i in range(2)
     ]
-
-
-def lambda_det_excess(data):
-    """min excess valuation of det(Lambda) - p W(t)/W(t^sigma)."""
-    ctx = data.ctx
-    L = data.Lambda
-    det = L[0][0] * L[1][1] - L[0][1] * L[1][0]
-    W = reduce_mod(data.periods.W, ctx)
-    Ws = data.lift.on_series(W)
-    target = W * Ws.invert() * ctx.p
-    return det - target

@@ -11,7 +11,9 @@ import json
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, product
 from math import comb, factorial
+from operator import ge, mul
 from typing import NamedTuple
 
 from .errors import ConfigError, TheoremViolation
@@ -88,6 +90,10 @@ def _report(check_id, params, target, excess, conjecture=False, notes=(), contro
 # shared caches (periods and lifts are pure functions of their keys)
 
 _FAMILY_CACHE = {}
+# (kind, n, D) -> PeriodData.  A miss is served by truncating the same
+# family's data at a larger degree, which is exact, and builds only when
+# D is above every cached degree; `_desk_checks` runs its primes in
+# descending order, so each family is built once, at its largest degree.
 _PERIOD_CACHE = {}
 _LIFT_CACHE = {}
 
@@ -102,12 +108,21 @@ def get_family(kind, n):
 
 
 def get_periods(family, D):
-    key = (family.kind, family.n, D)
+    """The PeriodData of a catalog family at degree D, cached by (kind, n, D);
+    a custom family is built afresh on every call."""
     if family.kind == "custom":
         return PeriodData(family, D)
-    if key not in _PERIOD_CACHE:
-        _PERIOD_CACHE[key] = PeriodData(family, D)
-    return _PERIOD_CACHE[key]
+    key = (family.kind, family.n, D)
+    periods = _PERIOD_CACHE.get(key)
+    if periods is None:
+        base = max(
+            (cached for (kind, n, _), cached in _PERIOD_CACHE.items() if (kind, n) == key[:2]),
+            key=lambda cached: cached.D,
+            default=None,
+        )
+        periods = base.truncate(D) if base and base.D > D else PeriodData(family, D)
+        _PERIOD_CACHE[key] = periods
+    return periods
 
 
 def get_lift(kind, family, periods, ctx, Dt):
@@ -385,32 +400,36 @@ def _layer_diagonal(d):
 
 @lru_cache(maxsize=1)
 def _expansion_diagonal(dmax):
-    """The same coefficients from the raw 4-variable expansion recurrence;
-    it does not depend on the check's input, so it is built once, and
-    callers must not change it."""
+    """The same coefficients, for d <= dmax, from the raw 4-variable
+    expansion recurrence alpha(u) = -sum_w c_w alpha(u - w) over the nine
+    terms c_w x^w of the denominator.  alpha lives in one flat list with
+    strides (size^3, size^2, size, 1), so each term is a fixed offset,
+    taken where u >= w.  It does not depend on the check's input, so it is
+    built once."""
     terms = {
         (1, 0, 0, 0): -1, (0, 1, 0, 0): -1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
         (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1,
         (1, 1, 1, 1): -1,
     }
     size = dmax + 1
-    alpha = {}
-
-    def get(u):
-        if any(e < 0 for e in u):
-            return 0
-        return alpha[u]
-
-    from itertools import product as iproduct
-
-    for u in iproduct(range(size), repeat=4):
-        if u == (0, 0, 0, 0):
-            alpha[u] = 1
-            continue
-        alpha[u] = -sum(
-            c * get(tuple(a - b for a, b in zip(u, w))) for w, c in terms.items()
-        )
-    return [alpha[(d, d, d, d)] for d in range(size)]
+    strides = (size ** 3, size ** 2, size, 1)
+    # w's entries are 0 or 1, so u >= w exactly when u is positive wherever
+    # w is: the terms that apply depend only on which coordinates of u are
+    # positive
+    guarded = {
+        positive: [
+            (c, sum(map(mul, w, strides)))
+            for w, c in terms.items()
+            if all(map(ge, positive, w))
+        ]
+        for positive in product((False, True), repeat=4)
+    }
+    alpha = [1]
+    for u in islice(product(range(size), repeat=4), 1, None):
+        positive = tuple(map(bool, u))
+        i = len(alpha)
+        alpha.append(-sum(c * alpha[i - off] for c, off in guarded[positive]))
+    return tuple(alpha[d * sum(strides)] for d in range(size))
 
 
 def verify_straub(p, s, multiples=(1,)):
@@ -729,7 +748,7 @@ def _desk_checks():
     for kind in kinds:
         for n in (1, 2, 3):
             family = get_family(kind, n)
-            for p in (3, 5, 7):
+            for p in (7, 5, 3):
                 if family.support_index % p == 0:
                     continue
                 for s in (1, 2):

@@ -631,51 +631,3 @@ def reduce_mod(a, ctx):
     if not isinstance(a, RationalSeries):
         raise ConfigError("reduce_mod expects a RationalSeries")
     return PadicSeries(ctx, a._c, a.D)
-
-
-def is_p_integral(a, p, upto=None):
-    """True if no denominator of the rational series is divisible by p."""
-    cs = a._c if upto is None else a._c[: upto + 1]
-    return all(c.denominator % p for c in cs)
-
-
-def divided_power_reverse(r_seq):
-    """Reverse of P(z) = sum r_m z^m / m! in divided-power form.
-
-    Returns s_1..s_M with Q(z) = sum s_m z^m / m! the compositional inverse.
-    Integer inputs give integer outputs.
-    """
-    r_seq = list(r_seq)
-    if not r_seq or Fraction(r_seq[0]) != 1:
-        raise ReversionError("divided-power reversion requires r_1 = 1")
-    M = len(r_seq)
-    fact = [1] * (M + 1)
-    for i in range(1, M + 1):
-        fact[i] = fact[i - 1] * i
-    P = RationalSeries(
-        [0] + [Fraction(r_seq[m - 1], fact[m]) for m in range(1, M + 1)], M
-    )
-    Q = P.reverse()
-    out = []
-    for m in range(1, M + 1):
-        s = Q[m] * fact[m]
-        out.append(int(s) if s.denominator == 1 else s)
-    return out
-
-
-def dieudonne_dwork_check(g, tsigma, ctx, D):
-    """Both sides of the integrality equivalence for exp.
-
-    lhs: g(t) - (1/p) g(t^sigma) is p-integral to degree D.
-    rhs: exp(g(t)) is p-integral to degree D.
-    tsigma may be a RationalSeries (e.g. t^p) or an exact polynomial lift.
-    """
-    if g[0] != 0:
-        raise DomainError("g must have zero constant term")
-    p = ctx.p
-    g = g.truncate(D)
-    ts = tsigma.truncate(D)
-    lhs_series = g - g.compose(ts) * Fraction(1, p)
-    lhs = is_p_integral(lhs_series, p)
-    rhs = is_p_integral(g.exp(), p)
-    return lhs, rhs

@@ -35,10 +35,10 @@ from cartier.polytope import RegionSpec, newton_polytope
 from cartier.series import (
     PadicSeries,
     RationalSeries,
-    dieudonne_dwork_check,
     reduce_mod,
 )
 from cartier.sigma import FrobLift
+from series_oracle import dieudonne_dwork_check
 
 CATALOG = ("simplicial", "hypercubic", "hyperoctahedral", "an")
 

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from cartier import harness
+from cartier import families, harness
 from cartier.errors import ConfigError, DomainError, ReductionError
 from cartier.expansion import expand_cy
 from cartier.families import (
@@ -23,7 +23,8 @@ from cartier.families import (
 )
 from cartier.laurent import LaurentPoly, poly_pow
 from cartier.padic import PadicContext
-from cartier.series import PadicSeries, RationalSeries, is_p_integral, reduce_mod
+from cartier.series import PadicSeries, RationalSeries, reduce_mod
+from series_oracle import is_p_integral
 
 
 def brute_force_F(family, D):
@@ -366,6 +367,78 @@ def test_canonical_q_is_cached_at_full_degree():
     periods = PeriodData(FamilySpec.hypercubic(2), 14)
     q = canonical_q(periods)
     assert canonical_q(periods) is q
+
+
+CATALOG = [
+    (kind, n) for kind in ("simplicial", "hypercubic", "hyperoctahedral", "an") for n in (1, 2, 3)
+] + [("hyperoctahedral", 4)]
+
+
+def period_readings(periods):
+    """Everything the checks read off a PeriodData, as coefficient lists."""
+    A, B = ab_coefficients(periods)
+    series = [periods.F, periods.G, periods.W, canonical_q(periods), A, B]
+    series += [periods.truncated_F(Nt) for Nt in (1, 9, 25, periods.D)]
+    return periods.D, [s.coeffs for s in series]
+
+
+@pytest.mark.parametrize("read_on_base", [True, False], ids=["read-on-base", "read-on-view"])
+@pytest.mark.parametrize("kind,n", CATALOG, ids=str)
+def test_truncated_periods_match_a_build_at_the_lower_degree(kind, n, read_on_base):
+    family = FamilySpec.by_name(kind, n)
+    base = PeriodData(family, 147)
+    if read_on_base:
+        canonical_q(base)
+        assert base.W is base._cache["W"]
+    cached = set(base._cache)
+    for D in (27, 40, 60, 75):
+        view = base.truncate(D)
+        # the view carries the base's series instead of building them again
+        assert set(view._cache) == cached
+        assert period_readings(view) == period_readings(PeriodData(family, D))
+    assert set(base._cache) == cached
+
+
+def test_truncate_never_extends():
+    with pytest.raises(ConfigError):
+        PeriodData(FamilySpec.hypercubic(2), 27).truncate(28)
+
+
+@pytest.fixture
+def period_builds(monkeypatch):
+    """The (kind, n, D) of each period build, with the harness caches
+    emptied."""
+    builds = []
+    build = families._periods
+
+    def counted(family, D):
+        builds.append((family.kind, family.n, D))
+        return build(family, D)
+
+    monkeypatch.setattr(families, "_periods", counted)
+    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
+    monkeypatch.setattr(harness, "_LIFT_CACHE", {})
+    return builds
+
+
+def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
+    reports = harness.run_suite("desk")
+    assert len(reports) == 186
+    assert len(period_builds) == 13
+    assert {(kind, n) for kind, n, _ in period_builds} == set(CATALOG)
+    for kind, n, D in period_builds:
+        assert D == max(d for k, m, d in harness._PERIOD_CACHE if (k, m) == (kind, n))
+
+
+def test_a_request_above_every_cached_degree_builds(period_builds):
+    family = FamilySpec.hypercubic(2)
+    small = harness.get_periods(family, 27)
+    large = harness.get_periods(family, 147)
+    assert period_builds == [("hypercubic", 2, 27), ("hypercubic", 2, 147)]
+    assert harness.get_periods(family, 27) is small
+    assert harness.get_periods(family, 75).D == 75
+    assert len(period_builds) == 2
+    assert large.D == 147
 
 
 def q_series_oracle(F, G):

@@ -10,7 +10,6 @@ from cartier.frobenius import (
     check_lift_hypothesis,
     excellent_lift,
     frobenius_matrix,
-    lambda_det_excess,
     lambda_pair,
     reduced_q,
     structure_residual,
@@ -19,6 +18,7 @@ from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
 from cartier.series import RationalSeries, reduce_mod
 from cartier.sigma import FrobLift
+from series_oracle import lambda_det_excess
 
 
 def test_lift_hypothesis_guard():

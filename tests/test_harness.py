@@ -14,6 +14,7 @@ from cartier import harness
 from cartier.errors import ConfigError, TheoremViolation
 from cartier.families import FamilySpec
 from cartier.series import PadicSeries
+from straub_oracle import dict_expansion_diagonal
 
 
 def test_smoke_suite_all_pass():
@@ -226,6 +227,30 @@ def test_straub_out_of_range_prime_is_conjectural():
     assert r.conjecture
     r5 = harness.verify_straub(5, 1)
     assert not r5.conjecture and r5.status == harness.PASS
+
+
+@pytest.mark.parametrize("dmax", range(7))
+def test_flat_expansion_diagonal_matches_the_dict_recurrence(dmax):
+    assert list(harness._expansion_diagonal(dmax)) == dict_expansion_diagonal(dmax)
+
+
+def test_expansion_diagonal_is_the_apery_numbers():
+    direct = harness._expansion_diagonal(5)
+    assert type(direct) is tuple
+    assert direct == (1, 5, 73, 1445, 33001, 819005)
+    assert direct == tuple(harness._layer_diagonal(d) for d in range(6))
+
+
+def test_straub_cross_check_catches_a_wrong_layer_formula(monkeypatch):
+    # the layer formula without its square disagrees with the raw
+    # expansion from d = 1 on (3 against 5)
+    monkeypatch.setattr(
+        harness,
+        "_layer_diagonal",
+        lambda d: sum(comb(2 * d - k, d - k) * comb(d, k) for k in range(d + 1)),
+    )
+    with pytest.raises(TheoremViolation):
+        harness.verify_straub(5, 1)
 
 
 def test_fixed_points():

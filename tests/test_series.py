@@ -27,12 +27,10 @@ from cartier.series import (
     _Series,
     _slot_bytes,
     _unpack,
-    dieudonne_dwork_check,
-    divided_power_reverse,
-    is_p_integral,
     packed_term_mul,
     reduce_mod,
 )
+from series_oracle import dieudonne_dwork_check, divided_power_reverse, is_p_integral
 
 small_ints = st.lists(st.integers(-9, 9), min_size=1, max_size=8)
 
