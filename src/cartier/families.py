@@ -33,7 +33,7 @@ from operator import add, mul
 from .errors import ConfigError, DomainError
 from .laurent import LaurentPoly
 from .polytope import newton_polytope, signed_minors, support_lattice_index
-from .series import RationalSeries, quo
+from .series import RationalSeries, exp_from_theta, quo
 
 
 def _sign_vectors(n):
@@ -538,9 +538,13 @@ def canonical_q(periods):
 
 def mirror_map(periods):
     """t as a power series in q, the reversion of q = t exp(l), l = G/F, by
-    Lagrange inversion: [q^k] t = (1/k) [t^(k-1)] exp(-k l)."""
+    Lagrange inversion: [q^k] t = (1/k) [t^(k-1)] exp(-k l).  theta(l) is
+    taken once, and each exp runs its recurrence on theta(-k l) = -k theta(l),
+    in ints for the catalog families."""
     l = _log_u(periods)
-    t = [0] + [quo((l.truncate(k - 1) * -k).exp()[k - 1], k) for k in range(1, l.D + 1)]
+    th = l.theta()._c
+    t = [0] + [quo(exp_from_theta([-k * c for c in th[:k]], k - 1)[k - 1], k)
+               for k in range(1, l.D + 1)]
     return RationalSeries(t, l.D)
 
 

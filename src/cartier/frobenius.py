@@ -64,10 +64,7 @@ def excellent_lift(family, periods, ctx):
     check_lift_hypothesis(family, ctx.p)
     qp, tqp = reduced_q(periods, ctx)
     p = ctx.p
-    inner = qp
-    for _ in range(p - 1):
-        inner = inner * qp
-    inner = inner * pow(family.gamma, p - 1, ctx.modulus)
+    inner = qp ** p * pow(family.gamma, p - 1, ctx.modulus)
     tsigma = tqp.compose(inner)
     lift = FrobLift.from_tsigma(ctx, tsigma, kind="excellent")
     # a Frobenius lift satisfies t^sigma = t^p mod p
@@ -92,10 +89,7 @@ def lambda_pair(family, periods, lift, ctx):
     Fs = lift.on_series(F)
     Ws = lift.on_series(W)
     us = lift.on_series(u)
-    up = u
-    for _ in range(p - 1):
-        up = up * u
-    w = up * pow(family.gamma, p - 1, ctx.modulus) * lift.vsigma.invert() * us.invert()
+    w = u ** p * pow(family.gamma, p - 1, ctx.modulus) * lift.vsigma.invert() * us.invert()
     # v = t^sigma/t^p and u = q/t are zero-padded at the top, so the
     # product is only determined to degree D - p
     w = w.truncate(max(w.D - p, 0))

@@ -728,10 +728,7 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
 
     # multiply both sides by F(t^sigma) t^{p^s} (t^sigma)^{p^{s-1}}, which
     # clears every negative power and every denominator
-    ts_pow = PadicSeries.one(ctx, Dt)
-    for _ in range(Qp):
-        ts_pow = ts_pow * lift.tsigma
-    lhs = Fs * ts_pow * cleared(Q)
+    lhs = Fs * lift.tsigma ** Qp * cleared(Q)
     rhs = (F * cleared(Qp).compose(lift.tsigma)).shift(Q)
     diff = lhs - rhs
     excess = diff.min_excess_ord(target)

@@ -10,6 +10,16 @@ runs in ints.  Period data, computed in `families` as RationalSeries, is
 pushed into PadicSeries through reduce_mod at the last possible moment, so
 that any hidden p in a denominator raises ReductionError.
 
+A composition outer(inner) to inner's degree bound D reads only the outer
+coefficients that reach degree D, c_0..c_(D//v) for v = ord_t(inner) >= 1:
+the Frobenius pull-back s(t^sigma), with v = p, reads D//p + 1 of them.
+Each Horner step, and each Brent-Kung block and giant step, is formed only
+to the degree it can still reach; the comment above `_valuation` proves
+both cuts exact.  `reverse` runs its Newton steps at the degrees
+D >> j, ..., D >> 1, D and forms the factors of each correction only to the
+degree the correction reads.  `invert` sums each step of its recurrence in
+one pass of `map`, and a power s ** e squares and multiplies.
+
 A series stores its degree bound D explicitly and its coefficients `_c`
 only up to the last nonzero one (the zero series stores []), so the
 Hasse-Witt polynomials, whose coefficients have t-degree about 3p under
@@ -53,7 +63,7 @@ import struct
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 from .errors import (
     ConfigError,
@@ -161,56 +171,81 @@ class _Series:
     def is_zero(self):
         return not self._c
 
+    def __pow__(self, e):
+        """self^e for an int e >= 0 by square-and-multiply, about 2 log2(e)
+        products instead of e - 1."""
+        if type(e) is not int or e < 0:
+            return NotImplemented
+        if e == 0:
+            return self._new([1], self.D)
+        out = self
+        for bit in bin(e)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
+
     def invert(self):
-        a, D = self._c, self.D
+        """1/self by the recurrence out_n = -inv0 sum_(k>=1) a_k out_(n-k),
+        each sum one C-level pass of map over a_1.. and out reversed."""
+        a1 = self._c[1:]
         inv0 = self._unit_inverse(self[0])
         reduce = self._reduce
-        out = [inv0] + [0] * D
-        for n in range(1, D + 1):
-            s = 0
-            for k in range(1, min(n, len(a) - 1) + 1):
-                if a[k]:
-                    s += a[k] * out[n - k]
-            out[n] = reduce(-s * inv0)
-        return self._new(out, D)
+        out = [inv0]
+        for _ in range(self.D):
+            out.append(reduce(-sum(map(mul, a1, reversed(out))) * inv0))
+        return self._new(out, self.D)
 
-    def compose(self, inner, outer_polynomial=False):
-        """self(inner) to inner's degree bound, by Horner's rule."""
+    def _checked_inner(self, inner, outer_polynomial):
         if not isinstance(inner, type(self)):
             raise ConfigError("inner must be a %s" % type(self).__name__)
         self._same(inner)
         if inner[0] != 0 and not outer_polynomial:
             raise DivergenceError("inner constant term nonzero for a truncated outer series")
-        c, D = self._c, inner.D
+
+    def compose(self, inner, outer_polynomial=False):
+        """self(inner) to inner's degree bound D, by Horner's rule over the
+        outer coefficients that reach degree D (`_outer_terms`), each step
+        formed only to the degree it can still reach (`_step_degree`)."""
+        self._checked_inner(inner, outer_polynomial)
+        D, v = inner.D, _valuation(inner)
+        c = self._c[: _outer_terms(len(self._c), D, v)]
         acc = self._new(c[-1:], D)
         for k in range(len(c) - 2, -1, -1):
-            acc = acc * inner + c[k]
+            acc = self._new(acc._c, _step_degree(D, k, v)) * inner + c[k]
         return acc
 
     def reverse(self):
         """Compositional inverse of self = t + O(t^2) by Newton iteration.
 
-        A step from r, right to degree d_old, to degree d <= 2 d_old + 1
-        composes once: with a(r) = t + err, the chain rule gives
+        The degrees run upwards through D >> j, ..., D >> 1, D, so a step
+        from r, right to degree d_old, goes to degree d <= 2 d_old + 1, and
+        the last two steps compose at D // 2 and D, not at a 2^j - 1 just
+        below D as doubling up from 1 would.  A step composes once: with a(r) = t + err, the chain rule gives
         a'(r) = (a(r))' / r' = (1 + err') / r', so the correction
-        err / a'(r) is err r' (1 + err')^-1.  Both r' and 1 + err' have
-        constant term 1, in Q and in Z/p^N alike.  err vanishes to degree
-        d_old, so the product reads its other factors only below degree
-        d - d_old <= d, never the unknown top coefficient of a derivative.
-        A last composition at D checks a(r) = t and raises TheoremViolation
-        otherwise."""
+        err / a'(r) is err r' (1 + err')^-1.  err vanishes to degree d_old,
+        so the product reads its other factors only to degree
+        h = d - d_old - 1 <= d_old, never the unknown top coefficient of a
+        derivative, and they are formed to degree h only.  There
+        (1 + err')^-1 is 1 - err': err' vanishes below degree d_old, so
+        (err')^2 vanishes below 2 d_old >= h + 1.  A last composition at D
+        checks a(r) = t and raises TheoremViolation otherwise."""
         if self.D == 0 or self[0] != 0 or self[1] != 1:
             # unit linear coefficient other than 1 is not needed anywhere downstream
             raise ReversionError("reversion requires a = t + O(t^2)")
         D = self.D
         r = self._new([0, 1], D)
         d = 1
-        while d < D:
-            d = min(2 * d + 1, D)
+        for d_next in reversed([D >> j for j in range(D.bit_length() - 1)]):
+            d_old, d = d, d_next
             r = r.truncate(d)
             err = self.truncate(d).compose(r) - self._new([0, 1], d)
             if err:
-                r = r - err * r.derivative() * (err.derivative() + 1).invert()
+                h = d - d_old - 1
+                x = r.derivative().truncate(h) * (1 - err.derivative().truncate(h))
+                # x read at degree bound d: its zeros above h meet only the
+                # coefficients of err below d_old + 1, which vanish
+                r = r - err * self._new(x._c, d)
         # each step is exact, so a step that lost a term shows here rather
         # than being patched by a further step
         if self.compose(r) != self._new([0, 1], D):
@@ -234,6 +269,42 @@ class _Series:
     def derivative(self):
         """d/dt; the coefficient at t^D is not known and reads 0."""
         return self._new([i * c for i, c in enumerate(self._c)][1:], self.D)
+
+
+# What truncation keeps of a composition outer(inner) to inner's degree
+# bound D.  Let v = ord_t(inner), read as D + 1 for the zero series.  Each
+# term c_j inner^j has valuation at least j v, so for v >= 1 the terms with
+# j > D // v vanish mod t^(D+1): only c_0 .. c_(D//v) are kept, and for the
+# zero inner that is c_0 alone.  For v = 0, which only a polynomial outer
+# series allows, every coefficient is kept.
+#
+# Horner's rule joins the terms (or Brent-Kung's blocks, with inner^k for
+# inner) as A_i = A_(i+1) inner + c_i, with A_0 the result.  Since
+# A_0 = sum_(j<i) c_j inner^j + A_i inner^i and inner^i has valuation at
+# least i v, only the coefficients of A_i up to D_i = D - i v reach degree D,
+# so A_i is formed to degree D_i and no further.  That is exact: a
+# coefficient of A_(i+1) inner at degree n <= D_i is a sum of
+# A_(i+1)_a inner_b with b >= v, so a <= n - v <= D_(i+1), and A_(i+1) is
+# known to D_(i+1).  Reading A_(i+1) at degree bound D_i, with zeros above
+# D_(i+1), changes nothing, as those entries meet only inner_b with b < v,
+# all zero.  By induction from A_0 to degree D_0 = D, the result is exact.
+
+
+def _valuation(s):
+    """ord_t of s, or D + 1 for the zero series."""
+    return next((i for i, c in enumerate(s._c) if c), s.D + 1)
+
+
+def _outer_terms(n, D, v):
+    """How many of n outer coefficients reach degree D of outer(inner),
+    v = ord_t(inner)."""
+    return n if v == 0 else min(n, D // v + 1)
+
+
+def _step_degree(D, i, v):
+    """The degree to which the Horner sum A_i of outer(inner) is formed,
+    v a lower bound of ord_t of the step's multiplier."""
+    return D - i * v
 
 
 def _rational(c):
@@ -327,18 +398,22 @@ class RationalSeries(_Series):
         return RationalSeries([0] + [quo(c, n) for n, c in enumerate(d._c, 1)], self.D)
 
     def exp(self):
-        """Rational-mode exp: constant term must be 0.  e = exp(self) solves
-        theta e = e theta(self), so n e_n = sum_k theta(self)_k e_(n-k): the
-        recurrence stays in ints whenever theta(self) is integral."""
+        """Rational-mode exp: constant term must be 0 (`exp_from_theta`)."""
         if self[0] != 0:
             raise DomainError("exp requires zero constant term")
-        c, D = self.theta()._c, self.D
-        out, nonzero = [1], []
-        for n in range(1, D + 1):
-            if n < len(c) and c[n]:
-                nonzero.append((n, c[n]))
-            out.append(quo(sum(y * out[n - k] for k, y in nonzero), n))
-        return RationalSeries(out, D)
+        return RationalSeries(exp_from_theta(self.theta()._c, self.D), self.D)
+
+
+def exp_from_theta(c, D):
+    """Coefficients e_0..e_D of e = exp(x), given those of theta(x) (c_0 = 0).
+    e solves theta e = e theta(x), so n e_n = sum_k c_k e_(n-k): the
+    recurrence stays in ints whenever theta(x) is integral."""
+    out, nonzero = [1], []
+    for n in range(1, D + 1):
+        if n < len(c) and c[n]:
+            nonzero.append((n, c[n]))
+        out.append(quo(sum(y * out[n - k] for k, y in nonzero), n))
+    return out
 
 
 # Kronecker substitution: a list of residues mod m becomes one int with a
@@ -523,19 +598,20 @@ class PadicSeries(_Series):
     __rmul__ = __mul__
 
     def compose(self, inner, outer_polynomial=False):
-        """self(inner) to inner's degree bound.  Once inner stores _PACK_MIN
-        residues and self at least 3, by Brent-Kung baby steps and giant
-        steps: with k about sqrt(len), the powers inner^0..inner^(k-1) are
-        packed once, each block sum_j c_(ik+j) inner^j is a sum of bigint
-        scalar multiples unpacked once, and Horner's rule in inner^k joins
-        the blocks.  Otherwise by Horner's rule in inner."""
-        c = self._c
-        if not isinstance(inner, PadicSeries) or len(inner._c) < _PACK_MIN or len(c) < 3:
+        """self(inner) to inner's degree bound D, over the outer coefficients
+        that reach degree D (`_outer_terms`).  Once inner stores _PACK_MIN
+        residues and at least 3 outer coefficients are kept, by Brent-Kung
+        baby steps and giant steps: with k about sqrt(len), the powers
+        inner^0..inner^(k-1) are packed once, each block
+        sum_j c_(ik+j) inner^j is a sum of bigint scalar multiples unpacked
+        once, and Horner's rule in inner^k joins the blocks, block i and its
+        Horner step formed only to degree D - i k v (`_step_degree`),
+        v = ord_t(inner).  Otherwise by Horner's rule in inner."""
+        self._checked_inner(inner, outer_polynomial)
+        ctx, D, v = self.ctx, inner.D, _valuation(inner)
+        c = self._c[: _outer_terms(len(self._c), D, v)]
+        if len(inner._c) < _PACK_MIN or len(c) < 3:
             return _Series.compose(self, inner, outer_polynomial)
-        self._same(inner)
-        if inner._c[0] and not outer_polynomial:
-            raise DivergenceError("inner constant term nonzero for a truncated outer series")
-        ctx, D = self.ctx, inner.D
         k = isqrt(len(c) - 1) + 1
         powers = [PadicSeries.one(ctx, D), inner]
         while len(powers) <= k:
@@ -545,11 +621,13 @@ class PadicSeries(_Series):
         packed = [_pack(s._c, w) for s in powers]
         blocks = []
         for i in range(0, len(c), k):
+            # block i // k is joined by giant^(i // k), of valuation >= (i // k) k v
+            Di = _step_degree(D, i // k, k * v)
             block = sum(cj * x for cj, x in zip(c[i : i + k], packed))
-            blocks.append(PadicSeries(ctx, _unpack(block, D + 1, w), D))
+            blocks.append(PadicSeries(ctx, _unpack(block, Di + 1, w), Di))
         acc = blocks.pop()
         for block in reversed(blocks):
-            acc = acc * giant + block
+            acc = PadicSeries(ctx, acc._c, block.D) * giant + block
         return acc
 
     def __repr__(self):

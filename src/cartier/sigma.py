@@ -44,7 +44,9 @@ class FrobLift:
         return cls(kind, ctx, tsigma, v)
 
     def on_series(self, s):
-        """Apply sigma to an element of Z_p[[t]]."""
+        """Apply sigma to an element of Z_p[[t]].  t^sigma = t^p v has
+        valuation p, so s(t^sigma) to degree D reads only the coefficients
+        s_0..s_(D//p): `compose` keeps those and no others."""
         if self.kind == "identity":
             return s
         if not isinstance(s, PadicSeries):

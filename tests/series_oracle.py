@@ -1,10 +1,12 @@
 """Series helpers that only the tests call: p-integrality of a rational
-series, divided-power reversion, the Dieudonne-Dwork integrality
-equivalence, and the determinant of the Frobenius matrix against
-p W(t)/W(t^sigma).  No library path uses them."""
+series, the double-loop inversion, a counter of packed products,
+divided-power reversion, the
+Dieudonne-Dwork integrality equivalence, and the determinant of the
+Frobenius matrix against p W(t)/W(t^sigma).  No library path uses them."""
 
 from fractions import Fraction
 
+import cartier.series as series_module
 from cartier.errors import DomainError, ReversionError
 from cartier.series import RationalSeries, reduce_mod
 
@@ -13,6 +15,36 @@ def is_p_integral(a, p, upto=None):
     """True if no denominator of the rational series is divisible by p."""
     cs = a._c if upto is None else a._c[: upto + 1]
     return all(c.denominator % p for c in cs)
+
+
+def double_loop_invert(a):
+    """1/a by the recurrence out_n = -inv0 sum_(k>=1) a_k out_(n-k), one
+    Python step per nonzero a_k: the form `invert` had before its sums
+    became one pass of map each."""
+    cs, D = a._c, a.D
+    inv0 = a._unit_inverse(a[0])
+    out = [inv0] + [0] * D
+    for n in range(1, D + 1):
+        s = 0
+        for k in range(1, min(n, len(cs) - 1) + 1):
+            if cs[k]:
+                s += cs[k] * out[n - k]
+        out[n] = a._reduce(-s * inv0)
+    return a._new(out, D)
+
+
+def count_packed_products(monkeypatch):
+    """A list that grows by one entry per packed bigint series product
+    (`_packed_mul`) from here on."""
+    calls = []
+    packed_mul = series_module._packed_mul
+
+    def counted(a, b, n, m):
+        calls.append(n)
+        return packed_mul(a, b, n, m)
+
+    monkeypatch.setattr(series_module, "_packed_mul", counted)
+    return calls
 
 
 def divided_power_reverse(r_seq):

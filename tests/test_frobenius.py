@@ -1,6 +1,7 @@
 """Excellent Frobenius lifts and the 2x2 Cartier matrix."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -18,7 +19,7 @@ from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
 from cartier.series import RationalSeries, reduce_mod
 from cartier.sigma import FrobLift
-from series_oracle import lambda_det_excess
+from series_oracle import count_packed_products, lambda_det_excess
 
 
 def test_lift_hypothesis_guard():
@@ -166,3 +167,37 @@ def test_reduced_q_rejects_non_integral_q():
     p = 5
     with pytest.raises(ReductionError):
         reduced_q(_StubPeriods(p, 12), PadicContext(p, 4))
+
+
+# Product-count guard on the Frobenius pull-back at the size `lift` runs,
+# p = 7 and D = 147.  t^sigma has valuation p, so composition keeps the 22
+# outer coefficients c_0..c_(D//p); a Brent-Kung composition of L outer
+# coefficients forms at most k - 1 baby-step powers and m - 1 giant steps,
+# k = isqrt(L - 1) + 1 and m = ceil(L / k), as packed products: 8 for 22
+# coefficients, against 23 for all 148.
+
+
+def _brent_kung_products(L):
+    k = isqrt(L - 1) + 1
+    return k - 1 + (L + k - 1) // k - 1
+
+
+def test_pull_back_forms_only_the_products_of_the_cut_outer_series(monkeypatch):
+    p, D = 7, 147
+    fam = FamilySpec.hypercubic(2)
+    periods = PeriodData(fam, D)
+    ctx = PadicContext(p, 6)
+    lift = excellent_lift(fam, periods, ctx)
+    F = reduce_mod(periods.F, ctx)
+    calls = count_packed_products(monkeypatch)
+    Fs = lift.on_series(F)
+    assert 0 < len(calls) <= _brent_kung_products(D // p + 1) == 8
+    assert Fs == F.truncate(D // p).compose(lift.tsigma)
+    # excellent_lift beyond the reversion of q: q^p by square-and-multiply,
+    # 4 products for p = 7, and one composition with an inner of valuation p
+    del calls[:]
+    reduced_q(periods, ctx)
+    reversion = len(calls)
+    del calls[:]
+    assert excellent_lift(fam, periods, ctx).tsigma == lift.tsigma
+    assert len(calls) - reversion <= 4 + _brent_kung_products(D // p + 1)

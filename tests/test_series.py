@@ -17,6 +17,7 @@ from cartier.errors import (
     ReversionError,
     TheoremViolation,
 )
+import cartier.series as series_module
 from cartier.padic import PadicContext
 from cartier.series import (
     _PACK_MIN,
@@ -30,7 +31,13 @@ from cartier.series import (
     packed_term_mul,
     reduce_mod,
 )
-from series_oracle import dieudonne_dwork_check, divided_power_reverse, is_p_integral
+from series_oracle import (
+    count_packed_products,
+    dieudonne_dwork_check,
+    divided_power_reverse,
+    double_loop_invert,
+    is_p_integral,
+)
 
 small_ints = st.lists(st.integers(-9, 9), min_size=1, max_size=8)
 
@@ -634,8 +641,8 @@ def test_one_word_slot_only_widens_the_bound():
 
 
 # Newton reversion against the degree-by-degree oracle in both rings, at
-# degree bounds around the doubling steps 1, 3, 7, 15, ... and at 147 = 3 p^2
-# for p = 7, the degree `lift` reverts at.
+# degree bounds whose Newton steps go from d_old to 2 d_old + 1 (3, 7, and
+# 147 = 3 p^2 for p = 7, the degree `lift` reverts at) and to 2 d_old (2, 8).
 
 
 def _random_coefficient(ring, rng):
@@ -666,3 +673,123 @@ def test_reverse_checks_its_newton_steps(monkeypatch):
     for a in (RationalSeries([0, 1, 1], 5), PadicSeries(_CTX, [0, 1, 1], 5)):
         with pytest.raises(TheoremViolation):
             a.reverse()
+
+
+# Composition keeps only the outer coefficients c_0..c_(D//v) that reach
+# degree D, v = ord_t(inner), and forms each Horner step (each Brent-Kung
+# giant step) only to the degree it can still reach.  Outer series run 8
+# coefficients past D // v, and the result is checked against Horner's rule
+# over every outer coefficient: the dense oracle in both rings, and in Z/p^N
+# the shared schoolbook product, with inner stored below _PACK_MIN residues
+# (Horner) and above (packed Brent-Kung).  At D = 41 no block's degree
+# D - i k v reaches 0, so the one-short control below forms every block.
+
+_CUT_D = 41
+_COMPOSE_CASES = ("rational", "padic-horner", "padic-packed")
+
+
+def _cut_operands(case, v, seed):
+    """(ring, outer, inner, outer coefficients) with ord_t(inner) = v, a
+    unit leading coefficient and outer c_(D//v) = 1."""
+    rng = random.Random(seed)
+    ring = _RINGS[1] if case == "rational" else _RINGS[0]
+
+    def coeff():
+        if ring is _RINGS[1]:
+            return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)))
+        return rng.randrange(_M)
+
+    top = _PACK_MIN - 1 if case == "padic-horner" else _CUT_D + 1
+    inner = [0] * v + [1 + 5 * rng.randrange(3)] + [coeff() for _ in range(top - v - 1)]
+    outer = [coeff() for _ in range(_CUT_D // v + 9)]
+    outer[_CUT_D // v] = 1
+    s, u = ring.make(outer, None), ring.make(inner, _CUT_D)
+    if ring is _RINGS[0]:
+        assert (len(u._c) >= _PACK_MIN) == (case == "padic-packed")
+    return ring, s, u, outer
+
+
+def _compose_oracle(ring, s, u):
+    want = _dense_compose(s.coeffs, u.coeffs, ring.reduce)
+    if ring is _RINGS[0]:
+        assert _schoolbook_compose(s, u).coeffs == want
+    return want
+
+
+@pytest.mark.parametrize("case", _COMPOSE_CASES)
+@pytest.mark.parametrize("v", [1, 2, 3, 7])
+def test_compose_keeps_only_the_terms_that_reach_degree_D(case, v):
+    ring, s, u, outer = _cut_operands(case, v, v)
+    _assert_is(s.compose(u), _compose_oracle(ring, s, u))
+    # the zero inner leaves c_0 alone
+    zero = ring.make([], _CUT_D)
+    _assert_is(s.compose(zero), [ring.reduce(outer[0])] + [0] * _CUT_D)
+    _assert_is(s.compose(zero), _compose_oracle(ring, s, zero))
+    # v = 0: a polynomial outer series keeps every coefficient
+    u0 = u + 1
+    _assert_is(s.compose(u0, outer_polynomial=True), _compose_oracle(ring, s, u0))
+
+
+@pytest.mark.parametrize("case", _COMPOSE_CASES)
+def test_compose_cut_one_term_short_fails(monkeypatch, case):
+    # negative control of the cut: keeping c_0..c_(D//v - 1) drops
+    # c_(D//v) inner^(D//v), whose coefficient at degree v (D//v) is a unit
+    monkeypatch.setattr(series_module, "_outer_terms",
+                        lambda n, D, v: n if v == 0 else min(n, D // v))
+    for v in (1, 2, 3, 7):
+        ring, s, u, _ = _cut_operands(case, v, v)
+        assert s.compose(u).coeffs != _compose_oracle(ring, s, u)
+
+
+@pytest.mark.parametrize("case", _COMPOSE_CASES)
+def test_compose_step_one_degree_short_fails(monkeypatch, case):
+    # negative control of the step degrees: a Horner step (in the packed
+    # case, a giant step and its block) formed to D - i v - 1 loses the one
+    # coefficient that meets the lowest term of its multiplier at degree D
+    monkeypatch.setattr(series_module, "_step_degree", lambda D, i, v: D - i * v - (i > 0))
+    for v in (1, 2, 3, 7):
+        ring, s, u, _ = _cut_operands(case, v, v)
+        assert s.compose(u).coeffs != _compose_oracle(ring, s, u)
+
+
+def test_compose_forms_the_brent_kung_products_of_the_cut_outer_series(monkeypatch):
+    # p = 7, D = 147, inner of valuation 7: the 22 kept coefficients give
+    # k = 5, so 4 baby-step powers and 4 giant steps, the last giant step at
+    # degree 147 - 4 * 5 * 7 = 7 below _PACK_MIN; all 148 would take 12 + 11
+    ctx = PadicContext(7, 6)
+    rng = random.Random(7)
+    inner = PadicSeries(ctx, [0] * 7 + [1] + [rng.randrange(7 ** 6) for _ in range(140)], 147)
+    outer = PadicSeries(ctx, [rng.randrange(7 ** 6) for _ in range(148)])
+    calls = count_packed_products(monkeypatch)
+    got = outer.compose(inner)
+    assert len(calls) == 4 + 3
+    assert got == _schoolbook_compose(outer.truncate(21), inner)
+
+
+# `invert` sums each step in one pass of map; the double loop it replaced,
+# which skips zero coefficients, is the oracle: on sparse operands, Fraction
+# operands and operands that store fewer than D + 1 coefficients.
+
+@pytest.mark.parametrize("ring", _RINGS, ids=["padic", "rational"])
+@pytest.mark.parametrize("D", [0, 1, 5, 27, 60])
+def test_invert_matches_the_double_loop(ring, D):
+    rng = random.Random(D)
+    for density in (1.0, 0.2):
+        for stored in (1, 2, D // 3 + 1, D + 1):
+            cs = [_random_coefficient(ring, rng) if rng.random() < density else 0
+                  for _ in range(stored)]
+            cs[0] = 3 if ring is _RINGS[0] else Fraction(3, 2)
+            a = ring.make(cs, D)
+            _assert_is(a.invert(), double_loop_invert(a).coeffs)
+            assert a * a.invert() == ring.make([1], D)
+
+
+def test_power_is_repeated_multiplication():
+    for ring in _RINGS:
+        a = ring.make([1, 2, Fraction(1, 3) if ring is _RINGS[1] else 4, 0, 5], 9)
+        want = ring.make([1], 9)
+        for e in range(12):
+            _assert_is(a ** e, want.coeffs)
+            want = want * a
+    with pytest.raises(TypeError):
+        a ** -1
