@@ -7,9 +7,9 @@ whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  Period series are computed by closed forms for the named
 families and by enumeration of the relation lattice of the vertices for
 custom ones; the tests compare the two paths on the catalog.  Both keep F
-in integers and G in integers over one common denominator.  The same split
-gives the coefficients [x^{c v_1}] g^k along the first vertex
-(`vertex_coefficients`); c = 0 is F.  The closed forms of `an` and
+in integers and G, built on first read, in integers over one common
+denominator.  The same split gives the coefficients [x^{c v_1}] g^k along
+the first vertex (`vertex_coefficients`); c = 0 is F.  The closed forms of `an` and
 `hyperoctahedral` are products of the series E_c(z) = sum_w z^w/(w!(w+c)!),
 taken in ints by one convolution (`_e_terms`); for c = 0 it is the
 binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
@@ -26,7 +26,7 @@ in reduce_mod.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb, factorial, lcm, prod
 from operator import add, mul
 
@@ -36,27 +36,16 @@ from .polytope import newton_polytope, signed_minors, support_lattice_index
 from .series import RationalSeries, exp_from_theta, quo
 
 
-def _sign_vectors(n):
-    out = [[]]
-    for _ in range(n):
-        out = [v + [s] for v in out for s in (1, -1)]
-    return [tuple(v) for v in out]
+def _units(n, s=1):
+    """The exponent vectors s e_1, .., s e_n."""
+    return [tuple(s * (i == j) for j in range(n)) for i in range(n)]
 
 
 class FamilySpec:
     """A completely symmetric family 1 - t g(x)."""
 
-    __slots__ = (
-        "kind",
-        "n",
-        "g",
-        "alpha",
-        "gamma",
-        "group_order",
-        "polytope",
-        "vertices",
-        "support_index",
-    )
+    __slots__ = ("kind", "n", "g", "alpha", "gamma", "group_order", "polytope", "vertices",
+                 "support_index")
 
     def __init__(self, kind, n, g, group_order):
         self.kind = kind
@@ -91,40 +80,24 @@ class FamilySpec:
 
     @classmethod
     def simplicial(cls, n):
-        terms = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            terms[tuple(e)] = 1
-        terms[(-1,) * n] = 1
+        terms = dict.fromkeys(_units(n) + [(-1,) * n], 1)
         return cls("simplicial", n, LaurentPoly(n, terms), factorial(n + 1))
 
     @classmethod
     def hypercubic(cls, n):
-        terms = {v: 1 for v in _sign_vectors(n)}
+        terms = dict.fromkeys(product((1, -1), repeat=n), 1)
         return cls("hypercubic", n, LaurentPoly(n, terms), 2 ** n * factorial(n))
 
     @classmethod
     def hyperoctahedral(cls, n):
-        terms = {}
-        for i in range(n):
-            for s in (1, -1):
-                e = [0] * n
-                e[i] = s
-                terms[tuple(e)] = 1
+        terms = dict.fromkeys(chain(*zip(_units(n), _units(n, -1))), 1)
         return cls("hyperoctahedral", n, LaurentPoly(n, terms), 2 ** n * factorial(n))
 
     @classmethod
     def a_n(cls, n):
-        ones = LaurentPoly(n, {(0,) * n: 1})
-        up = ones
-        down = ones
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            up = up + LaurentPoly(n, {tuple(e): 1})
-            down = down + LaurentPoly(n, {tuple(-x for x in e): 1})
-        return cls("an", n, up * down, 2 * factorial(n + 1))
+        up, down = ([(0,) * n] + _units(n, s) for s in (1, -1))
+        g = LaurentPoly(n, dict.fromkeys(up, 1)) * LaurentPoly(n, dict.fromkeys(down, 1))
+        return cls("an", n, g, 2 * factorial(n + 1))
 
     @classmethod
     def custom(cls, g, group_order=1):
@@ -132,16 +105,11 @@ class FamilySpec:
 
     @classmethod
     def by_name(cls, name, n):
-        name = name.lower()
-        if name == "simplicial":
-            return cls.simplicial(n)
-        if name == "hypercubic":
-            return cls.hypercubic(n)
-        if name == "hyperoctahedral":
-            return cls.hyperoctahedral(n)
-        if name in ("an", "a_n"):
-            return cls.a_n(n)
-        raise ConfigError("unknown family %r" % (name,))
+        build = {"simplicial": cls.simplicial, "hypercubic": cls.hypercubic, "an": cls.a_n,
+                 "hyperoctahedral": cls.hyperoctahedral, "a_n": cls.a_n}.get(name.lower())
+        if build is None:
+            raise ConfigError("unknown family %r" % (name,))
+        return build(n)
 
 
 def _harmonics(D):
@@ -185,45 +153,41 @@ def _e_terms(us, M):
         S = T
 
 
-def _series_over(F, G, L):
-    """F and G/L as RationalSeries, for int lists F and G."""
-    return RationalSeries(F), RationalSeries([quo(x, L) for x in G])
-
-
 def _closed_FG(family, D):
-    """F in ints and G as ints over L = lcm(1..D), with the harmonic
-    numbers L H_j of _harmonics."""
+    """F in ints, and a function that builds G in ints over L = lcm(1..D)
+    from the harmonic numbers L H_j of _harmonics.  At t^(step k) the closed
+    form is F = c sum(r) for summands r_0..r_k, and
+    G = w (H_(step k) F - c sum_i r_i H_(k-i)); the function takes the
+    summands again, so that F alone costs no harmonic sums."""
     kind, n = family.kind, family.n
-    F = [0] * (D + 1)
-    G = [0] * (D + 1)
-    L, H = _harmonics(D)
     if kind == "simplicial":
-        for k in range(D // (n + 1) + 1):
-            c = factorial((n + 1) * k) // factorial(k) ** (n + 1)
-            F[(n + 1) * k] = c
-            G[(n + 1) * k] = c * (H[(n + 1) * k] - H[k])
+        step, w, summands = n + 1, 1, lambda: (
+            (factorial(step * k) // factorial(k) ** step, [1]) for k in range(D // step + 1))
     elif kind == "hypercubic":
-        for k in range(D // 2 + 1):
-            c = comb(2 * k, k) ** n
-            F[2 * k] = c
-            G[2 * k] = c * n * (H[2 * k] - H[k])
+        step, w, summands = 2, n, lambda: ((comb(2 * k, k) ** n, [1]) for k in range(D // 2 + 1))
     elif kind == "hyperoctahedral":
         # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
         # E = E_0 and E_H = sum_j H_j t^j/(j!)^2; the summands of e_n(k) are
         # C(k,j)^2 e_(n-1)(j), which E_H weights by H_(k-j)
-        for k, terms in enumerate(_e_terms((0,) * n, D // 2)):
-            c = comb(2 * k, k)
-            f = sum(terms)
-            F[2 * k] = c * f
-            G[2 * k] = c * (H[2 * k] * f - sum(map(mul, terms, H[k::-1])))
+        step, w, summands = 2, 1, lambda: (
+            (comb(2 * k, k), r) for k, r in enumerate(_e_terms((0,) * n, D // 2)))
     elif kind == "an":
         # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
-        for k, terms in enumerate(_e_terms((0,) * (n + 1), D)):
-            F[k] = sum(terms)
-            G[k] = 2 * (H[k] * F[k] - sum(map(mul, terms, H[k::-1])))
+        step, w, summands = 1, 2, lambda: ((1, r) for r in _e_terms((0,) * (n + 1), D))
     else:
         raise ConfigError("no closed form for kind %r" % (kind,))
-    return _series_over(F, G, L)
+    F = [0] * (D + 1)
+    for k, (c, r) in enumerate(summands()):
+        F[step * k] = c * sum(r)
+
+    def build_G():
+        L, H = _harmonics(D)
+        G = [0] * (D + 1)
+        for k, (c, r) in enumerate(summands()):
+            G[step * k] = w * (H[step * k] * F[step * k] - c * sum(map(mul, r, H[k::-1])))
+        return RationalSeries([quo(x, L) for x in G])
+
+    return RationalSeries(F), build_G
 
 
 def relation_mu(family):
@@ -448,32 +412,46 @@ def generic_periods(family, D):
                 sign * L * factorial(d) * factorial(-1 - ell1) // (factorial(m) * factorial(s))
                 * alpha ** m * gamma ** total * val
             )
-    return _series_over(F, G, L)
+    return RationalSeries(F), RationalSeries([quo(x, L) for x in G])
 
 
 def _periods(family, D):
+    """F to degree D, and a function that builds G to degree D."""
     if family.kind == "custom":
-        return generic_periods(family, D)
+        F, G = generic_periods(family, D)
+        return F, lambda: G
     return _closed_FG(family, D)
 
 
 class PeriodData:
-    """F and G to degree D.  Series derived from them, l = G/F, the
-    Wronskian W and the canonical coordinate q, are built on first read and
-    kept in `_cache`.  `truncate` serves a lower degree from the same data
-    without building it again."""
+    """F and G to degree D.  F is built with the data, G on its first read.
+    Series derived from them, l = G/F, the Wronskian W and the canonical
+    coordinate q, are built on first read and kept in `_cache`.  `truncate`
+    serves a lower degree from the same data without building it again."""
 
-    __slots__ = ("family", "D", "F", "G", "_cache")
+    __slots__ = ("family", "D", "F", "_G", "_build_G", "_cache")
 
     def __init__(self, family, D):
         self.family = family
         self.D = D
-        self.F, self.G = _periods(family, D)
+        self.F, self._build_G = _periods(family, D)
+        self._G = None
         if self.F[0] != 1:
             raise DomainError("F(0) != 1")
-        if self.G[0] != 0:
-            raise DomainError("G(0) != 0")
         self._cache = {}
+
+    @property
+    def G(self):
+        if self._G is None:
+            G = self._build_G()
+            if G[0] != 0:
+                raise DomainError("G(0) != 0")
+            self._G = G
+        return self._G
+
+    @G.setter
+    def G(self, G):
+        self._G = G
 
     @property
     def W(self):
@@ -485,15 +463,16 @@ class PeriodData:
 
     def truncate(self, D):
         """The same data at degree D <= self.D, without calling `__init__`:
-        F, G and every series in `_cache` cut at D, while a series first
-        read later is built at D on the result.  This is exact, as each
-        derived series is causal over Q: its coefficient k reads only the
-        coefficients <= k of F and G."""
+        F and every series in `_cache` cut at D, and G cut from self's on
+        first read, so it is built once.  Any other series first read later
+        is built at D on the result.  This is exact, as each derived series
+        is causal over Q: its coefficient k reads only coefficients <= k."""
         if D > self.D:
             raise ConfigError("cannot extend periods of degree %d to %d" % (self.D, D))
         view = PeriodData.__new__(PeriodData)
         view.family, view.D = self.family, D
-        view.F, view.G = self.F.truncate(D), self.G.truncate(D)
+        view.F, view._G = self.F.truncate(D), None
+        view._build_G = lambda: self.G.truncate(D)
         view._cache = {name: series.truncate(D) for name, series in self._cache.items()}
         return view
 

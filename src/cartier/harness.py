@@ -96,6 +96,8 @@ _FAMILY_CACHE = {}
 # descending order, so each family is built once, at its largest degree.
 _PERIOD_CACHE = {}
 _LIFT_CACHE = {}
+# (kind, n, p, N, Dt, lift kind) -> F mod p^N and F(t^sigma)
+_SIGMA_F_CACHE = {}
 
 
 def get_family(kind, n):
@@ -142,20 +144,34 @@ def get_lift(kind, family, periods, ctx, Dt):
 # truncation-ratio congruences
 
 
+def _truncations(family, p, s, m, lift_kind, Dt, ctx):
+    """F, F(t^sigma), F_{mp^s} and F_{mp^{s-1}}(t^sigma) mod p^N, the
+    truncations as prefixes of F and, under the t^p lift, of F(t^p).  F and
+    F(t^sigma) are built once per key of `_SIGMA_F_CACHE`, and every time
+    for a custom family, whose key does not determine it."""
+    periods = get_periods(family, Dt)
+    lift = get_lift(lift_kind, family, periods, ctx, Dt)
+    key = (family.kind, family.n, p, ctx.N, Dt, lift_kind)
+    if family.kind == "custom" or key not in _SIGMA_F_CACHE:
+        F = reduce_mod(periods.F, ctx)
+        _SIGMA_F_CACHE[key] = F, lift.on_series(F)
+    F, Fs = _SIGMA_F_CACHE[key]
+    e = m * p ** s
+    if lift_kind == "tp":
+        lo = PadicSeries(ctx, Fs._c[:e], Dt)
+    else:
+        lo = lift.on_series(PadicSeries(ctx, F._c[: e // p], Dt))
+    return F, Fs, PadicSeries(ctx, F._c[:e], Dt), lo
+
+
 def _truncation_excess(family, p, s, m, lift_kind, Dt, target, perturb=None):
     """Excess of F(t) F_{mp^{s-1}}(t^sigma) - F_{mp^s}(t) F(t^sigma) over
     p^target.  perturb adds a series to the upper truncation (controls)."""
     ctx = PadicContext(p, target + GUARD)
-    periods = get_periods(family, Dt)
-    lift = get_lift(lift_kind, family, periods, ctx, Dt)
-    F = reduce_mod(periods.F, ctx)
-    Fs = lift.on_series(F)
-    hi = reduce_mod(periods.truncated_F(m * p ** s), ctx)
+    F, Fs, hi, lo = _truncations(family, p, s, m, lift_kind, Dt, ctx)
     if perturb is not None:
         hi = hi + perturb
-    lo = reduce_mod(periods.truncated_F(m * p ** (s - 1)), ctx)
-    diff = F * lift.on_series(lo) - hi * Fs
-    return diff.min_excess_ord(target)
+    return (F * lo - hi * Fs).min_excess_ord(target)
 
 
 def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
@@ -480,15 +496,10 @@ def verify_hw_congruences(family, p, Dt=None):
     e1 = (hw1m.hw - Fp_trunc).min_excess_ord(1)
     hw2m = cy_hasse_witt(family.g, family.alpha, family.gamma, lift, 2, ctx, Dt)
     hw2 = hw2m.hw
-    ctx2 = hw2.ctx
-    W2 = reduce_mod(periods.W, ctx2)
-    Winv = W2.invert()
-    pw = Winv
-    for _ in range(p - 2):
-        pw = pw * Winv
+    W2 = reduce_mod(periods.W, hw2.ctx)
     # matrix entries built through a t^p division carry padding in the top
     # p coefficients; compare below that degree only
-    e2 = (hw2 - pw).truncate(Dt - p).min_excess_ord(1)
+    e2 = (hw2 - W2.invert() ** (p - 1)).truncate(Dt - p).min_excess_ord(1)
     # reported observation: is hw^(2) mod p the p-truncation of W?
     trunc_W = [W2[i] if i < p else 0 for i in range(Dt - p + 1)]
     same = all(
@@ -499,12 +510,7 @@ def verify_hw_congruences(family, p, Dt=None):
         % ("equals" if same else "differs from")
     )
     # equivalent form hw^(1) = F(t)^{1-p} mod p
-    F1 = reduce_mod(periods.F, ctx)
-    pwF = F1.invert()
-    acc = pwF
-    for _ in range(p - 2):
-        acc = acc * pwF
-    eF = (hw1m.hw - acc).min_excess_ord(1)
+    eF = (hw1m.hw - reduce_mod(periods.F, ctx).invert() ** (p - 1)).min_excess_ord(1)
     notes.append("hw^(1) vs F^{1-p} mod p excess %d" % eF)
     # the Cartier matrix reduces to HW^(2) mod p^2 in the matched basis
     data = frobenius_matrix(family, periods, lift, ctx)

@@ -1,14 +1,13 @@
 """Newton polytopes: facet inequalities, reflexivity, the degree function,
 region lattice points and the support-lattice index.
 
-The geometry is read off integer minors (`exactla.det`): a facet normal is
-the vector of signed maximal minors of the rows [p, 1] of n points, a
-point set is full-dimensional and a point is a vertex when some n x n
-minor is nonzero, and the index of the support lattice is the gcd of the
-n x n minors of the support."""
+A facet normal is the vector of signed maximal minors of the differences
+q_i - q_0 of n points, formed one row at a time (`_wedge`) so that subsets
+with a common prefix share its minors.  Rank and the support-lattice index
+are read off one integer row reduction (`_pivots`)."""
 
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, prod
 from operator import mul
 
 from .errors import ConfigError, DomainError, InfiniteIndexError
@@ -31,9 +30,8 @@ class Polytope:
         if self.n > 4:
             raise DomainError("dimension capped at n <= 4")
         self.points = pts
-        base = pts[0]
-        diffs = [[q[i] - base[i] for i in range(self.n)] for q in pts[1:]]
-        self.full_dimensional = _spans(diffs, self.n)
+        diffs = [[x - y for x, y in zip(q, pts[0])] for q in pts[1:]]
+        self.full_dimensional = len(_pivots(diffs, self.n)) == self.n
         if self.full_dimensional:
             self.facets = _facets(pts, self.n)
             self.vertices = _extreme_points(pts, self.facets, self.n)
@@ -53,33 +51,16 @@ class Polytope:
         """max_i <a_i, u> clamped below at 0; the level of u for reflexive Delta."""
         if not self.is_reflexive():
             raise DomainError("degree function requires a reflexive polytope")
-        best = 0
-        for a, _c in self.facets:
-            v = sum(ai * ui for ai, ui in zip(a, u))
-            if v > best:
-                best = v
-        return best
+        return max([0] + [sum(map(mul, a, u)) for a, _c in self.facets])
 
     def contains(self, u, scale=1, strict=False, strict_facets=None):
         """Is u in scale*Delta (strict: in the interior / off listed facets)?"""
         for idx, (a, c) in enumerate(self.require_facets()):
-            v = sum(ai * ui for ai, ui in zip(a, u))
+            v = sum(map(mul, a, u))
             s = strict if strict_facets is None else (idx in strict_facets)
-            if s:
-                if v >= scale * c:
-                    return False
-            elif v > scale * c:
+            if v > scale * c or (s and v == scale * c):
                 return False
         return True
-
-    def bounding_box(self, scale=1):
-        lo = [min(v[i] for v in self.vertices) * scale for i in range(self.n)]
-        hi = [max(v[i] for v in self.vertices) * scale for i in range(self.n)]
-        # scaling by a positive integer keeps orientation; fix any swap
-        return (
-            [min(l, h) for l, h in zip(lo, hi)],
-            [max(l, h) for l, h in zip(lo, hi)],
-        )
 
 
 def signed_minors(rows):
@@ -89,40 +70,90 @@ def signed_minors(rows):
     return [(-1) ** j * det([r[:j] + r[j + 1 :] for r in rows]) for j in range(len(rows) + 1)]
 
 
+def _wedge(minors, row, plan):
+    """The minors of k + 1 rows from those of the last k and the new first
+    row, by Laplace expansion along it: the terms of each are listed in
+    `plan` as (column, index of the k x k minor, sign)."""
+    return [sum(sign * row[j] * minors[m] for j, m, sign in terms) for terms in plan]
+
+
+def _side(a, c, pts):
+    """s = 1 or -1 if s (<a, p> - c) <= 0 for every point p, else 0, found
+    as soon as points on both sides are seen."""
+    side = 0
+    for p in pts:
+        v = sum(map(mul, a, p)) - c
+        if side * v > 0:
+            return 0
+        side = side or (v < 0) - (v > 0)
+    return side
+
+
 def _facets(pts, n):
-    """The facets <a, x> <= c, a primitive, through each n points whose rows
-    [p, 1] have a nonzero maximal minor: (a, -c) is the vector of signed
-    maximal minors, divided by the gcd of a and oriented so that every
-    point lies on the <= side.  Subsets whose hyperplane cuts the points
-    give no facet."""
-    seen = set()
-    for subset in combinations(pts, n):
-        normal = signed_minors([p + (1,) for p in subset])
-        g = gcd(*normal[:n])
-        if g == 0:
-            continue
-        a = [x // g for x in normal[:n]]
-        c = -normal[n] // g
-        sides = {(v > c) - (v < c) for v in (sum(map(mul, a, p)) for p in pts)} - {0}
-        if sides == {-1}:
-            seen.add((tuple(a), c))
-        elif sides == {1}:
-            seen.add((tuple(-x for x in a), -c))
-    return sorted(seen)
+    """The facets <a, x> <= c, a primitive, of the hull of pts: through n
+    affinely independent points q_0 < .. < q_(n-1), with a the signed
+    maximal minors of the rows q_i - q_0 over their gcd, oriented by
+    `_side`.  Each prefix's minors are formed once; a prefix whose minors
+    vanish ends its branch, and a last point that puts the subset inside a
+    facet already found is skipped."""
+    found = {}  # facet -> indices of the points on it
+    levels = [list(combinations(range(n), k)) for k in range(n + 1)]
+    plans = [
+        [[(j, levels[k].index(cols[:t] + cols[t + 1 :]), (-1) ** t) for t, j in enumerate(cols)]
+         for cols in levels[k + 1]]
+        for k in range(n)
+    ]
+
+    def grow(chosen, minors):
+        q0 = pts[chosen[0]]
+        if len(chosen) == n:
+            # minors[n - 1 - j] leaves out column j
+            a = [minors[n - 1 - j] * (-1) ** j for j in range(n)]
+            g = gcd(*a)
+            a = [x // g for x in a]
+            c = sum(map(mul, a, q0))
+            s = _side(a, c, pts)
+            if s:
+                on = found[tuple(s * x for x in a), s * c] = {
+                    i for i, p in enumerate(pts) if sum(map(mul, a, p)) == c}
+                return on
+            return None
+        last = len(chosen) == n - 1
+        through = [on for on in found.values() if on.issuperset(chosen)] if last else []
+        for i in range(chosen[-1] + 1, len(pts)):
+            if not any(i in on for on in through):
+                m = _wedge(minors, [x - y for x, y in zip(pts[i], q0)], plans[len(chosen) - 1])
+                if any(m) and (on := grow(chosen + (i,), m)):
+                    through.append(on)
+
+    for i in range(len(pts)):
+        grow((i,), [1])
+    return sorted(found)
 
 
-def _spans(rows, n):
-    """Do the rows span Q^n, that is, is some n x n minor nonzero?"""
-    return any(det(sub) for sub in combinations(rows, n))
+def _pivots(rows, n):
+    """The |pivots| of an echelon form of integer rows, by Euclid's
+    algorithm down each of the n columns.  The steps are unimodular, so
+    there is one pivot per unit of rank, and with n of them the rows
+    generate a lattice of index prod |pivot| in Z^n."""
+    rows, pivots = [list(r) for r in rows], []
+    for j in range(n):
+        while len(live := [r for r in rows if r[j]]) > 1:
+            pivot = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not pivot:
+                    q = r[j] // pivot[j]
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+        if live:
+            pivots.append(abs(live[0][j]))
+            rows.remove(live[0])
+    return pivots
 
 
 def _extreme_points(pts, facets, n):
     """The points whose active facet normals span Q^n."""
-    return [
-        p
-        for p in pts
-        if _spans([a for a, c in facets if sum(map(mul, a, p)) == c], n)
-    ]
+    return [p for p in pts
+            if len(_pivots([a for a, c in facets if sum(map(mul, a, p)) == c], n)) == n]
 
 
 class RegionSpec:
@@ -138,9 +169,7 @@ class RegionSpec:
         if kind == "custom":
             if not custom_points:
                 raise ConfigError("custom region needs explicit point lists")
-            self.custom_points = {
-                int(k): sorted(tuple(p) for p in v) for k, v in custom_points.items()
-            }
+            self.custom_points = {int(k): sorted(map(tuple, v)) for k, v in custom_points.items()}
         else:
             self.custom_points = None
 
@@ -159,26 +188,17 @@ class RegionSpec:
     @classmethod
     def from_strict_facets(cls, polytope, strict_facet_indices, levels):
         """Build the extensional lists for mu = Delta minus the listed facets."""
-        pts = {}
-        for k in levels:
-            pts[k] = _scan(polytope, k, strict_facets=set(strict_facet_indices))
-        return cls.custom(pts)
+        strict = set(strict_facet_indices)
+        return cls.custom({k: _scan(polytope, k, strict_facets=strict) for k in levels})
 
 
 def _scan(P, k, strict=False, strict_facets=None):
-    lo, hi = P.bounding_box(k)
-    out = []
-
-    def rec(prefix, i):
-        if i == P.n:
-            if P.contains(prefix, scale=k, strict=strict, strict_facets=strict_facets):
-                out.append(tuple(prefix))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            rec(prefix + [x], i + 1)
-
-    rec([], 0)
-    return sorted(out)
+    """The lattice points of k Delta, k >= 1, that `contains` admits, in
+    lexicographic order: the box of k Delta scanned by `product`."""
+    box = [range(min(v[i] for v in P.vertices) * k, max(v[i] for v in P.vertices) * k + 1)
+           for i in range(P.n)]
+    return [u for u in product(*box)
+            if P.contains(u, scale=k, strict=strict, strict_facets=strict_facets)]
 
 
 def lattice_points(P, k, region):
@@ -199,17 +219,13 @@ def newton_polytope(f):
 
 
 def support_lattice_index(g):
-    """[Z^n : Gamma] for the lattice Gamma generated by Supp(g): the gcd of
-    the n x n minors of the support vectors (the product of the elementary
-    divisors).  A gcd of 0 means Gamma has rank < n."""
+    """[Z^n : Gamma] for the lattice Gamma generated by Supp(g): the product
+    of the pivots of one integer row reduction of the support (`_pivots`).
+    Fewer than n pivots means Gamma has rank < n."""
     supp = g.support()
     if not supp:
         raise InfiniteIndexError("empty support")
-    idx = 0
-    for sub in combinations(supp, g.n):
-        idx = gcd(idx, det(sub))
-        if idx == 1:
-            break
-    if idx == 0:
+    pivots = _pivots(supp, g.n)
+    if len(pivots) < g.n:
         raise InfiniteIndexError("support spans rank < %d" % g.n)
-    return idx
+    return prod(pivots)

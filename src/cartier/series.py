@@ -62,7 +62,7 @@ constant term of a degree-0 log.
 import struct
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import (
@@ -647,9 +647,10 @@ class PadicSeries(_Series):
 
     def min_excess_ord(self, target):
         """min over coefficients of (ord_p - target); >= 0 means divisible by
-        p^target.  A zero residue has ord N, so the zero series reads N - target."""
+        p^target.  That minimum is ord_p of gcd(p^N, residues), so a zero
+        residue counts as ord N, and the zero series reads N - target."""
         p, N = self.ctx.p, self.ctx.N
-        return min((ord_p(c, p, N) for c in self._c), default=N) - target
+        return ord_p(gcd(self.ctx.modulus, *self._c), p, N) - target
 
     def divide_exact_p(self, k):
         """Divide every coefficient by p^k; precision drops to N - k."""

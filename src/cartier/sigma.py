@@ -54,12 +54,10 @@ class FrobLift:
         self.ctx.same(s.ctx)
         if self.kind == "tp":
             p = self.ctx.p
-            out = [0] * (s.D + 1)
-            for i, c in enumerate(s.coeffs):
-                if i * p > s.D:
-                    break
-                out[i * p] = c
-            return PadicSeries(self.ctx, out)
+            c = s._c[: s.D // p + 1]
+            out = [0] * (p * len(c) - p + 1)
+            out[::p] = c
+            return PadicSeries(self.ctx, out, s.D)
         return s.compose(self.tsigma)
 
     def on_coeff(self, c):

@@ -170,7 +170,8 @@ CATALOG.append(("hyperoctahedral", 4))
 )
 def test_closed_form_matches_enumeration(kind, n, D):
     family = FamilySpec.by_name(kind, n)
-    F, G = _closed_FG(family, D)
+    F, build_G = _closed_FG(family, D)
+    G = build_G()
     Fg, Gg = generic_periods(family, D)
     assert F.coeffs == Fg.coeffs and G.coeffs == Gg.coeffs
 
@@ -179,7 +180,8 @@ def test_cross_check_catches_a_wrong_closed_form():
     # negative control of the comparison above: a closed form off by t^2 in
     # F or in G does not match the enumeration
     family = FamilySpec.hypercubic(2)
-    F, G = _closed_FG(family, 12)
+    F, build_G = _closed_FG(family, 12)
+    G = build_G()
     Fg, Gg = generic_periods(family, 12)
     bump = RationalSeries([0, 0, 1], 12)
     assert (F + bump).coeffs != Fg.coeffs
@@ -216,7 +218,8 @@ def e_series_FG(family, D):
 def test_closed_form_matches_e_series(kind, n):
     D = 60
     family = FamilySpec.by_name(kind, n)
-    F, G = _closed_FG(family, D)
+    F, build_G = _closed_FG(family, D)
+    G = build_G()
     Fe, Ge = e_series_FG(family, D)
     assert F.coeffs == Fe and G.coeffs == Ge
 
@@ -439,6 +442,52 @@ def test_a_request_above_every_cached_degree_builds(period_builds):
     assert harness.get_periods(family, 75).D == 75
     assert len(period_builds) == 2
     assert large.D == 147
+
+
+@pytest.fixture
+def G_builds(monkeypatch):
+    """The (kind, n, D) of each G build, with the harness caches emptied."""
+    builds = []
+    build = families._periods
+
+    def counted(family, D):
+        F, build_G = build(family, D)
+
+        def counted_G():
+            builds.append((family.kind, family.n, D))
+            return build_G()
+
+        return F, counted_G
+
+    monkeypatch.setattr(families, "_periods", counted)
+    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
+        monkeypatch.setattr(harness, cache, {})
+    return builds
+
+
+def test_desk_builds_G_once_for_each_family_that_reads_it(G_builds):
+    harness.run_suite("desk")
+    assert sorted((kind, n) for kind, n, _ in G_builds) == [
+        ("hypercubic", 1), ("hypercubic", 2), ("hypercubic", 3), ("hyperoctahedral", 2),
+        ("simplicial", 2),
+    ]
+    for kind, n, D in G_builds:
+        assert D == max(d for k, m, d in harness._PERIOD_CACHE if (k, m) == (kind, n))
+
+
+@pytest.mark.parametrize("kind,n", [("hypercubic", 2), ("hyperoctahedral", 3), ("an", 2)])
+def test_a_truncated_view_reads_G_from_its_base(kind, n, G_builds):
+    family = FamilySpec.by_name(kind, n)
+    base = PeriodData(family, 75)
+    early = base.truncate(27)
+    assert early.G[0] == 0  # read before the base has: the base builds G, at 75
+    assert G_builds == [(kind, n, 75)]
+    late = base.truncate(40)
+    assert base.G is base.G and late.G is late.G
+    assert G_builds == [(kind, n, 75)]
+    for view in (early, late):
+        assert view.G.coeffs == PeriodData(family, view.D).G.coeffs
+    assert G_builds == [(kind, n, 75), (kind, n, 27), (kind, n, 40)]
 
 
 def q_series_oracle(F, G):

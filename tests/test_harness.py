@@ -13,7 +13,9 @@ import pytest
 from cartier import harness
 from cartier.errors import ConfigError, TheoremViolation
 from cartier.families import FamilySpec
-from cartier.series import PadicSeries
+from cartier.padic import PadicContext
+from cartier.series import PadicSeries, reduce_mod
+from cartier.sigma import FrobLift
 from straub_oracle import dict_expansion_diagonal
 
 
@@ -118,6 +120,46 @@ def test_pq_control(monkeypatch):
         monkeypatch.setattr(harness, name, perturbed(getattr(harness, name)))
     r = harness.verify_pq(p, s, n)
     assert r.status == harness.FAIL and r.min_excess < 0
+
+
+def _desk_dwork_cases():
+    """(family, p, s, m, Dt) of every dwork check of the desk grid."""
+    for name, kw in harness._desk_checks():
+        if name == "dwork" and not kw.get("control"):
+            yield kw["family"], kw["p"], kw["s"], kw["m"], kw.get("Dt", 3 * kw["p"] ** 2)
+
+
+def _general_truncations(family, p, s, m, Dt, ctx):
+    """F_{mp^s} and F_{mp^{s-1}}(t^p) mod p^N, each truncation reduced and
+    pulled back on its own."""
+    periods = harness.get_periods(family, Dt)
+    hi = reduce_mod(periods.truncated_F(m * p ** s), ctx)
+    lo = FrobLift.tp(ctx, Dt).on_series(reduce_mod(periods.truncated_F(m * p ** (s - 1)), ctx))
+    return hi, lo
+
+
+def test_dwork_truncations_are_prefixes_of_F_and_F_of_t_to_the_p():
+    cases = list(_desk_dwork_cases())
+    assert len(cases) > 100
+    for family, p, s, m, Dt in cases:
+        ctx = PadicContext(p, s + harness.GUARD)
+        _, _, hi, lo = harness._truncations(family, p, s, m, "tp", Dt, ctx)
+        want_hi, want_lo = _general_truncations(family, p, s, m, Dt, ctx)
+        assert (hi.D, hi._c, lo.D, lo._c) == (want_hi.D, want_hi._c, want_lo.D, want_lo._c)
+
+
+def test_prefix_comparison_catches_a_prefix_one_term_short():
+    # negative control: F_{mp^s} cut below t^(mp^s - 1), and F_{mp^{s-1}}(t^p)
+    # below its last term at t^(mp^s - p), each differ on some desk case
+    short_hi = short_lo = False
+    for family, p, s, m, Dt in _desk_dwork_cases():
+        ctx = PadicContext(p, s + harness.GUARD)
+        F, Fs, _, _ = harness._truncations(family, p, s, m, "tp", Dt, ctx)
+        want_hi, want_lo = _general_truncations(family, p, s, m, Dt, ctx)
+        e = m * p ** s
+        short_hi |= PadicSeries(ctx, F._c[: e - 1], Dt)._c != want_hi._c
+        short_lo |= PadicSeries(ctx, Fs._c[: e - p], Dt)._c != want_lo._c
+    assert short_hi and short_lo
 
 
 def test_conjecture_flagging():

@@ -5,6 +5,7 @@ family with n <= 4, a custom family and seeded random point sets."""
 
 import random
 from itertools import combinations
+from operator import mul
 from types import SimpleNamespace
 
 import geometry_oracle as oracle
@@ -106,6 +107,17 @@ def test_geometry_matches_the_oracle(expected):
 def test_a_non_primitive_normal_fails_the_comparison(expected, monkeypatch):
     # a gcd that keeps common factors leaves the facet normals unreduced
     monkeypatch.setattr(polytope, "gcd", lambda *xs: 1 if any(xs) else 0)
+    assert "facets" in _mismatched(expected)
+
+
+def test_a_side_test_that_stops_at_the_first_point_fails_the_comparison(expected, monkeypatch):
+    # a hyperplane is a facet only when no point lies beyond it; taking the
+    # side of the first point off it accepts hyperplanes that cut the hull
+    def first_side(a, c, pts):
+        values = (sum(map(mul, a, p)) - c for p in pts)
+        return next(((v < 0) - (v > 0) for v in values if v), 0)
+
+    monkeypatch.setattr(polytope, "_side", first_side)
     assert "facets" in _mismatched(expected)
 
 

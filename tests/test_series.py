@@ -18,7 +18,7 @@ from cartier.errors import (
     TheoremViolation,
 )
 import cartier.series as series_module
-from cartier.padic import PadicContext
+from cartier.padic import PadicContext, ord_p
 from cartier.series import (
     _PACK_MIN,
     PadicSeries,
@@ -219,6 +219,53 @@ def test_min_excess_ord():
     assert a.min_excess_ord(2) == 0
     assert a.min_excess_ord(3) == -1
     assert PadicSeries.zero(ctx, 4).min_excess_ord(2) == 3  # N - target
+
+
+def _per_coefficient_excess(s, target, cap):
+    """min over the residues of min(ord_p, cap) - target, one valuation per
+    residue: the form min_excess_ord takes from one gcd, with cap = N."""
+    p = s.ctx.p
+    return min((ord_p(c, p, cap) for c in s._c), default=cap) - target
+
+
+def _random_excess_cases(seed=21, count=300):
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        p, N = rng.choice((3, 5, 7)), rng.randint(1, 6)
+        ctx = PadicContext(p, N)
+        D = rng.randint(0, 12)
+        # residues of every valuation 0..N, p^(N-1) multiples included; one
+        # case in five is the zero series
+        cs = [] if i % 5 == 0 else [
+            rng.randrange(p ** N) * p ** rng.randint(0, N) for _ in range(D + 1)
+        ]
+        cases.append((PadicSeries(ctx, cs, D), rng.randint(0, N + 1)))
+    return cases
+
+
+def test_min_excess_ord_is_the_per_coefficient_minimum():
+    cases = _random_excess_cases()
+    assert any(s.is_zero() for s, _ in cases)
+    assert any(
+        any(ord_p(c, s.ctx.p, s.ctx.N) == s.ctx.N - 1 for c in s._c) for s, _ in cases
+    )
+    for s, target in cases:
+        assert s.min_excess_ord(target) == _per_coefficient_excess(s, target, s.ctx.N)
+
+
+def test_min_excess_ord_comparison_catches_wrong_forms():
+    # negative controls: a cap one short (the zero series reads N - 1) and a
+    # minimum over the first residue only each differ on some case
+    cases = _random_excess_cases()
+    assert any(
+        s.min_excess_ord(target) != _per_coefficient_excess(s, target, s.ctx.N - 1)
+        for s, target in cases
+    )
+    assert any(
+        s.min_excess_ord(target) != _per_coefficient_excess(s.truncate(0), target, s.ctx.N)
+        for s, target in cases
+    )
 
 
 def test_min_excess_ord_caps_integer_lists():

@@ -20,6 +20,20 @@ def test_tp_lift_is_substitution():
     assert lift.vsigma == PadicSeries.one(ctx, 12)
 
 
+@pytest.mark.parametrize("D", [0, 1, 6, 7, 8, 20])
+def test_tp_lift_matches_composition_with_t_to_the_p(D):
+    # the slice form of the t^p pull-back against the general composition,
+    # with trailing zeros and coefficients above D // p in the input
+    ctx = PadicContext(3, 4)
+    lift = FrobLift.tp(ctx, D)
+    tp = PadicSeries(ctx, [0, 0, 0, 1], D)
+    for coeffs in ([], [5], [1, 2, 0, 0], [0, 7, 0, 4, 1, 0, 2, 2, 9], list(range(1, 22))):
+        s = PadicSeries(ctx, coeffs, D)
+        got = lift.on_series(s)
+        assert got.D == D and got == s.compose(tp)
+        assert not got._c or got._c[-1]
+
+
 def test_tp_theta_ratio_is_p():
     ctx = PadicContext(5, 3)
     lift = FrobLift.tp(ctx, 10)
