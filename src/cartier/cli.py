@@ -80,7 +80,9 @@ def build_parser():
     sp.add_argument("--precision", type=int, default=None)
     sp.add_argument("--degree", type=int, default=None, help="t-degree (default 3p^2)")
     sp.add_argument("--level", type=int, default=2, help="level k (k < p)")
-    sp.add_argument("--lift", default="tp", help="tp | excellent | explicit:<file>")
+    sp.add_argument("--lift", default="tp", help="tp | excellent | explicit:FILE of 'degree:int' "
+                    "tokens of t^sigma; a t^sigma that is not t^p mod p exits 2 (explicit) or "
+                    "1 (excellent), naming the first such degree")
     sp.add_argument("--basis", choices=("omega", "unit"), default="omega")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
     common(sp, ("json", "text"), "output format: json or text (default json)")
@@ -208,30 +210,23 @@ def get_family(args):
     return FamilySpec.by_name(kind, args.n)
 
 
-def make_lift(spec, family, periods, ctx, Dt):
-    """Build a Frobenius lift from a --lift value."""
-    if spec == "tp":
-        return FrobLift.tp(ctx, Dt)
-    if spec == "excellent":
-        return excellent_lift(family, periods, ctx)
-    if spec.startswith("explicit:"):
-        path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            toks = fh.read().split()
-        coeffs = [0] * (Dt + 1)
-        for tok in toks:
-            try:
-                k, c = map(int, tok.split(":"))
-            except ValueError:
-                raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
-            if 0 <= k <= Dt:
-                coeffs[k] = c
-        tsigma = PadicSeries(ctx, coeffs)
-        for i, c in enumerate(tsigma.coeffs):
-            if (c - (1 if i == ctx.p else 0)) % ctx.p:
-                raise ConfigError("explicit lift: t^sigma != t^p mod p at degree %d" % i)
-        return FrobLift.from_tsigma(ctx, tsigma, kind="explicit")
-    raise ConfigError("unknown lift %r" % (spec,))
+def make_lift(spec, family, ctx, Dt):
+    """The Frobenius lift of a --lift value: `harness.get_lift` builds tp and
+    excellent, and explicit:FILE reads t^sigma from 'degree:int' tokens."""
+    if not spec.startswith("explicit:"):
+        periods = harness.get_periods(family, Dt) if spec == "excellent" else None
+        return harness.get_lift(spec, family, periods, ctx, Dt)
+    with open(spec.split(":", 1)[1]) as fh:
+        toks = fh.read().split()
+    coeffs = [0] * (Dt + 1)
+    for tok in toks:
+        try:
+            k, c = map(int, tok.split(":"))
+        except ValueError:
+            raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
+        if 0 <= k <= Dt:
+            coeffs[k] = c
+    return FrobLift.from_tsigma(ctx, PadicSeries(ctx, coeffs), kind="explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +332,19 @@ def cmd_hw(args):
         raise DomainError("level k=%d requires k < p=%d" % (k, p))
     Dt = args.degree if args.degree is not None else 3 * p * p
     if square:
+        if args.lift == "excellent":
+            raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
         P = Polytope(SQUARE)
         region = square_example_region(P, k)
         ctx = _hw_context(args, level_points(P, k, region)[1])
-        lift = make_lift(args.lift, None, None, ctx, Dt)
-        if lift.kind == "excellent":
-            raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
+        lift = make_lift(args.lift, None, ctx, Dt)
         hw = hasse_witt_matrix(square_example_f(ctx, Dt), lift, k, region, ctx)
     else:
         # the CY matrices have l basis elements at level l <= 2, so L_k = k - 1
         ctx = _hw_context(args, k - 1)
         family = get_family(args)
-        periods = PeriodData(family, Dt) if args.lift == "excellent" else None
-        lift = make_lift(args.lift, family, periods, ctx, Dt)
-        hw = cy_hasse_witt(
-            family.g, family.alpha, family.gamma, lift, k, ctx, Dt, basis=args.basis
-        )
+        lift = make_lift(args.lift, family, ctx, Dt)
+        hw = cy_hasse_witt(family, lift, k, ctx, Dt, basis=args.basis)
     if args.format == "json" or args.format is None:
         _emit(args, hw.to_json())
     else:

@@ -2,41 +2,29 @@
 coordinate mod p^N, the excellent Frobenius lift, the coefficients
 lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
+from typing import NamedTuple
+
 from .errors import DomainError, TheoremViolation
 from .families import ab_coefficients, canonical_q
 from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
 
 
-class FrobeniusData:
+class FrobeniusData(NamedTuple):
     """The Cartier matrix Lambda with the connection matrices it was built
     from, mod p^N: N = [[0, 1], [A, B]] and
     Ns = N_theta^sigma = (theta(t^sigma)/t^sigma) [[0, 1], [A(t^sigma), B(t^sigma)]]."""
 
-    __slots__ = (
-        "ctx",
-        "family",
-        "periods",
-        "lift",
-        "lambda0",
-        "lambda1",
-        "Lambda",
-        "Lambda0",
-        "N",
-        "Ns",
-    )
-
-    def __init__(self, ctx, family, periods, lift):
-        self.ctx = ctx
-        self.family = family
-        self.periods = periods
-        self.lift = lift
-        self.lambda0 = None
-        self.lambda1 = None
-        self.Lambda = None
-        self.Lambda0 = None
-        self.N = None
-        self.Ns = None
+    ctx: object
+    family: object
+    periods: object
+    lift: object
+    lambda0: object
+    lambda1: object
+    Lambda: list
+    Lambda0: list
+    N: list
+    Ns: list
 
 
 def check_lift_hypothesis(family, p):
@@ -60,19 +48,17 @@ def reduced_q(periods, ctx):
 
 
 def excellent_lift(family, periods, ctx):
-    """t^sigma = t(gamma^{p-1} q(t)^p), the unique lift with lambda1 = 0."""
+    """t^sigma = t(gamma^{p-1} q(t)^p), the unique lift with lambda1 = 0.
+    The theory makes it t^p mod p, so a failed check of `from_tsigma` is a
+    TheoremViolation here."""
     check_lift_hypothesis(family, ctx.p)
     qp, tqp = reduced_q(periods, ctx)
     p = ctx.p
-    inner = qp ** p * pow(family.gamma, p - 1, ctx.modulus)
-    tsigma = tqp.compose(inner)
-    lift = FrobLift.from_tsigma(ctx, tsigma, kind="excellent")
-    # a Frobenius lift satisfies t^sigma = t^p mod p
-    for i, c in enumerate(tsigma.coeffs):
-        expected = 1 if i == p else 0
-        if (c - expected) % p:
-            raise TheoremViolation("t^sigma != t^p mod p at degree %d" % i)
-    return lift
+    tsigma = tqp.compose(qp ** p * pow(family.gamma, p - 1, ctx.modulus))
+    try:
+        return FrobLift.from_tsigma(ctx, tsigma, kind="excellent")
+    except DomainError as exc:
+        raise TheoremViolation(str(exc)) from None
 
 
 def lambda_pair(family, periods, lift, ctx):
@@ -89,7 +75,7 @@ def lambda_pair(family, periods, lift, ctx):
     Fs = lift.on_series(F)
     Ws = lift.on_series(W)
     us = lift.on_series(u)
-    w = u ** p * pow(family.gamma, p - 1, ctx.modulus) * lift.vsigma.invert() * us.invert()
+    w = u ** p * pow(family.gamma, p - 1, ctx.modulus) * lift.vinv * us.invert()
     # v = t^sigma/t^p and u = q/t are zero-padded at the top, so the
     # product is only determined to degree D - p
     w = w.truncate(max(w.D - p, 0))
@@ -113,23 +99,20 @@ def frobenius_matrix(family, periods, lift, ctx):
     The second row is theta of the first plus the connection correction:
     (mu0, mu1) = (theta lambda0, theta lambda1) + c (lambda0, lambda1) N_theta(t^sigma),
     c = theta(t^sigma)/t^sigma."""
-    data = FrobeniusData(ctx, family, periods, lift)
     lam0, lam1 = lambda_pair(family, periods, lift, ctx)
-    data.lambda0, data.lambda1 = lam0, lam1
     A, B = (reduce_mod(x, ctx) for x in ab_coefficients(periods))
     c = lift.theta_ratio()
-    data.N = [[PadicSeries.zero(ctx, lam0.D), PadicSeries.one(ctx, lam0.D)], [A, B]]
-    data.Ns = [[PadicSeries.zero(ctx, c.D), c], [c * lift.on_series(A), c * lift.on_series(B)]]
-    mu0 = lam0.theta() + lam1 * data.Ns[1][0]
-    mu1 = lam1.theta() + lam0 * c + lam1 * data.Ns[1][1]
+    N = [[PadicSeries.zero(ctx, lam0.D), PadicSeries.one(ctx, lam0.D)], [A, B]]
+    Ns = [[PadicSeries.zero(ctx, c.D), c], [c * lift.on_series(A), c * lift.on_series(B)]]
+    mu0 = lam0.theta() + lam1 * Ns[1][0]
+    mu1 = lam1.theta() + lam0 * c + lam1 * Ns[1][1]
     p = ctx.p
     for co in mu1.coeffs:
         if co % p:
             raise TheoremViolation("mu1 not divisible by p")
-    data.Lambda = [[lam0, lam1], [mu0, mu1]]
     alpha1 = padic_log_unit(ctx, pow(family.gamma, p - 1, ctx.modulus))
-    data.Lambda0 = [[1, alpha1], [0, p]]
-    return data
+    return FrobeniusData(ctx, family, periods, lift, lam0, lam1,
+                         [[lam0, lam1], [mu0, mu1]], [[1, alpha1], [0, p]], N, Ns)
 
 
 def structure_residual(data):

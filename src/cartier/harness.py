@@ -144,18 +144,23 @@ def get_lift(kind, family, periods, ctx, Dt):
 # truncation-ratio congruences
 
 
-def _truncations(family, p, s, m, lift_kind, Dt, ctx):
-    """F, F(t^sigma), F_{mp^s} and F_{mp^{s-1}}(t^sigma) mod p^N, the
-    truncations as prefixes of F and, under the t^p lift, of F(t^p).  F and
-    F(t^sigma) are built once per key of `_SIGMA_F_CACHE`, and every time
-    for a custom family, whose key does not determine it."""
+def _lift_and_F(family, lift_kind, ctx, Dt):
+    """The lift, F mod p^N and F(t^sigma) at degree Dt.  F and F(t^sigma)
+    are built once per key of `_SIGMA_F_CACHE`, and every time for a
+    custom family, whose key does not determine it."""
     periods = get_periods(family, Dt)
     lift = get_lift(lift_kind, family, periods, ctx, Dt)
-    key = (family.kind, family.n, p, ctx.N, Dt, lift_kind)
+    key = (family.kind, family.n, ctx.p, ctx.N, Dt, lift_kind)
     if family.kind == "custom" or key not in _SIGMA_F_CACHE:
         F = reduce_mod(periods.F, ctx)
         _SIGMA_F_CACHE[key] = F, lift.on_series(F)
-    F, Fs = _SIGMA_F_CACHE[key]
+    return (lift, *_SIGMA_F_CACHE[key])
+
+
+def _truncations(family, p, s, m, lift_kind, Dt, ctx):
+    """F, F(t^sigma), F_{mp^s} and F_{mp^{s-1}}(t^sigma) mod p^N, the
+    truncations as prefixes of F and, under the t^p lift, of F(t^p)."""
+    lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
     e = m * p ** s
     if lift_kind == "tp":
         lo = PadicSeries(ctx, Fs._c[:e], Dt)
@@ -222,9 +227,10 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     truncation order m defaults to n + 1 for simplicial and 2 otherwise, the
     values the grids use; the check takes the congruence to hold there.
     Other m are conjecture only: a scan over the catalog for n <= 4, p <= 7
-    and m <= 3 found no FAIL at these m and FAILs at others (every n = 1
-    family and hyperoctahedral n >= 3 at m = 1 and 3, simplicial n >= 2 at
-    m = 1, and simplicial n = 2 at m = 2 for p = 5, s = 2)."""
+    and m <= 3 found no FAIL at these m and FAILs at others (the n = 1
+    families but `an` at m = 1, and at m = 3 for s = 1 and p >= 5;
+    hyperoctahedral n >= 3 at m = 1 and 3, simplicial n >= 2 at m = 1, and
+    simplicial n = 2 at m = 2 for p = 5, s = 2)."""
     if m is None:
         m = family.n + 1 if family.kind == "simplicial" else 2
     if Dt is None:
@@ -338,7 +344,7 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
         unit = 1 + p
-        sigma = FrobLift.explicit(ctx, PadicSeries.constant(ctx, unit, K + L), K + L)
+        sigma = FrobLift.from_tsigma(ctx, series([0] * p + [unit]), kind="explicit")
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
         logu = -padic_log_unit(ctx, unit)
@@ -378,10 +384,8 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     if Dt < p ** s * Q:
         return _report(check_id, params, target, None)
     ctx = PadicContext(p, target + GUARD)
-    periods = get_periods(family, Dt)
-    lift = get_lift(lift_kind, family, periods, ctx, Dt)
-    F = reduce_mod(periods.F, ctx)
-    lam = F * lift.on_series(F).invert()
+    lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
+    lam = F * Fs.invert()
     v = family.vertices[0]
     hi, lo = (
         PadicSeries(ctx, coeffs, Dt)
@@ -491,10 +495,10 @@ def verify_hw_congruences(family, p, Dt=None):
     periods = get_periods(family, Dt)
     lift = FrobLift.tp(ctx, Dt)
     notes = []
-    hw1m = cy_hasse_witt(family.g, family.alpha, family.gamma, lift, 1, ctx, Dt)
+    hw1m = cy_hasse_witt(family, lift, 1, ctx, Dt)
     Fp_trunc = reduce_mod(periods.truncated_F(p), ctx)
     e1 = (hw1m.hw - Fp_trunc).min_excess_ord(1)
-    hw2m = cy_hasse_witt(family.g, family.alpha, family.gamma, lift, 2, ctx, Dt)
+    hw2m = cy_hasse_witt(family, lift, 2, ctx, Dt)
     hw2 = hw2m.hw
     W2 = reduce_mod(periods.W, hw2.ctx)
     # matrix entries built through a t^p division carry padding in the top
@@ -719,10 +723,7 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
     notes.append("coefficients match the expansion route binom(Q-k-1, k) values")
     ctx = PadicContext(p, target + GUARD)
     family = get_family("hypercubic", n)
-    periods = get_periods(family, Dt)
-    lift = get_lift("excellent", family, periods, ctx, Dt)
-    F = reduce_mod(periods.F, ctx)
-    Fs = lift.on_series(F)
+    lift, F, Fs = _lift_and_F(family, "excellent", ctx, Dt)
 
     def cleared(q):
         # t^q P_q(t) as a series

@@ -150,8 +150,9 @@ def _constant(c, one):
     return PadicSeries.constant(one.ctx, c, one.D)
 
 
-def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
-    """HW^(k) for the invariant crystal of f = 1 - t g(x), k in {1, 2}.
+def cy_hasse_witt(family, lift, k, ctx, Dt, basis="omega"):
+    """HW^(k) for the invariant crystal of f = 1 - t g(x), k in {1, 2}, of
+    the FamilySpec `family`, which gives g, alpha, gamma and the vertices.
 
     basis 'omega': level-2 basis (f, t g) matching (1/f, theta(1/f)).
     basis 'unit':  level-2 basis (1, t g) matching (1/f^2, t g/f^2).
@@ -166,12 +167,10 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     p = ctx.p
     if k >= p:
         raise DomainError("k < p required")
-    n = g.n
+    g, n, verts = family.g, family.n, family.vertices
     one = PadicSeries.one(ctx, Dt)
     t = PadicSeries.t(ctx, Dt)
     f = LaurentPoly.one(n, one) - g.map_coefficients(lambda c: t * c)
-    P = newton_polytope(g.map_coefficients(lambda c: 1))
-    verts = P.vertices
     v1 = verts[0]
     zero = (0,) * n
     if k == 1:
@@ -189,8 +188,7 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
     else:
         raise ConfigError("unknown CY basis %r" % (basis,))
     Fk = F_k_polynomial(f, lift, 2, ctx, b1.terms.keys() | tg.terms.keys())
-    gamma_inv = unit_inverse(gamma, ctx)
-    v_inv = lift.vsigma.invert()
+    gamma_inv = unit_inverse(family.gamma, ctx)
     rows = []
     for bi in (b1, tg):
         img = cartier_poly(mul_classes(bi, Fk, p, [zero]), p)
@@ -200,8 +198,8 @@ def cy_hasse_witt(g, alpha, gamma, lift, k, ctx, Dt, basis="omega"):
         for w in verts[1:]:
             if _constant(img.coeff(w, 0), one) != Cv:
                 raise TheoremViolation("vertex coefficients are not symmetric")
-        c1 = Cv.shift_div(p) * v_inv * gamma_inv
-        c0 = C0 - Cv * alpha * gamma_inv
+        c1 = Cv.shift_div(p) * lift.vinv * gamma_inv
+        c0 = C0 - Cv * family.alpha * gamma_inv
         if basis == "omega":
             # the image decomposes over (1/(f^sigma)^2, t^sigma g/(f^sigma)^2);
             # since 1/(f^sigma)^2 = 1/f^sigma + t^sigma g/(f^sigma)^2, the

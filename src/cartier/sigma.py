@@ -1,6 +1,6 @@
 """Frobenius lifts sigma, determined by t^sigma = t^p * v with v a unit."""
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .series import PadicSeries, RationalSeries
 
 
@@ -9,15 +9,17 @@ class FrobLift:
 
     Scalars (elements of Z_p) are fixed; series in t are composed with
     t^sigma.  kind is one of 'identity', 'tp', 'explicit', 'excellent'.
+    A given t^sigma becomes a lift only through `from_tsigma`, which checks it.
     """
 
-    __slots__ = ("kind", "ctx", "tsigma", "vsigma")
+    __slots__ = ("kind", "ctx", "tsigma", "vsigma", "_vinv")
 
     def __init__(self, kind, ctx=None, tsigma=None, vsigma=None):
         self.kind = kind
         self.ctx = ctx
         self.tsigma = tsigma
         self.vsigma = vsigma
+        self._vinv = None
 
     @classmethod
     def identity(cls):
@@ -30,18 +32,21 @@ class FrobLift:
         return cls("tp", ctx, ts, v)
 
     @classmethod
-    def explicit(cls, ctx, v, D, kind="explicit"):
-        """t^sigma = t^p * v(t) for a given unit series v = 1 mod p."""
-        v = v.truncate(D)
-        if v[0] % ctx.p != 1:
-            raise ConfigError("v(0) must be 1 mod p for a Frobenius lift")
-        ts = v.shift(ctx.p)
-        return cls(kind, ctx, ts, v)
-
-    @classmethod
     def from_tsigma(cls, ctx, tsigma, kind="excellent"):
-        v = tsigma.shift_div(ctx.p)
-        return cls(kind, ctx, tsigma, v)
+        """The lift of t^sigma = t^p v; a DomainError names the first degree
+        at which t^sigma != t^p mod p, so no such series becomes a lift."""
+        p = ctx.p
+        for i, c in enumerate(tsigma.coeffs):
+            if (c - (1 if i == p else 0)) % p:
+                raise DomainError("t^sigma != t^p mod p at degree %d" % i)
+        return cls(kind, ctx, tsigma, tsigma.shift_div(p))
+
+    @property
+    def vinv(self):
+        """1/v, computed on first read and kept."""
+        if self._vinv is None:
+            self._vinv = self.vsigma.invert()
+        return self._vinv
 
     def on_series(self, s):
         """Apply sigma to an element of Z_p[[t]].  t^sigma = t^p v has
@@ -74,4 +79,4 @@ class FrobLift:
 
     def theta_ratio(self):
         """theta(t^sigma)/t^sigma as a PadicSeries (equals p + theta(v)/v)."""
-        return self.vsigma.theta() * self.vsigma.invert() + self.ctx.p
+        return self.vsigma.theta() * self.vinv + self.ctx.p

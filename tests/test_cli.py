@@ -429,6 +429,30 @@ def test_malformed_input_is_a_usage_error(source, text, bad, tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and bad in err
 
 
+def test_square_rejects_the_excellent_lift_before_building_one(capsys):
+    code, out, err = run(capsys, "hw", "--family", "square", "--prime", "5", "--lift", "excellent")
+    assert code == cli.EXIT_USAGE and out == "" and "Traceback" not in err
+    assert err == "error: the square example has no catalog excellent lift; use tp or explicit\n"
+
+
+@pytest.mark.parametrize(
+    "tokens,code", [("5:1 6:1", 2), ("5:1 6:5", 0)], ids=["not-a-lift", "a-lift"]
+)
+def test_explicit_lift_must_be_t_to_the_p_mod_p(tokens, code, tmp_path, capsys):
+    # t^5 + t^6 is not t^5 mod 5 at degree 6; t^5 + 5 t^6 is
+    path = tmp_path / "lift.txt"
+    path.write_text(tokens)
+    got, out, err = run(
+        capsys, "hw", "--family", "square", "--prime", "5", "--degree", "12",
+        "--lift", "explicit:%s" % path,
+    )
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ") and err.endswith("at degree 6\n")
+    else:
+        assert json.loads(out)["level"] == 2
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code, out, _ = run(

@@ -5,7 +5,8 @@ from math import isqrt
 
 import pytest
 
-from cartier.errors import DomainError, ReductionError
+from cartier import frobenius
+from cartier.errors import DomainError, ReductionError, TheoremViolation
 from cartier.families import FamilySpec, PeriodData, canonical_q, mirror_map
 from cartier.frobenius import (
     check_lift_hypothesis,
@@ -17,7 +18,7 @@ from cartier.frobenius import (
 )
 from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
-from cartier.series import RationalSeries, reduce_mod
+from cartier.series import PadicSeries, RationalSeries, reduce_mod
 from cartier.sigma import FrobLift
 from series_oracle import count_packed_products, lambda_det_excess
 
@@ -55,6 +56,22 @@ def test_excellent_lift_reduces_to_tp_mod_p():
     lift = excellent_lift(fam, periods, PadicContext(p, 4))
     for i, c in enumerate(lift.tsigma.coeffs):
         assert (c - (1 if i == p else 0)) % p == 0
+
+
+def test_excellent_lift_that_is_not_t_to_the_p_mod_p_is_a_violation(monkeypatch):
+    # t(q) + t^2 adds (q^p)^2 = t^10 + ... to t^sigma at p = 5 (gamma = 1)
+    fam = FamilySpec.hypercubic(2)
+    periods = PeriodData(fam, 20)
+    ctx = PadicContext(5, 4)
+    real = frobenius.reduced_q
+
+    def bent(periods, ctx):
+        q, tq = real(periods, ctx)
+        return q, tq + PadicSeries.t(ctx, tq.D) ** 2
+
+    monkeypatch.setattr(frobenius, "reduced_q", bent)
+    with pytest.raises(TheoremViolation, match="at degree 10$"):
+        excellent_lift(fam, periods, ctx)
 
 
 @pytest.mark.parametrize("kind", ["simplicial", "hypercubic", "hyperoctahedral", "an"])

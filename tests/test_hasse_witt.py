@@ -155,7 +155,7 @@ def test_cy_level1_matches_direct_decimation():
     p, Dt = 5, 15
     ctx = PadicContext(p, 4)
     lift = FrobLift.tp(ctx, Dt)
-    hw = cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 1, ctx, Dt)
+    hw = cy_hasse_witt(fam, lift, 1, ctx, Dt)
     one = PadicSeries.one(ctx, Dt)
     t = PadicSeries.t(ctx, Dt)
     f = LaurentPoly.one(2, one) - fam.g.map_coefficients(lambda c: t * c)
@@ -169,8 +169,8 @@ def test_cy_level2_dets_agree_across_bases():
     p, Dt = 3, 18
     ctx = PadicContext(p, 5)
     lift = FrobLift.tp(ctx, Dt)
-    hw_omega = cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 2, ctx, Dt, basis="omega")
-    hw_unit = cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 2, ctx, Dt, basis="unit")
+    hw_omega = cy_hasse_witt(fam, lift, 2, ctx, Dt, basis="omega")
+    hw_unit = cy_hasse_witt(fam, lift, 2, ctx, Dt, basis="unit")
     cut = Dt - p  # column 1 entries are only determined below the top p degrees
     assert hw_omega.hw.truncate(cut) == hw_unit.hw.truncate(cut)
 
@@ -180,10 +180,10 @@ def test_cy_guards():
     ctx = PadicContext(3, 3)
     lift = FrobLift.tp(ctx, 9)
     with pytest.raises(ConfigError):
-        cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 3, ctx, 9)
+        cy_hasse_witt(fam, lift, 3, ctx, 9)
     ctx5 = PadicContext(5, 3)
     with pytest.raises(ConfigError):
-        cy_hasse_witt(fam.g, fam.alpha, fam.gamma, FrobLift.tp(ctx5, 9), 0, ctx5, 9)
+        cy_hasse_witt(fam, FrobLift.tp(ctx5, 9), 0, ctx5, 9)
 
 
 def test_hw_json_roundtrip():
@@ -192,7 +192,7 @@ def test_hw_json_roundtrip():
     fam = FamilySpec.hyperoctahedral(2)
     ctx = PadicContext(3, 3)
     lift = FrobLift.tp(ctx, 9)
-    hw = cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 2, ctx, 9)
+    hw = cy_hasse_witt(fam, lift, 2, ctx, 9)
     obj = json.loads(hw.to_json())
     assert obj["level"] == 2 and obj["prime"] == 3 and obj["L_k"] == 1
     assert len(obj["entries"]) == 2
@@ -336,7 +336,7 @@ def test_cy_level2_forms_under_a_tenth_of_the_pairs(monkeypatch):
     lift = FrobLift.tp(ctx, Dt)
 
     def run():
-        return cy_hasse_witt(fam.g, fam.alpha, fam.gamma, lift, 2, ctx, Dt)
+        return cy_hasse_witt(fam, lift, 2, ctx, Dt)
 
     hw, counts = _pairs_outside_powers(monkeypatch, run)
     _assert_restricted(counts)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cartier.errors import ConfigError
+from cartier.errors import DomainError
 from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
 from cartier.series import PadicSeries
@@ -44,8 +44,8 @@ def test_explicit_lift_consistency():
     ctx = PadicContext(3, 4)
     D = 15
     v = PadicSeries(ctx, [1, 3, 9], D)
-    lift = FrobLift.explicit(ctx, v, D)
-    assert lift.tsigma == v.shift(ctx.p)
+    lift = FrobLift.from_tsigma(ctx, v.shift(ctx.p), kind="explicit")
+    assert lift.vsigma == v
     # composing t with the lift gives t^sigma itself
     t = PadicSeries.t(ctx, D)
     assert lift.on_series(t) == lift.tsigma
@@ -56,8 +56,31 @@ def test_explicit_lift_consistency():
 
 def test_explicit_lift_rejects_non_unit_v():
     ctx = PadicContext(3, 4)
-    with pytest.raises(ConfigError):
-        FrobLift.explicit(ctx, PadicSeries(ctx, [3, 1], 8), 8)
+    with pytest.raises(DomainError, match="at degree 3$"):
+        FrobLift.from_tsigma(ctx, PadicSeries(ctx, [3, 1], 8).shift(3), kind="explicit")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_from_tsigma_accepts_lifts_and_rejects_the_rest(p):
+    ctx = PadicContext(p, 4)
+    D = 3 * p
+    t = PadicSeries.t(ctx, D)
+    tp = t ** p
+    for ts in (tp * (1 + p), tp * (1 + p * t)):
+        assert FrobLift.from_tsigma(ctx, ts).tsigma == ts
+    # 2 t^p is not t^p mod p at degree p, t^p + t^(p+1) at degree p + 1
+    for ts, degree in ((tp * 2, p), (tp + tp * t, p + 1)):
+        with pytest.raises(DomainError, match="at degree %d$" % degree):
+            FrobLift.from_tsigma(ctx, ts)
+
+
+def test_one_over_v_is_built_once():
+    ctx = PadicContext(5, 3)
+    D = 15
+    t = PadicSeries.t(ctx, D)
+    lift = FrobLift.from_tsigma(ctx, t ** 5 * (1 + 5 * t))
+    assert lift.vinv is lift.vinv
+    assert lift.vinv * lift.vsigma == PadicSeries.one(ctx, D)
 
 
 def test_from_tsigma_recovers_v():
