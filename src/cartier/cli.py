@@ -214,8 +214,7 @@ def make_lift(spec, family, ctx, Dt):
     """The Frobenius lift of a --lift value: `harness.get_lift` builds tp and
     excellent, and explicit:FILE reads t^sigma from 'degree:int' tokens."""
     if not spec.startswith("explicit:"):
-        periods = harness.get_periods(family, Dt) if spec == "excellent" else None
-        return harness.get_lift(spec, family, periods, ctx, Dt)
+        return harness.get_lift(spec, family, ctx, Dt)
     with open(spec.split(":", 1)[1]) as fh:
         toks = fh.read().split()
     coeffs = [0] * (Dt + 1)

@@ -42,16 +42,18 @@ def _units(n, s=1):
 
 
 class FamilySpec:
-    """A completely symmetric family 1 - t g(x)."""
+    """A completely symmetric family 1 - t g(x).  Its maths depends only on
+    `key`, g and the group order; the kind chooses the algorithms."""
 
     __slots__ = ("kind", "n", "g", "alpha", "gamma", "group_order", "polytope", "vertices",
-                 "support_index")
+                 "support_index", "key")
 
     def __init__(self, kind, n, g, group_order):
         self.kind = kind
         self.n = n
         self.g = g
         self.group_order = group_order
+        self.key = (tuple(sorted(g.terms.items())), group_order)
         self.alpha = g.constant_term(0)
         P = newton_polytope(g)
         if not P.full_dimensional or not P.is_reflexive():
@@ -429,10 +431,9 @@ class PeriodData:
     coordinate q, are built on first read and kept in `_cache`.  `truncate`
     serves a lower degree from the same data without building it again."""
 
-    __slots__ = ("family", "D", "F", "_G", "_build_G", "_cache")
+    __slots__ = ("D", "F", "_G", "_build_G", "_cache")
 
     def __init__(self, family, D):
-        self.family = family
         self.D = D
         self.F, self._build_G = _periods(family, D)
         self._G = None
@@ -470,7 +471,7 @@ class PeriodData:
         if D > self.D:
             raise ConfigError("cannot extend periods of degree %d to %d" % (self.D, D))
         view = PeriodData.__new__(PeriodData)
-        view.family, view.D = self.family, D
+        view.D = D
         view.F, view._G = self.F.truncate(D), None
         view._build_G = lambda: self.G.truncate(D)
         view._cache = {name: series.truncate(D) for name, series in self._cache.items()}

@@ -90,13 +90,15 @@ def _report(check_id, params, target, excess, conjecture=False, notes=(), contro
 # shared caches (periods and lifts are pure functions of their keys)
 
 _FAMILY_CACHE = {}
-# (kind, n, D) -> PeriodData.  A miss is served by truncating the same
-# family's data at a larger degree, which is exact, and builds only when
-# D is above every cached degree; `_desk_checks` runs its primes in
-# descending order, so each family is built once, at its largest degree.
+# The stores below key on FamilySpec.key, so specs of any kind with the same
+# g and group order share them.  (key, D) -> PeriodData: a miss is served by
+# truncating the same key's data at a larger degree, which is exact, and
+# builds only when D is above every cached degree; `_desk_checks` runs its
+# primes in descending order, so each key is built once, at its largest D.
 _PERIOD_CACHE = {}
+# (key, p, N, Dt) -> the excellent lift
 _LIFT_CACHE = {}
-# (kind, n, p, N, Dt, lift kind) -> F mod p^N and F(t^sigma)
+# (key, p, N, Dt, lift kind) -> F mod p^N and F(t^sigma)
 _SIGMA_F_CACHE = {}
 
 
@@ -110,15 +112,12 @@ def get_family(kind, n):
 
 
 def get_periods(family, D):
-    """The PeriodData of a catalog family at degree D, cached by (kind, n, D);
-    a custom family is built afresh on every call."""
-    if family.kind == "custom":
-        return PeriodData(family, D)
-    key = (family.kind, family.n, D)
+    """The PeriodData of a family at degree D, cached by (family.key, D)."""
+    key = (family.key, D)
     periods = _PERIOD_CACHE.get(key)
     if periods is None:
         base = max(
-            (cached for (kind, n, _), cached in _PERIOD_CACHE.items() if (kind, n) == key[:2]),
+            (cached for (fkey, _), cached in _PERIOD_CACHE.items() if fkey == family.key),
             key=lambda cached: cached.D,
             default=None,
         )
@@ -127,16 +126,16 @@ def get_periods(family, D):
     return periods
 
 
-def get_lift(kind, family, periods, ctx, Dt):
+def get_lift(kind, family, ctx, Dt):
+    """The t^p lift, or the excellent lift of `family` from its periods at
+    degree Dt, cached by (family.key, p, N, Dt)."""
     if kind == "tp":
         return FrobLift.tp(ctx, Dt)
     if kind != "excellent":
         raise ConfigError("unknown lift kind %r" % (kind,))
-    key = (family.kind, family.n, ctx.p, ctx.N, Dt)
-    if family.kind == "custom":
-        return excellent_lift(family, periods, ctx)
+    key = (family.key, ctx.p, ctx.N, Dt)
     if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = excellent_lift(family, periods, ctx)
+        _LIFT_CACHE[key] = excellent_lift(family, get_periods(family, Dt), ctx)
     return _LIFT_CACHE[key]
 
 
@@ -146,13 +145,11 @@ def get_lift(kind, family, periods, ctx, Dt):
 
 def _lift_and_F(family, lift_kind, ctx, Dt):
     """The lift, F mod p^N and F(t^sigma) at degree Dt.  F and F(t^sigma)
-    are built once per key of `_SIGMA_F_CACHE`, and every time for a
-    custom family, whose key does not determine it."""
-    periods = get_periods(family, Dt)
-    lift = get_lift(lift_kind, family, periods, ctx, Dt)
-    key = (family.kind, family.n, ctx.p, ctx.N, Dt, lift_kind)
-    if family.kind == "custom" or key not in _SIGMA_F_CACHE:
-        F = reduce_mod(periods.F, ctx)
+    are built once per key of `_SIGMA_F_CACHE`."""
+    lift = get_lift(lift_kind, family, ctx, Dt)
+    key = (family.key, ctx.p, ctx.N, Dt, lift_kind)
+    if key not in _SIGMA_F_CACHE:
+        F = reduce_mod(get_periods(family, Dt).F, ctx)
         _SIGMA_F_CACHE[key] = F, lift.on_series(F)
     return (lift, *_SIGMA_F_CACHE[key])
 
@@ -569,11 +566,10 @@ def verify_modular_polynomial(p, Dt=None, control=False):
     check_id = "modular-polynomial/p%d" % p
     ctx = PadicContext(p, target + 2)
     family = get_family("hypercubic", 2)
-    periods = get_periods(family, Dt)
     if control:
         X = PadicSeries(ctx, [0] * p + [1], Dt)
     else:
-        X = get_lift("excellent", family, periods, ctx, Dt).tsigma
+        X = get_lift("excellent", family, ctx, Dt).tsigma
     excess = _eval_phi(phi, X, ctx, Dt).min_excess_ord(target)
     if control:
         return _report(check_id + "!tp-control", params, target, excess, control=True,
@@ -662,7 +658,7 @@ def verify_frobenius_structure(family, p, lift_kind="excellent", Dt=None, contro
     check_id = "frobenius-structure/%s-n%d-p%d-%s" % (family.kind, family.n, p, lift_kind)
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
-    lift = get_lift(lift_kind, family, periods, ctx, Dt)
+    lift = get_lift(lift_kind, family, ctx, Dt)
     data = frobenius_matrix(family, periods, lift, ctx)
     target = ctx.N
     if control:

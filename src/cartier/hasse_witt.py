@@ -1,8 +1,8 @@
 """Level-k Hasse-Witt matrices and their normalized determinants.
 
-Determinants are `exactla.det` over PadicSeries entries; it returns the int
-0 when every term vanishes, so each is taken back into the coefficient ring
-by `_constant` before dividing by p^L_k."""
+Every entry is a PadicSeries, a term missing from a Cartier image reading
+as the zero series, so `exactla.det` of the entries is a PadicSeries of the
+same ring, which is divided by p^L_k."""
 
 import json
 from operator import add
@@ -101,11 +101,11 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
     basis x^u, u in (k mu), level-major order.
 
     Entry (i, j) is the coefficient of x^(u_j) in Phi(x^(u_i) * F^(k)).
-    """
+    The coefficients of f are PadicSeries over ctx."""
     p = ctx.p
     points, L_k = level_points(newton_polytope(f), k, region)
     Fk = F_k_polynomial(f, lift, k, ctx, points)
-    one = _ring_one(f, ctx)
+    zero = PadicSeries.zero(ctx, next(iter(f.terms.values())).D)
     point_set = set(points)
     entries = []
     for u in points:
@@ -116,38 +116,24 @@ def hasse_witt_matrix(f, lift, k, region, ctx):
             raise TheoremViolation(
                 "Cartier image supported outside the level-%d region at %r" % (k, extra[0])
             )
-        entries.append([_constant(img.coeff(v, 0), one) for v in points])
-    hw = _normalized_det(entries, one, k, L_k)
+        entries.append([img.coeff(v, zero) for v in points])
+    hw = _normalized_det(entries, ctx, k, L_k)
     return HasseWittMatrix(k, p, ctx.N, list(points), entries, L_k, hw)
 
 
-def _normalized_det(rows, one, k, L_k):
-    """det HW^(k) / p^L_k in the coefficient ring whose one is `one`, which
-    keeps a digit only when its precision N exceeds L_k."""
-    if one.ctx.N <= L_k:
+def _normalized_det(rows, ctx, k, L_k):
+    """det HW^(k) / p^L_k for PadicSeries entries over ctx, which keeps a
+    digit only when the precision N exceeds L_k."""
+    if ctx.N <= L_k:
         raise ConfigError(
             "precision %d leaves no digit of det HW^(%d) / p^%d; "
-            "the least precision that works is %d" % (one.ctx.N, k, L_k, L_k + 1)
+            "the least precision that works is %d" % (ctx.N, k, L_k, L_k + 1)
         )
     try:
-        return _constant(det(rows), one).divide_exact_p(L_k)
+        return det(rows).divide_exact_p(L_k)
     except ReductionError as exc:
         raise TheoremViolation("det HW^(%d) not divisible by p^%d: %s" % (k, L_k, exc))
 
-
-def _ring_one(f, ctx):
-    """The one of f's coefficient ring: a PadicSeries at the degree bound of
-    f's coefficients, at degree 0 when they are scalars."""
-    c = next(iter(f.terms.values()), 0)
-    return PadicSeries.one(ctx, c.D if isinstance(c, PadicSeries) else 0)
-
-
-def _constant(c, one):
-    """A coefficient c (a scalar such as the int 0 of a missing term, or a
-    series) as an element of the coefficient ring whose one is `one`."""
-    if isinstance(c, PadicSeries):
-        return c
-    return PadicSeries.constant(one.ctx, c, one.D)
 
 
 def cy_hasse_witt(family, lift, k, ctx, Dt, basis="omega"):
@@ -169,14 +155,15 @@ def cy_hasse_witt(family, lift, k, ctx, Dt, basis="omega"):
         raise DomainError("k < p required")
     g, n, verts = family.g, family.n, family.vertices
     one = PadicSeries.one(ctx, Dt)
+    zero = PadicSeries.zero(ctx, Dt)
     t = PadicSeries.t(ctx, Dt)
     f = LaurentPoly.one(n, one) - g.map_coefficients(lambda c: t * c)
     v1 = verts[0]
-    zero = (0,) * n
+    origin = (0,) * n
     if k == 1:
-        img = cartier_poly(F_k_polynomial(f, lift, 1, ctx, [zero]), p)
+        img = cartier_poly(F_k_polynomial(f, lift, 1, ctx, [origin]), p)
         _check_cy_support(img, verts, 1)
-        entry = _constant(img.constant_term(0), one)
+        entry = img.constant_term(zero)
         return HasseWittMatrix(1, p, ctx.N, ["1"], [[entry]], 0, entry)
     tg = g.map_coefficients(lambda c: t * c)
     if basis == "omega":
@@ -191,12 +178,12 @@ def cy_hasse_witt(family, lift, k, ctx, Dt, basis="omega"):
     gamma_inv = unit_inverse(family.gamma, ctx)
     rows = []
     for bi in (b1, tg):
-        img = cartier_poly(mul_classes(bi, Fk, p, [zero]), p)
+        img = cartier_poly(mul_classes(bi, Fk, p, [origin]), p)
         _check_cy_support(img, verts, 2)
-        C0 = _constant(img.constant_term(0), one)
-        Cv = _constant(img.coeff(v1, 0), one)
+        C0 = img.constant_term(zero)
+        Cv = img.coeff(v1, zero)
         for w in verts[1:]:
-            if _constant(img.coeff(w, 0), one) != Cv:
+            if img.coeff(w, zero) != Cv:
                 raise TheoremViolation("vertex coefficients are not symmetric")
         c1 = Cv.shift_div(p) * lift.vinv * gamma_inv
         c0 = C0 - Cv * family.alpha * gamma_inv
@@ -207,7 +194,7 @@ def cy_hasse_witt(family, lift, k, ctx, Dt, basis="omega"):
             rows.append([c0, c0 + c1])
         else:
             rows.append([c0, c1])
-    return HasseWittMatrix(2, p, ctx.N, labels, rows, 1, _normalized_det(rows, one, 2, 1))
+    return HasseWittMatrix(2, p, ctx.N, labels, rows, 1, _normalized_det(rows, ctx, 2, 1))
 
 
 def _check_cy_support(img, verts, k):

@@ -40,16 +40,25 @@ def test_det_matches_leibniz_on_random_int_matrices():
             assert got == _leibniz(rows), rows
 
 
-def test_det_all_zero_2x2_terms_give_the_int_zero():
-    ctx = PadicContext(5, 3)
-    s = PadicSeries(ctx, [1, 2, 3], 4)
-    # a d and b c each have a zero factor: no product is formed
-    for rows in ([[s, 0], [s, 0]], [[0, s], [0, s]], [[s, s], [0, 0]], [[0, 0], [0, 0]]):
-        got = det(rows)
-        assert type(got) is int and got == 0
-    # a 3x3 whose every 2x2 minor of the last two rows vanishes
-    got = det([[s, s, s], [s, 0, 0], [s, 0, 0]])
-    assert type(got) is int and got == 0
-    assert det([[s, 0], [0, s]]) == s * s
-    assert det([[0, s], [s, 0]]) == -(s * s)
-    assert det([[1, 2], [3, 4]]) == -2
+def _random_series(rng, ctx, D):
+    """The zero series two times in five, else residues that are mostly zero."""
+    if rng.random() < 0.4:
+        return PadicSeries.zero(ctx, D)
+    return PadicSeries(ctx, [rng.choice((0, 0, 1, rng.randrange(ctx.modulus))) for _ in range(D + 1)], D)
+
+
+def test_det_over_series_stays_in_the_entries_ring():
+    rng = random.Random(20261019)
+    ctx, D = PadicContext(5, 3), 4
+    zeros = 0
+    for n in range(1, 5):
+        for trial in range(60):
+            rows = [[_random_series(rng, ctx, D) for _ in range(n)] for _ in range(n)]
+            if n >= 2 and trial % 3 == 0:
+                # a repeated row or a row of zero series: the det is zero
+                rows[-1] = list(rows[0]) if trial % 2 else [PadicSeries.zero(ctx, D)] * n
+            got = det(rows)
+            assert type(got) is PadicSeries and got.ctx is ctx and got.D == D
+            assert got == _leibniz(rows), rows
+            zeros += got.is_zero()
+    assert zeros >= 40

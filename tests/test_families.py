@@ -355,13 +355,14 @@ def test_vertex_coefficients_reject_negative_multiples():
 def test_W_is_built_only_when_read(monkeypatch):
     # a check that reads only F (dwork with the t^p lift) leaves the
     # Wronskian unbuilt; hw-congruences reads W, which fills the cache
-    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
+    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
+        monkeypatch.setattr(harness, cache, {})
     family = FamilySpec.hypercubic(2)
     assert harness.verify_dwork(family, 3, 1, 1, Dt=27).status == harness.PASS
     (periods,) = harness._PERIOD_CACHE.values()
     assert "W" not in periods._cache
     assert harness.verify_hw_congruences(family, 3, Dt=27).status == harness.PASS
-    assert harness._PERIOD_CACHE == {("hypercubic", 2, 27): periods}
+    assert harness._PERIOD_CACHE == {(family.key, 27): periods}
     W = periods._cache["W"]
     assert periods.W is W
 
@@ -419,18 +420,28 @@ def period_builds(monkeypatch):
         return build(family, D)
 
     monkeypatch.setattr(families, "_periods", counted)
-    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
-    monkeypatch.setattr(harness, "_LIFT_CACHE", {})
+    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
+        monkeypatch.setattr(harness, cache, {})
     return builds
 
 
+def _key(kind, n):
+    return FamilySpec.by_name(kind, n).key
+
+
+def _largest_cached_degree(key):
+    return max(d for k, d in harness._PERIOD_CACHE if k == key)
+
+
 def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
+    # simplicial, hypercubic and hyperoctahedral n = 1 are one family,
+    # g = x + 1/x with group order 2, so 13 catalog specs make 11 builds
     reports = harness.run_suite("desk")
     assert len(reports) == 186
-    assert len(period_builds) == 13
-    assert {(kind, n) for kind, n, _ in period_builds} == set(CATALOG)
+    assert len(period_builds) == 11
+    assert {_key(kind, n) for kind, n, _ in period_builds} == {_key(*kn) for kn in CATALOG}
     for kind, n, D in period_builds:
-        assert D == max(d for k, m, d in harness._PERIOD_CACHE if (k, m) == (kind, n))
+        assert D == _largest_cached_degree(_key(kind, n))
 
 
 def test_a_request_above_every_cached_degree_builds(period_builds):
@@ -442,6 +453,26 @@ def test_a_request_above_every_cached_degree_builds(period_builds):
     assert harness.get_periods(family, 75).D == 75
     assert len(period_builds) == 2
     assert large.D == 147
+
+
+def test_n1_catalog_kinds_share_one_key():
+    # simplicial, hypercubic and hyperoctahedral n = 1 are all g = x + 1/x
+    # with group order 2; an n = 1 is g = 2 + x + 1/x
+    keys = {FamilySpec.by_name(kind, 1).key for kind in ("simplicial", "hypercubic", "hyperoctahedral")}
+    assert len(keys) == 1 and FamilySpec.a_n(1).key not in keys
+
+
+def test_stores_keep_the_group_order_in_the_key(period_builds):
+    # simplicial n = 2's g with group order 1 has an excellent lift at p = 3,
+    # which must not serve the catalog spec, whose group order 6 p divides
+    catalog = FamilySpec.simplicial(2)
+    custom = FamilySpec.custom(catalog.g)
+    ctx = PadicContext(3, 4)
+    assert harness.get_lift("excellent", custom, ctx, 27).kind == "excellent"
+    with pytest.raises(DomainError, match="divides"):
+        harness.get_lift("excellent", catalog, ctx, 27)
+    with pytest.raises(DomainError, match="divides"):
+        harness.verify_dwork(catalog, 3, 1, lift_kind="excellent", Dt=27)
 
 
 @pytest.fixture
@@ -467,12 +498,14 @@ def G_builds(monkeypatch):
 
 def test_desk_builds_G_once_for_each_family_that_reads_it(G_builds):
     harness.run_suite("desk")
-    assert sorted((kind, n) for kind, n, _ in G_builds) == [
+    # hypercubic n = 1 shares its key with simplicial and hyperoctahedral n = 1
+    keys = [_key(kind, n) for kind, n, _ in G_builds]
+    assert sorted(keys) == sorted(_key(*kn) for kn in [
         ("hypercubic", 1), ("hypercubic", 2), ("hypercubic", 3), ("hyperoctahedral", 2),
         ("simplicial", 2),
-    ]
+    ])
     for kind, n, D in G_builds:
-        assert D == max(d for k, m, d in harness._PERIOD_CACHE if (k, m) == (kind, n))
+        assert D == _largest_cached_degree(_key(kind, n))
 
 
 @pytest.mark.parametrize("kind,n", [("hypercubic", 2), ("hyperoctahedral", 3), ("an", 2)])
@@ -530,7 +563,7 @@ def test_integer_period_layer_keeps_a_non_integral_G_exact():
     # reduce_mod is where it fails
     p, D = 5, 12
     periods = PeriodData.__new__(PeriodData)
-    periods.family, periods.D, periods._cache = None, D, {}
+    periods.D, periods._cache = D, {}
     periods.F = PeriodData(FamilySpec.hypercubic(2), D).F
     periods.G = RationalSeries([0, Fraction(1, p), 0, Fraction(1, p * p)], D)
     got = integer_layer(periods)

@@ -92,29 +92,41 @@ def test_square_family_level2_structure():
     assert hw.entries[0][0] == PadicSeries.one(ctx, Dt)
 
 
-def test_square_level3_det_is_divisible_by_p_to_L_k(monkeypatch):
-    # 16 is the default precision of `hw` at level 3, L_3 + 3
-    p, Dt = 5, 12
-    ctx = PadicContext(p, 16)
+def _assert_square_det_divisible(monkeypatch, k, N, Dt, L_k):
+    """det HW^(k) of the square family at p = 5 and precision N is a nonzero
+    multiple of p^L_k, and hw is the quotient."""
+    p = 5
+    ctx = PadicContext(p, N)
     f = _square_f(ctx, Dt)
-    region = _half_open_region(newton_polytope(f), 3)
+    region = _half_open_region(newton_polytope(f), k)
     lift = FrobLift.tp(ctx, Dt)
-    hw = hasse_witt_matrix(f, lift, 3, region, ctx)
-    assert hw.L_k == 13
+    hw = hasse_witt_matrix(f, lift, k, region, ctx)
+    assert hw.L_k == L_k
     d = det(hw.entries)
-    assert d and all(c % p ** 13 == 0 for c in d.coeffs)
-    assert hw.hw.coeffs == [c // p ** 13 for c in d.coeffs]
+    assert d and all(c % p ** L_k == 0 for c in d.coeffs)
+    assert hw.hw.coeffs == [c // p ** L_k for c in d.coeffs]
 
     # negative control: one more unit on the last diagonal entry leaves a
-    # determinant that p^13 does not divide
+    # determinant that p^L_k does not divide
     def perturbed(rows):
         rows = [list(row) for row in rows]
         rows[-1][-1] = rows[-1][-1] + PadicSeries.one(ctx, Dt)
         return det(rows)
 
     monkeypatch.setattr(hasse_witt, "det", perturbed)
-    with pytest.raises(TheoremViolation, match=r"not divisible by p\^13"):
-        hasse_witt_matrix(f, lift, 3, region, ctx)
+    with pytest.raises(TheoremViolation, match=r"not divisible by p\^%d" % L_k):
+        hasse_witt_matrix(f, lift, k, region, ctx)
+
+
+def test_square_level3_det_is_divisible_by_p_to_L_k(monkeypatch):
+    # 16 is the default precision of `hw` at level 3, L_3 + 3
+    _assert_square_det_divisible(monkeypatch, 3, 16, 12, 13)
+
+
+def test_square_level4_det_is_divisible_by_p_to_L_k(monkeypatch):
+    # 38 is the default precision of `hw` at level 4, L_4 + 4; at Dt = 20
+    # the determinant is 0 mod p^38 and the control could not fire
+    _assert_square_det_divisible(monkeypatch, 4, 38, 30, 34)
 
 
 def test_extended_basis_division_identity():
@@ -173,6 +185,21 @@ def test_cy_level2_dets_agree_across_bases():
     hw_unit = cy_hasse_witt(fam, lift, 2, ctx, Dt, basis="unit")
     cut = Dt - p  # column 1 entries are only determined below the top p degrees
     assert hw_omega.hw.truncate(cut) == hw_unit.hw.truncate(cut)
+
+
+@pytest.mark.parametrize("basis", ["omega", "unit"])
+def test_cy_terms_missing_from_the_image_read_as_the_zero_series(basis, monkeypatch):
+    # every Cartier image emptied: each entry, and the det, is the zero
+    # series of the ring, at degree Dt
+    fam = FamilySpec.hypercubic(2)
+    p, Dt = 5, 15
+    ctx = PadicContext(p, 4)
+    lift = FrobLift.tp(ctx, Dt)
+    monkeypatch.setattr(hasse_witt, "cartier_poly", lambda F, p: LaurentPoly(F.n, {}))
+    for k in (1, 2):
+        hw = cy_hasse_witt(fam, lift, k, ctx, Dt, basis=basis)
+        for s in [e for row in hw.entries for e in row] + [hw.hw]:
+            assert type(s) is PadicSeries and s.is_zero() and s.D == Dt
 
 
 def test_cy_guards():
