@@ -4,28 +4,31 @@ coordinate.
 
 A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
 whose non-constant support consists of the vertices v_i of a reflexive
-polytope.  Period series are computed by closed forms for the named
-families and by enumeration of the relation lattice of the vertices for
-custom ones; the tests compare the two paths on the catalog.  Both keep F
-in integers and G, built on first read, in integers over one common
-denominator.  The same split gives the coefficients [x^{c v_1}] g^k along
-the first vertex (`vertex_coefficients`); c = 0 is F.  The closed forms of `an` and
-`hyperoctahedral` are products of the series E_c(z) = sum_w z^w/(w!(w+c)!),
-taken in ints by one convolution (`_e_terms`); for c = 0 it is the
-binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
-e_j(k) = (k!)^2 [t^k] E_0^j.  In the enumeration, a relation
-ell_1 v_1 + sum_{i>=2} ell_i v_i = 0 with its v_1 exponent shifted to
-ell_1 + c >= 0 is a monomial of g^k at x^{c v_1}, and the weights are sums
-of multinomials, so these coefficients are exact ints too.
+polytope.  The coefficients [x^u] g^k are taken from one closed form per
+named kind (`_closed_terms`, as summands c, r with [x^u] g^k = c sum(r)) and
+by enumeration of the relation lattice of the vertices for custom ones; the
+tests compare the two paths on the catalog.  F is the coefficient at u = 0,
+and `vertex_coefficients` reads it along the first vertex, u = c v_1.  G
+takes F's summands again with the harmonic numbers, one (step, w) per kind.
+Both paths keep F in integers and G, built on first read, in integers over
+one common denominator.  The summands of `an` and `hyperoctahedral` are
+those of products of the series E_c(z) = sum_w z^w/(w!(w+c)!), taken in
+ints by one convolution (`_e_terms`); for c = 0 it is the binomial-square
+convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where e_j(k) = (k!)^2 [t^k]
+E_0^j.  In the enumeration, a relation ell_1 v_1 + sum_{i>=2} ell_i v_i = 0
+with its v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k at
+x^{c v_1}, and the weights are sums of multinomials, so these coefficients
+are exact ints too.
 
-W, q, A, B and the mirror map are RationalSeries formulas in F and
-l = G/F.  A RationalSeries keeps an integral coefficient as an int, and for
-the catalog theta(l) is integral, so these products and recurrences run in
-ints; a family that is not p-integral keeps its exact value in Q and fails
-in reduce_mod.
+G, l = G/F, W and q are cached properties of `PeriodData`; W, q, A, B and
+the mirror map are RationalSeries formulas in F and l.  A RationalSeries
+keeps an integral coefficient as an int, and for the catalog theta(l) is
+integral, so these products and recurrences run in ints; a family that is
+not p-integral keeps its exact value in Q and fails in reduce_mod.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import comb, factorial, lcm, prod
 from operator import add, mul
@@ -155,38 +158,34 @@ def _e_terms(us, M):
         S = T
 
 
+# the (step, w) of each catalog kind's G: F_k is nonzero only at multiples
+# of step, and G_k = w (H_k F_k - c sum_i r_i H_(k/step - i)) for the
+# summands (c, r) of F_k.  For `hyperoctahedral` and `an` these are
+# (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)) and 2 (k!)^2 [t^k] (H_k E^(n+1) -
+# E_H E^n), where E = E_0 and E_H = sum_j H_j t^j/(j!)^2: the summands of
+# e_n(k) are C(k,j)^2 e_(n-1)(j), which E_H weights by H_(k-j)
+_G_STEPS = {
+    "simplicial": lambda n: (n + 1, 1),
+    "hypercubic": lambda n: (2, n),
+    "hyperoctahedral": lambda n: (2, 1),
+    "an": lambda n: (1, 2),
+}
+
+
 def _closed_FG(family, D):
     """F in ints, and a function that builds G in ints over L = lcm(1..D)
-    from the harmonic numbers L H_j of _harmonics.  At t^(step k) the closed
-    form is F = c sum(r) for summands r_0..r_k, and
-    G = w (H_(step k) F - c sum_i r_i H_(k-i)); the function takes the
-    summands again, so that F alone costs no harmonic sums."""
-    kind, n = family.kind, family.n
-    if kind == "simplicial":
-        step, w, summands = n + 1, 1, lambda: (
-            (factorial(step * k) // factorial(k) ** step, [1]) for k in range(D // step + 1))
-    elif kind == "hypercubic":
-        step, w, summands = 2, n, lambda: ((comb(2 * k, k) ** n, [1]) for k in range(D // 2 + 1))
-    elif kind == "hyperoctahedral":
-        # (2k)! [t^k] E^n and (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)), where
-        # E = E_0 and E_H = sum_j H_j t^j/(j!)^2; the summands of e_n(k) are
-        # C(k,j)^2 e_(n-1)(j), which E_H weights by H_(k-j)
-        step, w, summands = 2, 1, lambda: (
-            (comb(2 * k, k), r) for k, r in enumerate(_e_terms((0,) * n, D // 2)))
-    elif kind == "an":
-        # (k!)^2 [t^k] E^(n+1) and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n)
-        step, w, summands = 1, 2, lambda: ((1, r) for r in _e_terms((0,) * (n + 1), D))
-    else:
-        raise ConfigError("no closed form for kind %r" % (kind,))
-    F = [0] * (D + 1)
-    for k, (c, r) in enumerate(summands()):
-        F[step * k] = c * sum(r)
+    from the harmonic numbers L H_j of _harmonics.  F_k = c sum(r) for the
+    summands (c, r) of _closed_terms at u = 0, and G takes them with the
+    kind's (step, w) of _G_STEPS; the function takes the summands again, so
+    that F alone costs no harmonic sums."""
+    origin = (0,) * family.n
+    F = [c * sum(r) for c, r in _closed_terms(family, origin, D)]
 
     def build_G():
+        step, w = _G_STEPS[family.kind](family.n)
         L, H = _harmonics(D)
-        G = [0] * (D + 1)
-        for k, (c, r) in enumerate(summands()):
-            G[step * k] = w * (H[step * k] * F[step * k] - c * sum(map(mul, r, H[k::-1])))
+        G = [w * (H[k] * f - c * sum(map(mul, r, H[k // step :: -1])))
+             for k, (f, (c, r)) in enumerate(zip(F, _closed_terms(family, origin, D)))]
         return RationalSeries([quo(x, L) for x in G])
 
     return RationalSeries(F), build_G
@@ -335,23 +334,30 @@ def _shifted_terms(family, weights, c, D):
             yield d, ell1, term * alpha ** m * gamma ** total * val
 
 
-def _closed_vertex(family, u, D):
-    """[x^u] g^k for k = 0..D in ints, for a catalog family and any u; S is
-    sum(u) and E_c is the series of _e_terms."""
+def _closed_terms(family, u, D):
+    """[x^u] g^k for k = 0..D, for a catalog family and any u, as pairs
+    (c, r) with [x^u] g^k = c sum(r); a zero coefficient is (0, ()).  r is
+    the list of _e_terms summands for `hyperoctahedral` and `an`, and (1,)
+    otherwise.  S is sum(u) and E_c is the series of _e_terms."""
     kind, n, S = family.kind, family.n, sum(u)
     if kind == "hypercubic":
         # prod_i C(k, (k+|u_i|)/2), 0 unless k = u_i mod 2
         return [
-            prod(comb(k, (k + abs(x)) // 2) for x in u) if all((k - x) % 2 == 0 for x in u) else 0
+            (prod(comb(k, (k + abs(x)) // 2) for x in u), (1,))
+            if all((k - x) % 2 == 0 for x in u) else (0, ())
             for k in range(D + 1)
         ]
-    out = [0] * (D + 1)
+    if kind == "an":
+        # g = sum_{i,j=0..n} x_i/x_j with x_0 = 1, so [x^u] g^k = (k!)^2 [z^k] of
+        # the product over u_1..u_n and u_0 = -S, which is R_k for shift sum 0
+        return [(1, r) if r else (0, ()) for r in _e_terms(tuple(u) + (-S,), D)]
+    out = [(0, ())] * (D + 1)
     if kind == "simplicial":
         # b factors 1/(x_1..x_n) and u_i + b factors x_i: k = S + (n+1) b
         b0 = max(0, -min(u))
         for k in range(S + (n + 1) * b0, D + 1, n + 1):
             b = (k - S) // (n + 1)
-            out[k] = factorial(k) // (factorial(b) * prod(factorial(x + b) for x in u))
+            out[k] = factorial(k) // (factorial(b) * prod(factorial(x + b) for x in u)), (1,)
     elif kind == "hyperoctahedral":
         # k! [z^k] prod_i z^{|u_i|} E_{|u_i|}(z^2) = C(k, w) R_{w+T} at
         # k = 2w + T, for the shifts |u_i|
@@ -359,11 +365,7 @@ def _closed_vertex(family, u, D):
         if T <= D:
             R = _e_terms([abs(x) for x in u], (D + T) // 2)
             for w in range((D - T) // 2 + 1):
-                out[2 * w + T] = comb(2 * w + T, w) * sum(R[w + T])
-    elif kind == "an":
-        # g = sum_{i,j=0..n} x_i/x_j with x_0 = 1, so [x^u] g^k = (k!)^2 [z^k] of
-        # the product over u_1..u_n and u_0 = -S, which is R_k for shift sum 0
-        out = list(map(sum, _e_terms(tuple(u) + (-S,), D)))
+                out[2 * w + T] = comb(2 * w + T, w), R[w + T]
     else:
         raise ConfigError("no closed form for kind %r" % (kind,))
     return out
@@ -372,13 +374,14 @@ def _closed_vertex(family, u, D):
 def vertex_coefficients(family, D, cs):
     """For each c in cs, the exact coefficients [x^{c v_1}] g^k, k = 0..D, of
     1/(1 - t g) along the first vertex v_1, as a list of D + 1 ints.  The
-    catalog families take closed forms (_closed_vertex); a custom family
-    takes them all from one enumeration of the relation lattice."""
+    catalog families sum the pairs of _closed_terms; a custom family takes
+    them all from one enumeration of the relation lattice."""
     if any(c < 0 for c in cs):
         raise ConfigError("vertex multiples must be >= 0")
     v1 = family.vertices[0]
     if family.kind != "custom":
-        return [_closed_vertex(family, [c * x for x in v1], D) for c in cs]
+        return [[a * sum(r) for a, r in _closed_terms(family, [c * x for x in v1], D)]
+                for c in cs]
     weights = _weights_to_degree(family, D)
     out = []
     for c in cs:
@@ -426,55 +429,55 @@ def _periods(family, D):
 
 
 class PeriodData:
-    """F and G to degree D.  F is built with the data, G on its first read.
-    Series derived from them, l = G/F, the Wronskian W and the canonical
-    coordinate q, are built on first read and kept in `_cache`.  `truncate`
-    serves a lower degree from the same data without building it again."""
-
-    __slots__ = ("D", "F", "_G", "_build_G", "_cache")
+    """F and G to degree D.  F is built with the data; G, l = G/F, the
+    Wronskian W and the canonical coordinate q are cached properties, built
+    on first read.  `truncate` serves a lower degree from the same data
+    without building it again."""
 
     def __init__(self, family, D):
         self.D = D
         self.F, self._build_G = _periods(family, D)
-        self._G = None
         if self.F[0] != 1:
             raise DomainError("F(0) != 1")
-        self._cache = {}
 
-    @property
+    @cached_property
     def G(self):
-        if self._G is None:
-            G = self._build_G()
-            if G[0] != 0:
-                raise DomainError("G(0) != 0")
-            self._G = G
-        return self._G
+        G = self._build_G()
+        if G[0] != 0:
+            raise DomainError("G(0) != 0")
+        return G
 
-    @G.setter
-    def G(self, G):
-        self._G = G
+    @cached_property
+    def l(self):
+        """l = G/F = log(q/t), as (G L) F^-1 (1/L) over the lcm L of G's
+        denominators, so that the product is taken in ints.  theta(l) is
+        integral for the catalog families."""
+        L = lcm(*(c.denominator for c in self.G._c))
+        return self.G * L * self.F.invert() * Fraction(1, L)
 
-    @property
+    @cached_property
     def W(self):
         """The Wronskian W = F^2 + F thetaG - thetaF G = F^2 (1 + theta(G/F))."""
-        W = self._cache.get("W")
-        if W is None:
-            W = self._cache["W"] = self.F * self.F * (_log_u(self).theta() + 1)
-        return W
+        return self.F * self.F * (self.l.theta() + 1)
+
+    @cached_property
+    def q(self):
+        """q(t) = t exp(G(t)/F(t))."""
+        return self.l.exp().shift(1)
 
     def truncate(self, D):
         """The same data at degree D <= self.D, without calling `__init__`:
-        F and every series in `_cache` cut at D, and G cut from self's on
-        first read, so it is built once.  Any other series first read later
-        is built at D on the result.  This is exact, as each derived series
-        is causal over Q: its coefficient k reads only coefficients <= k."""
+        every series already built cut at D, and G, if not built yet, cut
+        from self's on first read, so it is built once.  Any other series
+        first read later is built at D on the result.  This is exact, as each
+        derived series is causal over Q: its coefficient k reads only
+        coefficients <= k."""
         if D > self.D:
             raise ConfigError("cannot extend periods of degree %d to %d" % (self.D, D))
         view = PeriodData.__new__(PeriodData)
-        view.D = D
-        view.F, view._G = self.F.truncate(D), None
-        view._build_G = lambda: self.G.truncate(D)
-        view._cache = {name: series.truncate(D) for name, series in self._cache.items()}
+        vars(view).update(
+            (name, s.truncate(D)) for name, s in vars(self).items() if isinstance(s, RationalSeries))
+        view.D, view._build_G = D, lambda: self.G.truncate(D)
         return view
 
     def truncated_F(self, Nt):
@@ -482,18 +485,6 @@ class PeriodData:
         if Nt < 1:
             raise ConfigError("truncation order must be >= 1")
         return RationalSeries(self.F._c[:Nt], self.D)
-
-
-def _log_u(periods):
-    """l = G/F = log(q/t), as (G L) F^-1 (1/L) over the lcm L of G's
-    denominators, so that the product is taken in ints; kept in the cache.
-    theta(l) is integral for the catalog families."""
-    l = periods._cache.get("l")
-    if l is None:
-        F, G = periods.F, periods.G
-        L = lcm(*(c.denominator for c in G._c))
-        l = periods._cache["l"] = G * L * F.invert() * Fraction(1, L)
-    return l
 
 
 def ab_coefficients(periods):
@@ -508,12 +499,8 @@ def ab_coefficients(periods):
 
 
 def canonical_q(periods):
-    """q(t) = t exp(G(t)/F(t)); built once per PeriodData and kept in its
-    cache."""
-    q = periods._cache.get("q")
-    if q is None:
-        q = periods._cache["q"] = _log_u(periods).exp().shift(1)
-    return q
+    """q(t) = t exp(G(t)/F(t)), built once per PeriodData."""
+    return periods.q
 
 
 def mirror_map(periods):
@@ -521,7 +508,7 @@ def mirror_map(periods):
     Lagrange inversion: [q^k] t = (1/k) [t^(k-1)] exp(-k l).  theta(l) is
     taken once, and each exp runs its recurrence on theta(-k l) = -k theta(l),
     in ints for the catalog families."""
-    l = _log_u(periods)
+    l = periods.l
     th = l.theta()._c
     t = [0] + [quo(exp_from_theta([-k * c for c in th[:k]], k - 1)[k - 1], k)
                for k in range(1, l.D + 1)]

@@ -691,7 +691,7 @@ def _pq_from_expansion(n, Q):
     return out
 
 
-def verify_pq(p, s, n, Dt=None, interpretation="literal"):
+def verify_pq(p, s, n, Dt=None):
     """P_{p^s}(t) = (F(t)/F(t^sigma)) P_{p^{s-1}}(t^sigma) mod p^{2s} for the
     hypercubic family, cleared of t^{-Q} prefactors by multiplying through
     by t^{p^s} and cross-multiplying by F(t^sigma)."""
@@ -701,7 +701,7 @@ def verify_pq(p, s, n, Dt=None, interpretation="literal"):
         Dt = 3 * p * p
     target = 2 * s
     params = {"family": "hypercubic", "n": n, "p": p, "s": s, "Dt": Dt,
-              "interpretation": interpretation}
+              "interpretation": "literal"}
     check_id = "pq/n%d-p%d-s%d" % (n, p, s)
     if Dt < p ** s:
         return _report(check_id, params, target, None)

@@ -138,17 +138,6 @@ class LaurentPoly:
         p.terms = {tuple(k * e for e in u): c for u, c in self.terms.items()}
         return p
 
-    def theta_x(self, i):
-        """x_i d/dx_i."""
-        out = {}
-        for u, c in self.terms.items():
-            s = c * u[i]
-            if s:
-                out[u] = s
-        p = LaurentPoly(self.n)
-        p.terms = out
-        return p
-
     def constant_term(self, default=0):
         return self.terms.get((0,) * self.n, default)
 

@@ -1,5 +1,5 @@
-"""Newton polytopes: facet inequalities, reflexivity, the degree function,
-region lattice points and the support-lattice index.
+"""Newton polytopes: facet inequalities, reflexivity, region lattice
+points and the support-lattice index.
 
 A facet normal is the vector of signed maximal minors of the differences
 q_i - q_0 of n points, formed one row at a time (`_wedge`) so that subsets
@@ -46,12 +46,6 @@ class Polytope:
 
     def is_reflexive(self):
         return all(c == 1 for _, c in self.require_facets())
-
-    def degree_of_point(self, u):
-        """max_i <a_i, u> clamped below at 0; the level of u for reflexive Delta."""
-        if not self.is_reflexive():
-            raise DomainError("degree function requires a reflexive polytope")
-        return max([0] + [sum(map(mul, a, u)) for a, _c in self.facets])
 
     def contains(self, u, scale=1, strict=False, strict_facets=None):
         """Is u in scale*Delta (strict: in the interior / off listed facets)?"""

@@ -333,6 +333,12 @@ def test_hw_golden_bytes(argv, digest, capsys):
         # degree 147 as in the benchmark's lift, where the mirror map is longest
         ("periods --family hyperoctahedral --n 2 --degree 147 --format json",
          "ed7405f9c25fb8da9a387d2539f0480607a0e0319723029b86c21f65e1b06b6b"),
+        # recorded while F of the two kinds whose summands are (1,) had
+        # closed forms of their own
+        ("periods --family simplicial --n 2 --degree 40 --format json",
+         "e7674d9b6e5a25f217b78d7c868760cedb3cd137da9a3795420fce9fe83e9340"),
+        ("periods --family hypercubic --n 3 --degree 40 --format json",
+         "031bd0a5200c5f26037f7ec53b3ad6e566b540ba948161cafa21421ef76e0296"),
     ],
 )
 def test_periods_golden_bytes(argv, digest, capsys):

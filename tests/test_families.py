@@ -13,7 +13,7 @@ from cartier.families import (
     FamilySpec,
     PeriodData,
     _closed_FG,
-    _closed_vertex,
+    _closed_terms,
     ab_coefficients,
     canonical_q,
     generic_periods,
@@ -188,6 +188,17 @@ def test_cross_check_catches_a_wrong_closed_form():
     assert (G + bump).coeffs != Gg.coeffs
 
 
+@pytest.mark.parametrize("kind,n", [kn for kn in CATALOG if kn[1] <= 3], ids=str)
+def test_a_wrong_G_weight_differs_from_enumeration(kind, n, monkeypatch):
+    # negative control of the (step, w) table: w + 1 in place of a kind's w
+    # gives a G that the enumeration does not match
+    family = FamilySpec.by_name(kind, n)
+    step, w = families._G_STEPS[kind](n)
+    monkeypatch.setitem(families._G_STEPS, kind, lambda n: (step, w + 1))
+    _, build_G = _closed_FG(family, 12)
+    assert build_G().coeffs != generic_periods(family, 12)[1].coeffs
+
+
 def e_series_FG(family, D):
     """F and G of `an` and `hyperoctahedral` from Fraction series products of
     E = sum t^j/(j!)^2 and E_H = sum H_j t^j/(j!)^2: (k!)^2 [t^k] E^(n+1) and
@@ -258,7 +269,10 @@ def test_closed_vertex_coefficients_match_relation_lattice(kind, n, D):
     # the symmetry group moves every vertex to v_1, and the closed forms
     # hold for any exponent, so every vertex gives the same coefficients
     for v in family.vertices:
-        assert [_closed_vertex(family, [c * x for x in v], D) for c in VERTEX_CS] == expected
+        assert [
+            [a * sum(r) for a, r in _closed_terms(family, [c * x for x in v], D)]
+            for c in VERTEX_CS
+        ] == expected
 
 
 def e_series(c, D, step):
@@ -360,10 +374,10 @@ def test_W_is_built_only_when_read(monkeypatch):
     family = FamilySpec.hypercubic(2)
     assert harness.verify_dwork(family, 3, 1, 1, Dt=27).status == harness.PASS
     (periods,) = harness._PERIOD_CACHE.values()
-    assert "W" not in periods._cache
+    assert "W" not in vars(periods)
     assert harness.verify_hw_congruences(family, 3, Dt=27).status == harness.PASS
     assert harness._PERIOD_CACHE == {(family.key, 27): periods}
-    W = periods._cache["W"]
+    W = vars(periods)["W"]
     assert periods.W is W
 
 
@@ -393,14 +407,15 @@ def test_truncated_periods_match_a_build_at_the_lower_degree(kind, n, read_on_ba
     base = PeriodData(family, 147)
     if read_on_base:
         canonical_q(base)
-        assert base.W is base._cache["W"]
-    cached = set(base._cache)
+        assert base.W is vars(base)["W"]
+    cached = set(vars(base))
     for D in (27, 40, 60, 75):
         view = base.truncate(D)
         # the view carries the base's series instead of building them again
-        assert set(view._cache) == cached
+        assert set(vars(view)) == set(vars(base))
         assert period_readings(view) == period_readings(PeriodData(family, D))
-    assert set(base._cache) == cached
+    # reading a view builds nothing on the base but G, which views read from it
+    assert set(vars(base)) - {"G"} == cached - {"G"}
 
 
 def test_truncate_never_extends():
@@ -563,7 +578,7 @@ def test_integer_period_layer_keeps_a_non_integral_G_exact():
     # reduce_mod is where it fails
     p, D = 5, 12
     periods = PeriodData.__new__(PeriodData)
-    periods.D, periods._cache = D, {}
+    periods.D = D
     periods.F = PeriodData(FamilySpec.hypercubic(2), D).F
     periods.G = RationalSeries([0, Fraction(1, p), 0, Fraction(1, p * p)], D)
     got = integer_layer(periods)

@@ -171,19 +171,18 @@ def test_reduced_q_reverts_in_Zp_like_over_Q(kind, p):
     assert reduced_q(periods, ctx)[1].coeffs == reduce_mod(mirror_map(periods), ctx).coeffs
 
 
-class _StubPeriods:
+def _stub_periods(p, D):
     """F = 1, G = t/p: q = t exp(t/p) is not p-integral."""
-
-    def __init__(self, p, D):
-        self.F = RationalSeries.one(D)
-        self.G = RationalSeries([0, Fraction(1, p)], D)
-        self._cache = {}
+    periods = PeriodData.__new__(PeriodData)
+    periods.D, periods.F = D, RationalSeries.one(D)
+    periods.G = RationalSeries([0, Fraction(1, p)], D)
+    return periods
 
 
 def test_reduced_q_rejects_non_integral_q():
     p = 5
     with pytest.raises(ReductionError):
-        reduced_q(_StubPeriods(p, 12), PadicContext(p, 4))
+        reduced_q(_stub_periods(p, 12), PadicContext(p, 4))
 
 
 # Product-count guard on the Frobenius pull-back at the size `lift` runs,

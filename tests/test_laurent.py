@@ -68,11 +68,6 @@ def test_cartier_projection_formula(f, g):
     assert cartier_poly(f * g.scale_exponents(p), p) == cartier_poly(f, p) * g
 
 
-def test_theta_x_oracle():
-    f = LaurentPoly(2, {(2, 1): 3, (0, 5): 7, (-1, 0): 1})
-    assert f.theta_x(0).terms == {(2, 1): 6, (-1, 0): -1}
-
-
 def test_text_roundtrip():
     f = LaurentPoly(2, {(1, -2): 3, (0, 0): -5})
     assert LaurentPoly.from_text(f.to_text()) == f

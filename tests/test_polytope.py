@@ -38,24 +38,10 @@ def test_simplex_counts():
     # conv{(1,0),(0,1),(-1,-1)}: reflexive, 4 lattice points
     P = Polytope([(1, 0), (0, 1), (-1, -1)])
     assert P.is_reflexive()
+    # a polytope with the origin on its boundary is not
+    assert not Polytope([(0, 0), (2, 0), (0, 2)]).is_reflexive()
     assert len(lattice_points(P, 1, RegionSpec.full())) == 4
     assert lattice_points(P, 1, RegionSpec.interior()) == [(0, 0)]
-
-
-def test_degree_of_point():
-    P = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    assert P.degree_of_point((0, 0)) == 0
-    assert P.degree_of_point((1, 0)) == 1
-    assert P.degree_of_point((1, 1)) == 1
-    assert P.degree_of_point((2, 1)) == 2
-    assert P.degree_of_point((-3, 2)) == 3
-
-
-def test_degree_requires_reflexive():
-    P = Polytope([(0, 0), (2, 0), (0, 2)])
-    assert not P.is_reflexive()
-    with pytest.raises(DomainError):
-        P.degree_of_point((1, 1))
 
 
 def test_non_full_dimensional():
