@@ -46,7 +46,8 @@ def _units(n, s=1):
 
 class FamilySpec:
     """A completely symmetric family 1 - t g(x).  Its maths depends only on
-    `key`, g and the group order; the kind chooses the algorithms."""
+    `key`, g and the group order, so specs compare and hash by it; the kind
+    chooses the algorithms."""
 
     __slots__ = ("kind", "n", "g", "alpha", "gamma", "group_order", "polytope", "vertices",
                  "support_index", "key")
@@ -82,6 +83,12 @@ class FamilySpec:
             raise ConfigError("unexpected support")
         self.gamma = int(gamma)
         self.support_index = support_lattice_index(g)
+
+    def __eq__(self, other):
+        return isinstance(other, FamilySpec) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     @classmethod
     def simplicial(cls, n):
@@ -479,12 +486,6 @@ class PeriodData:
             (name, s.truncate(D)) for name, s in vars(self).items() if isinstance(s, RationalSeries))
         view.D, view._build_G = D, lambda: self.G.truncate(D)
         return view
-
-    def truncated_F(self, Nt):
-        """The truncation F_Nt = g_0 + g_1 t + ... + g_{Nt-1} t^{Nt-1}."""
-        if Nt < 1:
-            raise ConfigError("truncation order must be >= 1")
-        return RationalSeries(self.F._c[:Nt], self.D)
 
 
 def ab_coefficients(periods):

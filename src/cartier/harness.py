@@ -10,7 +10,7 @@ reports whose status is PASS exactly when the perturbed input fails.
 import json
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import islice, product
 from math import comb, factorial
 from operator import ge, mul
@@ -87,98 +87,82 @@ def _report(check_id, params, target, excess, conjecture=False, notes=(), contro
 
 
 # ---------------------------------------------------------------------------
-# shared caches (periods and lifts are pure functions of their keys)
+# shared stores (periods and lifts are pure functions of their arguments).
+# A FamilySpec compares and hashes by its g and group order, so specs of any
+# kind with the same g and group order share every store.
 
-_FAMILY_CACHE = {}
-# The stores below key on FamilySpec.key, so specs of any kind with the same
-# g and group order share them.  (key, D) -> PeriodData: a miss is served by
-# truncating the same key's data at a larger degree, which is exact, and
-# builds only when D is above every cached degree; `_desk_checks` runs its
-# primes in descending order, so each key is built once, at its largest D.
+# the catalog spec of (kind, n), built once: specs are never changed after
+# construction, so the checks share them
+get_family = cache(FamilySpec.by_name)
+
+# (family, D) -> PeriodData: a miss is served by truncating the same family's
+# data at a larger degree, which is exact, and builds only when D is above
+# every cached degree; `_desk_checks` runs its primes in descending order, so
+# each family is built once, at its largest D.
 _PERIOD_CACHE = {}
-# (key, p, N, Dt) -> the excellent lift
-_LIFT_CACHE = {}
-# (key, p, N, Dt, lift kind) -> F mod p^N and F(t^sigma)
-_SIGMA_F_CACHE = {}
-
-
-def get_family(kind, n):
-    """The catalog FamilySpec of (kind, n), built once; specs are never
-    changed after construction, so the checks share them."""
-    key = (kind, n)
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = FamilySpec.by_name(kind, n)
-    return _FAMILY_CACHE[key]
 
 
 def get_periods(family, D):
-    """The PeriodData of a family at degree D, cached by (family.key, D)."""
-    key = (family.key, D)
-    periods = _PERIOD_CACHE.get(key)
+    """The PeriodData of a family at degree D, cached by (family, D)."""
+    periods = _PERIOD_CACHE.get((family, D))
     if periods is None:
         base = max(
-            (cached for (fkey, _), cached in _PERIOD_CACHE.items() if fkey == family.key),
+            (cached for (f, _), cached in _PERIOD_CACHE.items() if f == family),
             key=lambda cached: cached.D,
             default=None,
         )
         periods = base.truncate(D) if base and base.D > D else PeriodData(family, D)
-        _PERIOD_CACHE[key] = periods
+        _PERIOD_CACHE[family, D] = periods
     return periods
 
 
+@cache
 def get_lift(kind, family, ctx, Dt):
     """The t^p lift, or the excellent lift of `family` from its periods at
-    degree Dt, cached by (family.key, p, N, Dt)."""
+    degree Dt, built once per argument tuple."""
     if kind == "tp":
         return FrobLift.tp(ctx, Dt)
     if kind != "excellent":
         raise ConfigError("unknown lift kind %r" % (kind,))
-    key = (family.key, ctx.p, ctx.N, Dt)
-    if key not in _LIFT_CACHE:
-        _LIFT_CACHE[key] = excellent_lift(family, get_periods(family, Dt), ctx)
-    return _LIFT_CACHE[key]
+    return excellent_lift(family, get_periods(family, Dt), ctx)
 
 
 # ---------------------------------------------------------------------------
-# truncation-ratio congruences
+# ratio congruences hi(t)/lo(t^sigma) = F(t)/F(t^sigma) mod p^target
 
 
+@cache
 def _lift_and_F(family, lift_kind, ctx, Dt):
-    """The lift, F mod p^N and F(t^sigma) at degree Dt.  F and F(t^sigma)
-    are built once per key of `_SIGMA_F_CACHE`."""
+    """The lift, F mod p^N and F(t^sigma) at degree Dt, built once per
+    argument tuple."""
     lift = get_lift(lift_kind, family, ctx, Dt)
-    key = (family.key, ctx.p, ctx.N, Dt, lift_kind)
-    if key not in _SIGMA_F_CACHE:
-        F = reduce_mod(get_periods(family, Dt).F, ctx)
-        _SIGMA_F_CACHE[key] = F, lift.on_series(F)
-    return (lift, *_SIGMA_F_CACHE[key])
+    F = reduce_mod(get_periods(family, Dt).F, ctx)
+    return lift, F, lift.on_series(F)
 
 
-def _truncations(family, p, s, m, lift_kind, Dt, ctx):
-    """F, F(t^sigma), F_{mp^s} and F_{mp^{s-1}}(t^sigma) mod p^N, the
-    truncations as prefixes of F and, under the t^p lift, of F(t^p)."""
+def _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target):
+    """Excess over p^target of F sigma(lo) - hi F^sigma, for coefficient
+    lists hi and lo.  F^sigma has constant term 1, so it is a unit mod
+    t^(Dt+1) and this is the excess of hi - (F/F^sigma) sigma(lo): the
+    ratio congruence, with no series inverted."""
     lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
-    e = m * p ** s
-    if lift_kind == "tp":
-        lo = PadicSeries(ctx, Fs._c[:e], Dt)
-    else:
-        lo = lift.on_series(PadicSeries(ctx, F._c[: e // p], Dt))
-    return F, Fs, PadicSeries(ctx, F._c[:e], Dt), lo
+    lo = lift.on_series(PadicSeries(ctx, lo, Dt))
+    return (F * lo - PadicSeries(ctx, hi, Dt) * Fs).min_excess_ord(target)
 
 
-def _truncation_excess(family, p, s, m, lift_kind, Dt, target, perturb=None):
-    """Excess of F(t) F_{mp^{s-1}}(t^sigma) - F_{mp^s}(t) F(t^sigma) over
-    p^target.  perturb adds a series to the upper truncation (controls)."""
+def _truncation_excess(family, p, s, m, lift_kind, Dt, target, bump=()):
+    """The ratio excess of the truncations hi = F_{mp^s} and lo =
+    F_{mp^{s-1}} of F mod p^N.  bump continues hi from t^{mp^s} on
+    (controls)."""
     ctx = PadicContext(p, target + GUARD)
-    F, Fs, hi, lo = _truncations(family, p, s, m, lift_kind, Dt, ctx)
-    if perturb is not None:
-        hi = hi + perturb
-    return (F * lo - hi * Fs).min_excess_ord(target)
+    F = _lift_and_F(family, lift_kind, ctx, Dt)[1].coeffs
+    e = m * p ** s
+    return _ratio_excess(family, lift_kind, ctx, Dt, F[:e] + list(bump), F[: e // p], target)
 
 
 def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
-    """F(t)/F(t^sigma) = F_{mp^s}(t)/F_{mp^{s-1}}(t^sigma) mod p^s, in
-    cross-multiplied form so no truncated series is inverted."""
+    """F(t)/F(t^sigma) = F_{mp^s}(t)/F_{mp^{s-1}}(t^sigma) mod p^s, the
+    ratio congruence of `_ratio_excess` on the truncations of F."""
     if s < 1 or m < 1:
         raise ConfigError("s >= 1 and m >= 1 required")
     if Dt is None:
@@ -197,22 +181,20 @@ def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
     # term only works when the next coefficient is not itself divisible by
     # p^s, which the congruence forces whenever f_1 = 0; fall back to an
     # explicit bump of size p^{s-1} in that case.
-    periods = get_periods(family, Dt)
     e = m * p ** s
-    nxt = periods.F[e] if e <= Dt else 0
+    nxt = get_periods(family, Dt).F[e]
     notes = []
-    ctx = PadicContext(p, s + GUARD)
     if nxt != 0 and ord_p(nxt, p, s) < s:
-        bump = PadicSeries(ctx, [0] * e + [nxt], Dt)
+        bump = nxt
         notes.append("control: truncation extended by the t^%d term" % e)
     else:
-        bump = PadicSeries(ctx, [0] * e + [p ** (s - 1)], Dt)
+        bump = p ** (s - 1)
         notes.append(
             "control: extending the truncation is invisible mod p^%d here "
             "(the next coefficients are themselves divisible); bumped the "
             "t^%d coefficient by p^%d instead" % (s, e, s - 1)
         )
-    bad = _truncation_excess(family, p, s, m, lift_kind, Dt, s, perturb=bump)
+    bad = _truncation_excess(family, p, s, m, lift_kind, Dt, s, bump=(bump,))
     return _report(check_id + "!truncation-control", params, s, bad, notes=notes, control=True)
 
 
@@ -290,7 +272,7 @@ def _square_example_closed(Q):
     return out
 
 
-def verify_simple_example(p, s, coeff_list=None, variant="generic"):
+def verify_simple_example(p, s, variant="generic"):
     """Coefficient congruences for 1/(1 - x1 - x2 + (1-t) x1 x2).
 
     variant 'generic':      alpha_{kp^s,lp^s}(t) = alpha_{kp^{s-1},lp^{s-1}}(t^p) mod p^{2s}
@@ -301,8 +283,7 @@ def verify_simple_example(p, s, coeff_list=None, variant="generic"):
         raise ConfigError("p >= 3 required")
     if s < 1:
         raise ConfigError("s >= 1 required")
-    if coeff_list is None:
-        coeff_list = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    coeff_list = [(1, 1), (1, 2), (2, 1), (2, 2)]
     target = 2 * s
     params = {"p": p, "s": s, "coeffs": [list(kl) for kl in coeff_list], "variant": variant}
     check_id = "simple-example/%s-p%d-s%d" % (variant, p, s)
@@ -381,16 +362,10 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     if Dt < p ** s * Q:
         return _report(check_id, params, target, None)
     ctx = PadicContext(p, target + GUARD)
-    lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
-    lam = F * Fs.invert()
-    v = family.vertices[0]
-    hi, lo = (
-        PadicSeries(ctx, coeffs, Dt)
-        for coeffs in vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
-    )
-    diff = hi - lam * lift.on_series(lo)
-    excess = diff.min_excess_ord(target)
-    notes = ["vertex direction %r" % (v,)]
+    hi, lo = vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
+    excess = _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target)
+    lift = get_lift(lift_kind, family, ctx, Dt)
+    notes = ["vertex direction %r" % (family.vertices[0],)]
     # leading-coefficient bookkeeping: at t^{p^s Q} the two sides differ by
     # the factor (gamma^{p-1}/v(0))^{p^{s-1} Q}, which must be 1 mod p^{2s}
     m = ctx.modulus
@@ -415,7 +390,7 @@ def _layer_diagonal(d):
     )
 
 
-@lru_cache(maxsize=1)
+@cache
 def _expansion_diagonal(dmax):
     """The same coefficients, for d <= dmax, from the raw 4-variable
     expansion recurrence alpha(u) = -sum_w c_w alpha(u - w) over the nine
@@ -449,13 +424,14 @@ def _expansion_diagonal(dmax):
     return tuple(alpha[d * sum(strides)] for d in range(size))
 
 
-def verify_straub(p, s, multiples=(1,)):
+def verify_straub(p, s):
     """Diagonal supercongruence alpha_{dp^s} = alpha_{dp^{s-1}} mod p^{3s}
     for the four-variable product family; the diagonal entries are the
     Apery numbers.  p = 3 is outside the proved range and reported only."""
     if s < 1:
         raise ConfigError("s >= 1 required")
     target = 3 * s
+    multiples = (1,)
     conjecture = p < 5
     params = {"p": p, "s": s, "multiples": list(multiples)}
     check_id = "straub/p%d-s%d" % (p, s)
@@ -490,11 +466,10 @@ def verify_hw_congruences(family, p, Dt=None):
     check_id = "hw-congruences/%s-n%d-p%d" % (family.kind, family.n, p)
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
-    lift = FrobLift.tp(ctx, Dt)
+    lift = get_lift("tp", family, ctx, Dt)
     notes = []
     hw1m = cy_hasse_witt(family, lift, 1, ctx, Dt)
-    Fp_trunc = reduce_mod(periods.truncated_F(p), ctx)
-    e1 = (hw1m.hw - Fp_trunc).min_excess_ord(1)
+    e1 = (hw1m.hw - PadicSeries(ctx, periods.F._c[:p], Dt)).min_excess_ord(1)
     hw2m = cy_hasse_witt(family, lift, 2, ctx, Dt)
     hw2 = hw2m.hw
     W2 = reduce_mod(periods.W, hw2.ctx)
@@ -732,7 +707,7 @@ def verify_pq(p, s, n, Dt=None):
     # multiply both sides by F(t^sigma) t^{p^s} (t^sigma)^{p^{s-1}}, which
     # clears every negative power and every denominator
     lhs = Fs * lift.tsigma ** Qp * cleared(Q)
-    rhs = (F * cleared(Qp).compose(lift.tsigma)).shift(Q)
+    rhs = (F * lift.on_series(cleared(Qp))).shift(Q)
     diff = lhs - rhs
     excess = diff.min_excess_ord(target)
     return _report(check_id, params, target, excess, notes=notes)

@@ -72,15 +72,6 @@ def test_period_data_normalization():
     assert periods.W[0] == 1
 
 
-def test_truncated_F():
-    periods = PeriodData(FamilySpec.hypercubic(2), 10)
-    trunc = periods.truncated_F(3)
-    assert trunc.coeffs[:4] == [Fraction(1), Fraction(0), Fraction(4), Fraction(0)]
-    assert all(c == 0 for c in trunc.coeffs[3:])
-    with pytest.raises(ConfigError):
-        periods.truncated_F(0)
-
-
 def test_ab_oracle_hypercubic_n1():
     # F = sum binom(2k,k) t^{2k} satisfies theta^2 F = 4t^2 (theta+2)(theta+1) F,
     # so B = 12t^2/(1-4t^2) and A = 8t^2/(1-4t^2)
@@ -366,17 +357,23 @@ def test_vertex_coefficients_reject_negative_multiples():
         vertex_coefficients(FamilySpec.hypercubic(2), 5, [1, -1])
 
 
-def test_W_is_built_only_when_read(monkeypatch):
+@pytest.fixture
+def empty_stores(monkeypatch):
+    """The harness stores of periods and lifts, emptied."""
+    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
+    harness.get_lift.cache_clear()
+    harness._lift_and_F.cache_clear()
+
+
+def test_W_is_built_only_when_read(empty_stores):
     # a check that reads only F (dwork with the t^p lift) leaves the
     # Wronskian unbuilt; hw-congruences reads W, which fills the cache
-    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
-        monkeypatch.setattr(harness, cache, {})
     family = FamilySpec.hypercubic(2)
     assert harness.verify_dwork(family, 3, 1, 1, Dt=27).status == harness.PASS
     (periods,) = harness._PERIOD_CACHE.values()
     assert "W" not in vars(periods)
     assert harness.verify_hw_congruences(family, 3, Dt=27).status == harness.PASS
-    assert harness._PERIOD_CACHE == {(family.key, 27): periods}
+    assert harness._PERIOD_CACHE == {(family, 27): periods}
     W = vars(periods)["W"]
     assert periods.W is W
 
@@ -396,7 +393,7 @@ def period_readings(periods):
     """Everything the checks read off a PeriodData, as coefficient lists."""
     A, B = ab_coefficients(periods)
     series = [periods.F, periods.G, periods.W, canonical_q(periods), A, B]
-    series += [periods.truncated_F(Nt) for Nt in (1, 9, 25, periods.D)]
+    series += [RationalSeries(periods.F._c[:Nt], periods.D) for Nt in (1, 9, 25, periods.D)]
     return periods.D, [s.coeffs for s in series]
 
 
@@ -424,8 +421,8 @@ def test_truncate_never_extends():
 
 
 @pytest.fixture
-def period_builds(monkeypatch):
-    """The (kind, n, D) of each period build, with the harness caches
+def period_builds(monkeypatch, empty_stores):
+    """The (kind, n, D) of each period build, with the harness stores
     emptied."""
     builds = []
     build = families._periods
@@ -435,17 +432,15 @@ def period_builds(monkeypatch):
         return build(family, D)
 
     monkeypatch.setattr(families, "_periods", counted)
-    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
-        monkeypatch.setattr(harness, cache, {})
     return builds
 
 
-def _key(kind, n):
-    return FamilySpec.by_name(kind, n).key
+def _spec(kind, n):
+    return FamilySpec.by_name(kind, n)
 
 
-def _largest_cached_degree(key):
-    return max(d for k, d in harness._PERIOD_CACHE if k == key)
+def _largest_cached_degree(family):
+    return max(d for f, d in harness._PERIOD_CACHE if f == family)
 
 
 def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
@@ -454,9 +449,9 @@ def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
     reports = harness.run_suite("desk")
     assert len(reports) == 186
     assert len(period_builds) == 11
-    assert {_key(kind, n) for kind, n, _ in period_builds} == {_key(*kn) for kn in CATALOG}
+    assert {_spec(kind, n) for kind, n, _ in period_builds} == {_spec(*kn) for kn in CATALOG}
     for kind, n, D in period_builds:
-        assert D == _largest_cached_degree(_key(kind, n))
+        assert D == _largest_cached_degree(_spec(kind, n))
 
 
 def test_a_request_above_every_cached_degree_builds(period_builds):
@@ -477,6 +472,14 @@ def test_n1_catalog_kinds_share_one_key():
     assert len(keys) == 1 and FamilySpec.a_n(1).key not in keys
 
 
+def test_specs_compare_and_hash_by_key():
+    n1 = [FamilySpec.by_name(kind, 1) for kind in ("simplicial", "hypercubic", "hyperoctahedral")]
+    assert n1[0] == n1[1] == n1[2] and len({hash(f) for f in n1}) == 1
+    # control: simplicial n = 2's g with group order 1 is another family
+    catalog = FamilySpec.simplicial(2)
+    assert catalog != FamilySpec.custom(catalog.g) and catalog.group_order == 6
+
+
 def test_stores_keep_the_group_order_in_the_key(period_builds):
     # simplicial n = 2's g with group order 1 has an excellent lift at p = 3,
     # which must not serve the catalog spec, whose group order 6 p divides
@@ -491,8 +494,8 @@ def test_stores_keep_the_group_order_in_the_key(period_builds):
 
 
 @pytest.fixture
-def G_builds(monkeypatch):
-    """The (kind, n, D) of each G build, with the harness caches emptied."""
+def G_builds(monkeypatch, empty_stores):
+    """The (kind, n, D) of each G build, with the harness stores emptied."""
     builds = []
     build = families._periods
 
@@ -506,21 +509,19 @@ def G_builds(monkeypatch):
         return F, counted_G
 
     monkeypatch.setattr(families, "_periods", counted)
-    for cache in ("_PERIOD_CACHE", "_LIFT_CACHE", "_SIGMA_F_CACHE"):
-        monkeypatch.setattr(harness, cache, {})
     return builds
 
 
 def test_desk_builds_G_once_for_each_family_that_reads_it(G_builds):
     harness.run_suite("desk")
     # hypercubic n = 1 shares its key with simplicial and hyperoctahedral n = 1
-    keys = [_key(kind, n) for kind, n, _ in G_builds]
-    assert sorted(keys) == sorted(_key(*kn) for kn in [
+    keys = [_spec(kind, n).key for kind, n, _ in G_builds]
+    assert sorted(keys) == sorted(_spec(*kn).key for kn in [
         ("hypercubic", 1), ("hypercubic", 2), ("hypercubic", 3), ("hyperoctahedral", 2),
         ("simplicial", 2),
     ])
     for kind, n, D in G_builds:
-        assert D == _largest_cached_degree(_key(kind, n))
+        assert D == _largest_cached_degree(_spec(kind, n))
 
 
 @pytest.mark.parametrize("kind,n", [("hypercubic", 2), ("hyperoctahedral", 3), ("an", 2)])

@@ -1,9 +1,11 @@
 """Verification harness: report plumbing, suites, controls, output formats."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from math import comb
 from pathlib import Path
 from xml.etree import ElementTree
@@ -11,11 +13,10 @@ from xml.etree import ElementTree
 import pytest
 
 from cartier import harness
-from cartier.errors import ConfigError, TheoremViolation
+from cartier.errors import ConfigError, DomainError, TheoremViolation
 from cartier.families import FamilySpec
-from cartier.padic import PadicContext
+from cartier.frobenius import check_lift_hypothesis
 from cartier.series import PadicSeries, reduce_mod
-from cartier.sigma import FrobLift
 from straub_oracle import dict_expansion_diagonal
 
 
@@ -122,44 +123,74 @@ def test_pq_control(monkeypatch):
     assert r.status == harness.FAIL and r.min_excess < 0
 
 
-def _desk_dwork_cases():
-    """(family, p, s, m, Dt) of every dwork check of the desk grid."""
+def test_ratio_excess_matches_the_inverted_form(monkeypatch):
+    # every ratio comparison of the desk grid, against hi - (F/F^sigma)
+    # sigma(lo) with F^sigma inverted; the controls drop sigma from lo, and
+    # swap hi and lo, and each must change the excess somewhere
+    calls = []
+    real = harness._ratio_excess
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_ratio_excess", recorded)
     for name, kw in harness._desk_checks():
-        if name == "dwork" and not kw.get("control"):
-            yield kw["family"], kw["p"], kw["s"], kw["m"], kw.get("Dt", 3 * kw["p"] ** 2)
+        if name in ("dwork", "super", "cy-super"):
+            harness.run_check(name, **kw)
+    assert len(calls) == 154
+    unlifted = swapped = 0
+    for family, lift_kind, ctx, Dt, hi, lo, target in calls:
+        lift = harness.get_lift(lift_kind, family, ctx, Dt)
+        F = reduce_mod(harness.get_periods(family, Dt).F, ctx)
+        lam = F * lift.on_series(F).invert()
+
+        def inverted(hi, lo, sigma=lift.on_series):
+            hi, lo = (PadicSeries(ctx, c, Dt) for c in (hi, lo))
+            return (hi - lam * sigma(lo)).min_excess_ord(target)
+
+        excess = real(family, lift_kind, ctx, Dt, hi, lo, target)
+        assert excess == inverted(hi, lo)
+        unlifted += inverted(hi, lo, sigma=lambda s: s) != excess
+        swapped += inverted(lo, hi) != excess
+    assert unlifted and swapped
 
 
-def _general_truncations(family, p, s, m, Dt, ctx):
-    """F_{mp^s} and F_{mp^{s-1}}(t^p) mod p^N, each truncation reduced and
-    pulled back on its own."""
-    periods = harness.get_periods(family, Dt)
-    hi = reduce_mod(periods.truncated_F(m * p ** s), ctx)
-    lo = FrobLift.tp(ctx, Dt).on_series(reduce_mod(periods.truncated_F(m * p ** (s - 1)), ctx))
-    return hi, lo
+def _atlas_ratio_rows():
+    """[check id, excess, status] of the ratio checks over the atlas scope:
+    every catalog kind, n <= 4, p in {3, 5, 7} where the excellent lift
+    exists and s in {1, 2}, at the default Dt, under both lifts; cy-super at
+    Q in {1, 2} (Q = 1 at n = 4), super, dwork and the dwork control at
+    m in {1, 2, 3}."""
+    for kind in ("simplicial", "hypercubic", "hyperoctahedral", "an"):
+        for n in (1, 2, 3, 4):
+            family = harness.get_family(kind, n)
+            for p in (3, 5, 7):
+                try:
+                    check_lift_hypothesis(family, p)
+                except DomainError:
+                    continue
+                for s, lift_kind in product((1, 2), ("excellent", "tp")):
+                    reports = [
+                        harness.verify_cy_supercongruence(family, p, s, Q=Q, lift_kind=lift_kind)
+                        for Q in ((1, 2) if n < 4 else (1,))
+                    ]
+                    for m in (1, 2, 3):
+                        reports += [
+                            harness.verify_super_conjecture(family, p, s, m=m, lift_kind=lift_kind),
+                            harness.verify_dwork(family, p, s, m=m, lift_kind=lift_kind),
+                            harness.verify_dwork(family, p, s, m=m, lift_kind=lift_kind, control=True),
+                        ]
+                    for r in reports:
+                        yield [r.check_id, r.min_excess, r.status]
 
 
-def test_dwork_truncations_are_prefixes_of_F_and_F_of_t_to_the_p():
-    cases = list(_desk_dwork_cases())
-    assert len(cases) > 100
-    for family, p, s, m, Dt in cases:
-        ctx = PadicContext(p, s + harness.GUARD)
-        _, _, hi, lo = harness._truncations(family, p, s, m, "tp", Dt, ctx)
-        want_hi, want_lo = _general_truncations(family, p, s, m, Dt, ctx)
-        assert (hi.D, hi._c, lo.D, lo._c) == (want_hi.D, want_hi._c, want_lo.D, want_lo._c)
-
-
-def test_prefix_comparison_catches_a_prefix_one_term_short():
-    # negative control: F_{mp^s} cut below t^(mp^s - 1), and F_{mp^{s-1}}(t^p)
-    # below its last term at t^(mp^s - p), each differ on some desk case
-    short_hi = short_lo = False
-    for family, p, s, m, Dt in _desk_dwork_cases():
-        ctx = PadicContext(p, s + harness.GUARD)
-        F, Fs, _, _ = harness._truncations(family, p, s, m, "tp", Dt, ctx)
-        want_hi, want_lo = _general_truncations(family, p, s, m, Dt, ctx)
-        e = m * p ** s
-        short_hi |= PadicSeries(ctx, F._c[: e - 1], Dt)._c != want_hi._c
-        short_lo |= PadicSeries(ctx, Fs._c[: e - p], Dt)._c != want_lo._c
-    assert short_hi and short_lo
+def test_ratio_checks_over_the_atlas_scope_keep_their_digest():
+    # recorded before the checks shared one ratio comparison
+    rows = list(_atlas_ratio_rows())
+    assert len(rows) == 1560
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "e1e7e4bd800a6688afcb7e3517910017b57a85dce172ae9b7a862ba2d44232e5"
 
 
 def test_conjecture_flagging():
