@@ -30,11 +30,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-_INT_KEYS = {
-    "n", "prime", "precision", "degree", "s", "m", "q_exponent", "level",
-}
-_BOOL_KEYS = {"strict_precision"}
-
 # the check parameter that each single-check verify flag sets; --n also
 # picks the catalog family
 _FLAG_PARAMS = {
@@ -114,7 +109,8 @@ def build_parser():
 
 
 def load_config(path):
-    """Flat key=value file; '#' starts a comment; keys mirror the flags."""
+    """Flat key=value file; '#' starts a comment; keys mirror the flags.
+    Values stay strings: `parse_args` converts each as its flag does."""
     values = {}
     with open(path) as fh:
         for raw in fh:
@@ -124,17 +120,7 @@ def load_config(path):
             if "=" not in line:
                 raise ConfigError("config line without '=': %r" % line)
             key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key in _INT_KEYS:
-                try:
-                    values[key] = int(val)
-                except ValueError:
-                    raise ConfigError("config line %r: %s is not an integer" % (line, key)) from None
-            elif key in _BOOL_KEYS:
-                values[key] = val.lower() in ("1", "true", "yes", "on")
-            else:
-                values[key] = val
+            values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -147,12 +133,23 @@ def parse_args(argv):
         if unknown:
             raise ConfigError("unknown config keys: %s" % sorted(unknown))
         # flags given on the command line override the file: re-parse with
-        # the file contents installed as defaults, which argparse does not
-        # check against the choices of their flags
+        # the file contents installed as defaults, each converted by its
+        # flag's type and checked against its choices here, so that a bad
+        # value is a ConfigError that names it
         parser = build_parser()
         for action in _walk_actions(parser, args.command):
             if action.dest in defaults:
                 value = defaults[action.dest]
+                if isinstance(action, argparse._StoreTrueAction):
+                    value = value.lower() in ("1", "true", "yes", "on")
+                elif action.type is not None:
+                    try:
+                        value = action.type(value)
+                    except ValueError:
+                        raise ConfigError(
+                            "config %s=%s: not a valid %s"
+                            % (action.dest, value, action.type.__name__)
+                        ) from None
                 if action.choices is not None and value not in action.choices:
                     raise ConfigError(
                         "config %s=%s: choose from %s"
@@ -496,6 +493,3 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_FAIL
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,9 +11,7 @@ import json
 import time
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
-from math import comb, factorial
-from operator import ge, mul
+from math import comb
 from typing import NamedTuple
 
 from .errors import ConfigError, TheoremViolation
@@ -239,46 +237,17 @@ def _square_example_alpha(i, j):
     return [comb(i, k) * comb(j, k) for k in range(min(i, j) + 1)]
 
 
-def _square_example_recurrence(K, L):
-    """The table of alpha_{i,j}, i <= K and j <= L, from
-    alpha_{i,j} = alpha_{i-1,j} + alpha_{i,j-1} - (1-t) alpha_{i-1,j-1}."""
-    table = [[None] * (L + 1) for _ in range(K + 1)]
-    for i in range(K + 1):
-        for j in range(L + 1):
-            if i == 0 or j == 0:
-                table[i][j] = [1]
-                continue
-            d = min(i, j)
-            cur = [0] * (d + 1)
-            for src in (table[i - 1][j], table[i][j - 1]):
-                for e, c in enumerate(src):
-                    cur[e] += c
-            prev = table[i - 1][j - 1]
-            for e, c in enumerate(prev):
-                cur[e] -= c      # -(1-t) a = -a + t a
-                cur[e + 1] += c
-            table[i][j] = cur
-    return table
-
-
-def _square_example_closed(Q):
-    """Coefficient of (x1 x2)^Q: sum_j (2Q-j)!/((Q-j)!^2 j!) (t-1)^j."""
-    out = [0] * (Q + 1)
-    for j in range(Q + 1):
-        c = factorial(2 * Q - j) // (factorial(Q - j) ** 2 * factorial(j))
-        # expand c (t-1)^j
-        for e in range(j + 1):
-            out[e] += c * comb(j, e) * (-1) ** (j - e)
-    return out
-
-
 def verify_simple_example(p, s, variant="generic"):
     """Coefficient congruences for 1/(1 - x1 - x2 + (1-t) x1 x2).
 
     variant 'generic':      alpha_{kp^s,lp^s}(t) = alpha_{kp^{s-1},lp^{s-1}}(t^p) mod p^{2s}
     variant 't=-1':         the integer specialization with f = 1-x-y+2xy
     variant 'general-lift': s=1 with t^sigma = t^p(1+p), correction term
-                            log(t^sigma/t^p) * theta(alpha)."""
+                            log(t^sigma/t^p) * theta(alpha).
+
+    alpha comes from `_square_example_alpha` alone; tier-1 checks it
+    against the recurrence and the diagonal closed form of
+    `tests/coefficient_oracle.py`."""
     if p < 3:
         raise ConfigError("p >= 3 required")
     if s < 1:
@@ -290,17 +259,6 @@ def verify_simple_example(p, s, variant="generic"):
     K = max(k for k, _ in coeff_list) * p ** s
     L = max(l for _, l in coeff_list) * p ** s
     notes = []
-    # oracle agreement: the recurrence on the whole table for i, j <= 8,
-    # and the diagonal closed form
-    for i, row in enumerate(_square_example_recurrence(8, 8)):
-        for j, want in enumerate(row):
-            if _square_example_alpha(i, j) != want:
-                raise TheoremViolation("recurrence oracle mismatch at (%d, %d)" % (i, j))
-    for Q in range(1, min(K, L, 6) + 1):
-        closed = _square_example_closed(Q)
-        got = _square_example_alpha(Q, Q)
-        if got + [0] * (len(closed) - len(got)) != closed:
-            raise TheoremViolation("diagonal coefficient oracle mismatch at Q=%d" % Q)
     ctx = PadicContext(p, target + GUARD)
 
     def series(coeffs):
@@ -390,44 +348,12 @@ def _layer_diagonal(d):
     )
 
 
-@cache
-def _expansion_diagonal(dmax):
-    """The same coefficients, for d <= dmax, from the raw 4-variable
-    expansion recurrence alpha(u) = -sum_w c_w alpha(u - w) over the nine
-    terms c_w x^w of the denominator.  alpha lives in one flat list with
-    strides (size^3, size^2, size, 1), so each term is a fixed offset,
-    taken where u >= w.  It does not depend on the check's input, so it is
-    built once."""
-    terms = {
-        (1, 0, 0, 0): -1, (0, 1, 0, 0): -1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
-        (1, 0, 1, 0): 1, (1, 0, 0, 1): 1, (0, 1, 1, 0): 1, (0, 1, 0, 1): 1,
-        (1, 1, 1, 1): -1,
-    }
-    size = dmax + 1
-    strides = (size ** 3, size ** 2, size, 1)
-    # w's entries are 0 or 1, so u >= w exactly when u is positive wherever
-    # w is: the terms that apply depend only on which coordinates of u are
-    # positive
-    guarded = {
-        positive: [
-            (c, sum(map(mul, w, strides)))
-            for w, c in terms.items()
-            if all(map(ge, positive, w))
-        ]
-        for positive in product((False, True), repeat=4)
-    }
-    alpha = [1]
-    for u in islice(product(range(size), repeat=4), 1, None):
-        positive = tuple(map(bool, u))
-        i = len(alpha)
-        alpha.append(-sum(c * alpha[i - off] for c, off in guarded[positive]))
-    return tuple(alpha[d * sum(strides)] for d in range(size))
-
-
 def verify_straub(p, s):
     """Diagonal supercongruence alpha_{dp^s} = alpha_{dp^{s-1}} mod p^{3s}
     for the four-variable product family; the diagonal entries are the
-    Apery numbers.  p = 3 is outside the proved range and reported only."""
+    Apery numbers.  p = 3 is outside the proved range and reported only.
+    The diagonal comes from `_layer_diagonal` alone; tier-1 checks it
+    against the raw 4-variable expansion of `tests/coefficient_oracle.py`."""
     if s < 1:
         raise ConfigError("s >= 1 required")
     target = 3 * s
@@ -435,12 +361,6 @@ def verify_straub(p, s):
     conjecture = p < 5
     params = {"p": p, "s": s, "multiples": list(multiples)}
     check_id = "straub/p%d-s%d" % (p, s)
-    direct = _expansion_diagonal(5)
-    if direct[1] != 5:
-        raise TheoremViolation("alpha_{1,1,1,1} != 5 in the direct expansion")
-    for d in range(6):
-        if _layer_diagonal(d) != direct[d]:
-            raise TheoremViolation("layer formula disagrees with the expansion at d=%d" % d)
     ctx = PadicContext(p, target + GUARD)
     excess = min(
         PadicSeries(ctx, [_layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))])
@@ -654,22 +574,13 @@ def verify_frobenius_structure(family, p, lift_kind="excellent", Dt=None, contro
 # the Laurent-coefficient congruence for hypercubic families
 
 
-def _pq_from_expansion(n, Q):
-    """The same polynomial from the expansion route: the coefficient of
-    (x_1...x_n)^Q in 1/(1 - t g) is, up to sign, t^{-Q} times
-    sum_k ((-1)^k binom(Q-k-1, k))^n t^{2k}."""
-    out = {}
-    for k in range((Q - 1) // 2 + 1):
-        c = ((-1) ** k * comb(Q - k - 1, k)) ** n
-        if c:
-            out[2 * k - Q] = c
-    return out
-
-
 def verify_pq(p, s, n, Dt=None):
     """P_{p^s}(t) = (F(t)/F(t^sigma)) P_{p^{s-1}}(t^sigma) mod p^{2s} for the
     hypercubic family, cleared of t^{-Q} prefactors by multiplying through
-    by t^{p^s} and cross-multiplying by F(t^sigma)."""
+    by t^{p^s} and cross-multiplying by F(t^sigma).  P_Q comes from
+    `pq_polynomial` alone; tier-1 checks it against the expansion route
+    sum_k ((-1)^k binom(Q-k-1, k))^n t^{2k-Q} of
+    `tests/coefficient_oracle.py`."""
     if s < 1:
         raise ConfigError("s >= 1 required")
     if Dt is None:
@@ -681,17 +592,10 @@ def verify_pq(p, s, n, Dt=None):
     if Dt < p ** s:
         return _report(check_id, params, target, None)
     Q, Qp = p ** s, p ** (s - 1)
-    notes = []
-    polys = {}
-    for q in (Q, Qp):
-        literal = pq_polynomial(n, q)
-        if literal != _pq_from_expansion(n, q):
-            raise TheoremViolation("expansion-coefficient route disagrees at Q=%d" % q)
-        polys[q] = literal
     # every factor j of the falling product has j <= 2k - Q <= -1, so a
     # reading that skips zero factors is the literal one
-    notes.append("literal and zero-skipping products agree (no zero factors occur)")
-    notes.append("coefficients match the expansion route binom(Q-k-1, k) values")
+    notes = ["literal and zero-skipping products agree (no zero factors occur)",
+             "coefficients match the expansion route binom(Q-k-1, k) values"]
     ctx = PadicContext(p, target + GUARD)
     family = get_family("hypercubic", n)
     lift, F, Fs = _lift_and_F(family, "excellent", ctx, Dt)
@@ -699,7 +603,7 @@ def verify_pq(p, s, n, Dt=None):
     def cleared(q):
         # t^q P_q(t) as a series
         coeffs = [0] * (Dt + 1)
-        for e, c in polys[q].items():
+        for e, c in pq_polynomial(n, q).items():
             if e + q <= Dt:
                 coeffs[e + q] = c
         return PadicSeries(ctx, coeffs)

@@ -8,22 +8,18 @@ class FrobLift:
     """A lift of Frobenius acting on coefficients.
 
     Scalars (elements of Z_p) are fixed; series in t are composed with
-    t^sigma.  kind is one of 'identity', 'tp', 'explicit', 'excellent'.
+    t^sigma.  kind is one of 'tp', 'explicit', 'excellent'.
     A given t^sigma becomes a lift only through `from_tsigma`, which checks it.
     """
 
     __slots__ = ("kind", "ctx", "tsigma", "vsigma", "_vinv")
 
-    def __init__(self, kind, ctx=None, tsigma=None, vsigma=None):
+    def __init__(self, kind, ctx, tsigma, vsigma):
         self.kind = kind
         self.ctx = ctx
         self.tsigma = tsigma
         self.vsigma = vsigma
         self._vinv = None
-
-    @classmethod
-    def identity(cls):
-        return cls("identity")
 
     @classmethod
     def tp(cls, ctx, D):
@@ -52,8 +48,6 @@ class FrobLift:
         """Apply sigma to an element of Z_p[[t]].  t^sigma = t^p v has
         valuation p, so s(t^sigma) to degree D reads only the coefficients
         s_0..s_(D//p): `compose` keeps those and no others."""
-        if self.kind == "identity":
-            return s
         if not isinstance(s, PadicSeries):
             raise ConfigError("sigma acts on PadicSeries coefficients")
         self.ctx.same(s.ctx)
@@ -73,8 +67,6 @@ class FrobLift:
         return c  # scalars are fixed
 
     def on_poly(self, f):
-        if self.kind == "identity":
-            return f
         return f.map_coefficients(self.on_coeff)
 
     def theta_ratio(self):

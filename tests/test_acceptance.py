@@ -62,7 +62,7 @@ def test_cartier_rational_matches_decimation(p):
     N, bound = 4, 12
     ctx = PadicContext(p, N)
     rng = random.Random(1000 + p)
-    lift = FrobLift.identity()
+    lift = FrobLift.tp(ctx, 0)
     for _ in range(10):
         f = _random_f(rng, ctx)
         gens = [u for u in f.support() if any(u)]
@@ -145,7 +145,7 @@ def test_square_family_supercongruences(p, s):
 
 
 def test_apery_diagonal_supercongruence():
-    assert harness._expansion_diagonal(1)[1] == 5
+    assert harness._layer_diagonal(1) == 5
     r = harness.verify_straub(5, 1)
     assert not r.conjecture
     assert r.status == harness.PASS

@@ -4,7 +4,10 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_python_dash_m_cartier_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cartier", "--help"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == cli.EXIT_OK
+    assert done.stdout.startswith("usage: cartier ")
 
 
 def test_periods_oracle(capsys):
@@ -399,6 +413,13 @@ def test_config_file_merge(tmp_path, capsys):
     # explicit flags win over the file
     code, out, _ = run(capsys, "periods", "--config", str(cfg), "--degree", "4")
     assert code == 0 and "degree=4" in out
+
+
+def test_config_switch_reads_as_its_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for text, want in (("yes", True), ("no", False)):
+        cfg.write_text("strict_precision=%s\n" % text)
+        assert cli.parse_args(["verify", "all", "--config", str(cfg)]).strict_precision is want
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Dead-code guard: every function, class and method that `src/cartier`
 defines must be named somewhere in `src/` or `tests/` outside its own
-definition; a method counts as named only as an attribute, `.name`."""
+definition, and every one that a `tests/*_oracle.py` module defines must
+be named in an oracle or a test file; a method counts as named only as an
+attribute, `.name`."""
 
 import ast
 import re
@@ -60,6 +62,12 @@ def test_every_definition_in_src_is_referenced():
         if p.name != Path(__file__).name  # its synthetic module names nothing real
     ]
     assert unreferenced(modules, tests) == []
+
+
+def test_every_oracle_function_is_used_by_a_test():
+    oracles = {str(p): p.read_text() for p in sorted((ROOT / "tests").glob("*_oracle.py"))}
+    tests = [(str(p), p.read_text()) for p in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert unreferenced(oracles, tests) == []
 
 
 def test_scanner_flags_an_unreferenced_helper():

@@ -24,6 +24,7 @@ from cartier.families import (
 from cartier.laurent import LaurentPoly, poly_pow
 from cartier.padic import PadicContext
 from cartier.series import PadicSeries, RationalSeries, reduce_mod
+from coefficient_oracle import pq_from_expansion
 from series_oracle import is_p_integral
 
 
@@ -110,6 +111,9 @@ def test_pq_polynomial_oracle():
     # n=2 squares them
     assert pq_polynomial(2, 5) == {-5: 1, -3: 9, -1: 1}
     assert pq_polynomial(1, 1) == {-1: 1}
+    # the expansion route, for every n and odd Q the grids use and more
+    assert all(pq_polynomial(n, Q) == pq_from_expansion(n, Q)
+               for n in range(1, 5) for Q in range(1, 28, 2))
     with pytest.raises(DomainError):
         pq_polynomial(1, 4)
     with pytest.raises(DomainError):

@@ -13,11 +13,16 @@ from xml.etree import ElementTree
 import pytest
 
 from cartier import harness
-from cartier.errors import ConfigError, DomainError, TheoremViolation
+from cartier.errors import ConfigError, DomainError
 from cartier.families import FamilySpec
 from cartier.frobenius import check_lift_hypothesis
 from cartier.series import PadicSeries, reduce_mod
-from straub_oracle import dict_expansion_diagonal
+from coefficient_oracle import (
+    expansion_diagonal,
+    pq_from_expansion,
+    square_example_closed,
+    square_example_recurrence,
+)
 
 
 def test_smoke_suite_all_pass():
@@ -107,18 +112,16 @@ def test_pq_control(monkeypatch):
     p, s, n = 3, 2, 2
     assert harness.verify_pq(p, s, n).status == harness.PASS
 
-    def perturbed(real):
-        def polynomial(n, q):
-            out = dict(real(n, q))
-            if q == p ** s:
-                out[-q] = out.get(-q, 0) + p ** (2 * s - 1)
-            return out
+    real = harness.pq_polynomial
 
-        return polynomial
+    def wrong(n, q):
+        out = dict(real(n, q))
+        if q == p ** s:
+            out[-q] = out.get(-q, 0) + p ** (2 * s - 1)
+        return out
 
-    # the two routes to P_Q are cross-checked, so both are perturbed
-    for name in ("pq_polynomial", "_pq_from_expansion"):
-        monkeypatch.setattr(harness, name, perturbed(getattr(harness, name)))
+    assert wrong(n, p ** s) != pq_from_expansion(n, p ** s)
+    monkeypatch.setattr(harness, "pq_polynomial", wrong)
     r = harness.verify_pq(p, s, n)
     assert r.status == harness.FAIL and r.min_excess < 0
 
@@ -209,16 +212,20 @@ def test_simple_example_variants():
 
 
 def test_square_example_closed_form_matches_the_recurrence():
-    table = harness._square_example_recurrence(12, 12)
+    table = square_example_recurrence(12, 12)
     assert all(harness._square_example_alpha(i, j) == table[i][j]
                for i in range(13) for j in range(13))
+    assert all(harness._square_example_alpha(Q, Q) == square_example_closed(Q)
+               for Q in range(13))
 
 
-def test_wrong_square_example_closed_form_trips_the_oracle(monkeypatch):
-    monkeypatch.setattr(harness, "_square_example_alpha", lambda i, j: [
-        comb(i, k) * comb(j, k + 1) for k in range(min(i, j) + 1)])
-    with pytest.raises(TheoremViolation, match="recurrence oracle"):
-        harness.verify_simple_example(3, 1)
+def test_wrong_square_example_closed_form_trips_the_oracle():
+    def wrong(i, j):
+        return [comb(i, k) * comb(j, k + 1) for k in range(min(i, j) + 1)]
+
+    table = square_example_recurrence(2, 2)
+    assert wrong(1, 1) != table[1][1]
+    assert wrong(1, 1) != square_example_closed(1)
 
 
 def test_report_json_shape_and_determinism():
@@ -304,26 +311,21 @@ def test_straub_out_of_range_prime_is_conjectural():
 
 @pytest.mark.parametrize("dmax", range(7))
 def test_flat_expansion_diagonal_matches_the_dict_recurrence(dmax):
-    assert list(harness._expansion_diagonal(dmax)) == dict_expansion_diagonal(dmax)
+    assert [harness._layer_diagonal(d) for d in range(dmax + 1)] == expansion_diagonal(dmax)
 
 
 def test_expansion_diagonal_is_the_apery_numbers():
-    direct = harness._expansion_diagonal(5)
-    assert type(direct) is tuple
-    assert direct == (1, 5, 73, 1445, 33001, 819005)
-    assert direct == tuple(harness._layer_diagonal(d) for d in range(6))
+    assert expansion_diagonal(5) == [1, 5, 73, 1445, 33001, 819005]
 
 
-def test_straub_cross_check_catches_a_wrong_layer_formula(monkeypatch):
+def test_straub_cross_check_catches_a_wrong_layer_formula():
     # the layer formula without its square disagrees with the raw
     # expansion from d = 1 on (3 against 5)
-    monkeypatch.setattr(
-        harness,
-        "_layer_diagonal",
-        lambda d: sum(comb(2 * d - k, d - k) * comb(d, k) for k in range(d + 1)),
-    )
-    with pytest.raises(TheoremViolation):
-        harness.verify_straub(5, 1)
+    def unsquared(d):
+        return sum(comb(2 * d - k, d - k) * comb(d, k) for k in range(d + 1))
+
+    direct = expansion_diagonal(5)
+    assert [d for d in range(6) if unsquared(d) != direct[d]] == [1, 2, 3, 4, 5]
 
 
 def test_fixed_points():

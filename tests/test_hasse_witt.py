@@ -33,7 +33,7 @@ def test_F1_is_f_to_p_minus_1():
     ctx = PadicContext(5, 3)
     one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): 2 * one})
-    lift = FrobLift.identity()
+    lift = FrobLift.tp(ctx, 0)
     assert F_k_polynomial(f, lift, 1, ctx, _every_class(5, 2)) == poly_pow(f, ctx.p - 1)
 
 
@@ -42,7 +42,7 @@ def test_Fk_requires_k_below_p():
     one = PadicSeries.one(ctx, 0)
     f = LaurentPoly(1, {(0,): one, (1,): one})
     with pytest.raises(DomainError):
-        F_k_polynomial(f, FrobLift.identity(), 3, ctx, _every_class(3, 1))
+        F_k_polynomial(f, FrobLift.tp(ctx, 0), 3, ctx, _every_class(3, 1))
 
 
 def test_level1_interval_matrix_is_identity():
@@ -52,7 +52,7 @@ def test_level1_interval_matrix_is_identity():
         ctx = PadicContext(p, 3)
         one = PadicSeries.one(ctx, 0)
         f = LaurentPoly(1, {(0,): one, (1,): -one})
-        hw = hasse_witt_matrix(f, FrobLift.identity(), 1, RegionSpec.full(), ctx)
+        hw = hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 1, RegionSpec.full(), ctx)
         assert hw.basis == [(0,), (1,)]
         assert hw.L_k == 0
         for i in range(2):
@@ -282,7 +282,7 @@ def test_point_levels_rejects_unnested_region():
     # (1, 0) is a level-1 point but not a level-2 one
     region = RegionSpec.custom({1: [(0, 0), (1, 0)], 2: [(0, 0), (2, 0), (0, 2)]})
     with pytest.raises(ConfigError, match="not nested"):
-        hasse_witt_matrix(f, FrobLift.identity(), 2, region, ctx)
+        hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 2, region, ctx)
 
 
 def _shifted_image(F, u, p):

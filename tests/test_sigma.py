@@ -105,6 +105,7 @@ def test_on_poly_acts_on_coefficients_only():
 
 
 def test_identity_lift():
-    lift = FrobLift.identity()
-    f = LaurentPoly(1, {(1,): 2})
-    assert lift.on_poly(f) is f
+    # a lift fixes scalars, so it fixes a polynomial with int coefficients
+    lift = FrobLift.tp(PadicContext(3, 3), 12)
+    f = LaurentPoly(2, {(0, 0): 1, (1, 0): -2, (0, 1): 7})
+    assert lift.on_poly(f) == f
