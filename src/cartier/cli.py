@@ -129,15 +129,18 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         defaults = load_config(args.config)
-        unknown = [k for k in defaults if not hasattr(args, k)]
-        if unknown:
-            raise ConfigError("unknown config keys: %s" % sorted(unknown))
         # flags given on the command line override the file: re-parse with
         # the file contents installed as defaults, each converted by its
         # flag's type and checked against its choices here, so that a bad
-        # value is a ConfigError that names it
+        # value is a ConfigError that names it.  A key must name a flag of
+        # the subcommand other than --config and --help
         parser = build_parser()
-        for action in _walk_actions(parser, args.command):
+        actions = [a for a in _walk_actions(parser, args.command)
+                   if a.option_strings and a.dest not in ("config", "help")]
+        unknown = set(defaults) - {a.dest for a in actions}
+        if unknown:
+            raise ConfigError("unknown config keys: %s" % sorted(unknown))
+        for action in actions:
             if action.dest in defaults:
                 value = defaults[action.dest]
                 if isinstance(action, argparse._StoreTrueAction):

@@ -5,20 +5,23 @@ coordinate.
 A family is given by a Laurent polynomial g = alpha + gamma sum_i x^{v_i}
 whose non-constant support consists of the vertices v_i of a reflexive
 polytope.  The coefficients [x^u] g^k are taken from one closed form per
-named kind (`_closed_terms`, as summands c, r with [x^u] g^k = c sum(r)) and
-by enumeration of the relation lattice of the vertices for custom ones; the
-tests compare the two paths on the catalog.  F is the coefficient at u = 0,
-and `vertex_coefficients` reads it along the first vertex, u = c v_1.  G
-takes F's summands again with the harmonic numbers, one (step, w) per kind.
-Both paths keep F in integers and G, built on first read, in integers over
-one common denominator.  The summands of `an` and `hyperoctahedral` are
-those of products of the series E_c(z) = sum_w z^w/(w!(w+c)!), taken in
-ints by one convolution (`_e_terms`); for c = 0 it is the binomial-square
-convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where e_j(k) = (k!)^2 [t^k]
-E_0^j.  In the enumeration, a relation ell_1 v_1 + sum_{i>=2} ell_i v_i = 0
-with its v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k at
-x^{c v_1}, and the weights are sums of multinomials, so these coefficients
-are exact ints too.
+named kind (`_closed_terms`) and by enumeration of the relation lattice of
+the vertices for custom ones; the tests compare the two paths on the
+catalog.  F is the coefficient at u = 0, and `vertex_coefficients` reads it
+along the first vertex, u = c v_1.  G takes F's summands again, weighted by
+the harmonic numbers, with one weight w per kind.  Both paths keep F in
+integers and G, built on first read, in integers over one common
+denominator.  For `an` and `hyperoctahedral` the coefficients are products
+of the series E_c(z) = sum_w z^w/(w!(w+c)!), taken in ints one factor at a
+time by a memoized chain of convolutions (`_e_sums`), which keeps the
+running sums of each sorted prefix of shifts; for c = 0 it is the
+binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
+e_j(k) = (k!)^2 [t^k] E_0^j, so `an` n starts from `an` n - 1, and G forms
+only the last factor's summands from the stored sums (`_e_summands`).  In
+the enumeration, a relation ell_1 v_1 + sum_{i>=2} ell_i v_i = 0 with its
+v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k at x^{c v_1},
+and the weights are sums of multinomials, so these coefficients are exact
+ints too.
 
 G, l = G/F, W and q are cached properties of `PeriodData`; W, q, A, B and
 the mirror map are RationalSeries formulas in F and l.  A RationalSeries
@@ -28,7 +31,7 @@ not p-integral keeps its exact value in Q and fails in reduce_mod.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 from math import comb, factorial, lcm, prod
 from operator import add, mul
@@ -133,66 +136,78 @@ def _harmonics(D):
     return L, H
 
 
-def _e_terms(us, M):
-    """The summands of R_m = m!(m-S)! [z^m] prod_i z^{max(u_i,0)} E_{|u_i|}(z),
-    m = 0..M, for nonempty shifts us with S = sum(us) >= 0 and
-    E_c(z) = sum_w z^w/(w!(w+c)!).  R_m is a sum of products of two
-    multinomials, so an int.  The factors are taken one at a time: a shift u
-    takes the R' of shift sum S' to R_m = sum_j C(m,j) C(m-S'-u, j-S') R'_j
-    over j >= S' and m - j >= max(u, 0), and the m-th list holds the terms
-    of this sum for the last factor.  For u = S' = 0 it is the binomial-square
-    convolution e_{i+1}(m) = sum_j C(m,j)^2 e_i(j) of e_i(m) = (m!)^2 [t^m] E_0^i."""
+@cache
+def _e_sums(shifts, M):
+    """R_m = m!(m-S)! [z^m] prod_i z^{max(u_i,0)} E_{|u_i|}(z), m = 0..M, as
+    a tuple of ints, for a tuple of shifts u_i in decreasing order with
+    S = sum(shifts) >= 0 and E_c(z) = sum_w z^w/(w!(w+c)!).  R_m is a sum of
+    products of two multinomials, so an int.  Each prefix of the shifts is
+    an entry of its own, built once and never changed, so the zero-shift
+    chain of `an` n - 1 is the start of that of `an` n."""
+    if not shifts:
+        return (1,) + (0,) * M
+    return tuple(map(sum, _e_summands(shifts, M)))
+
+
+def _e_summands(shifts, M):
+    """For m = 0..M, an iterator over the summands of R_m (`_e_sums`) for the
+    last factor.  It takes the sums R' of the shifts before it, of sum S', to
+    R_m = sum_j C(m,j) C(m-S'-u, j-S') R'_j over j >= S' and m - j >= max(u, 0),
+    for the last shift u; in decreasing order every partial sum is >= 0.  For
+    u = S' = 0 it is the binomial-square convolution
+    e_{i+1}(m) = sum_j C(m,j)^2 e_i(j) of e_i(m) = (m!)^2 [t^m] E_0^i.  The
+    binomial rows are formed on the way and dropped after the last m."""
+    *head, u = shifts
+    S = sum(head)
+    T, lo = S + u, max(u, 0)
+    Rs = _e_sums(tuple(head), M)[S:]
     rows, row = [], [1]
-    for _ in range(M + 1):
+    for m in range(M + 1):
         rows.append(row)
         row = list(map(add, [0] + row, row + [0]))
-    shifts = sorted(us, reverse=True)
-    R, S, key = [1] + [0] * M, 0, None
-    # in decreasing order every partial sum S is >= 0, and equal shifts in a
-    # row share one kernel
-    for i, u in enumerate(shifts, 1):
-        T, lo = S + u, max(u, 0)
-        if key != (S, T):
-            key = (S, T)
-            kernel = [
-                list(map(mul, rows[m][S : m - lo + 1], rows[m - T])) if m - lo >= S else []
-                for m in range(M + 1)
-            ]
-        Rs = R[S:]
-        if i == len(shifts):
-            return [list(map(mul, k, Rs)) for k in kernel]
-        R = [sum(map(mul, k, Rs)) for k in kernel]
-        S = T
+        yield map(mul, map(mul, rows[m][S : m - lo + 1], rows[m - T]), Rs) if m - lo >= S else ()
 
 
-# the (step, w) of each catalog kind's G: F_k is nonzero only at multiples
-# of step, and G_k = w (H_k F_k - c sum_i r_i H_(k/step - i)) for the
-# summands (c, r) of F_k.  For `hyperoctahedral` and `an` these are
-# (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1)) and 2 (k!)^2 [t^k] (H_k E^(n+1) -
-# E_H E^n), where E = E_0 and E_H = sum_j H_j t^j/(j!)^2: the summands of
-# e_n(k) are C(k,j)^2 e_(n-1)(j), which E_H weights by H_(k-j)
-_G_STEPS = {
-    "simplicial": lambda n: (n + 1, 1),
-    "hypercubic": lambda n: (2, n),
-    "hyperoctahedral": lambda n: (2, 1),
-    "an": lambda n: (1, 2),
+def _e_column(us, M, H=None):
+    """R_0..R_M of `_e_sums` for the shifts us in any order; with harmonic
+    numbers H, sum_i r_i H_(m-i) over the summands r_i of R_m instead, which
+    only G reads, at u = 0, where the shifts before the last sum to 0."""
+    shifts = tuple(sorted(us, reverse=True))
+    if H is None:
+        return _e_sums(shifts, M)
+    return [sum(map(mul, r, H[m::-1])) for m, r in enumerate(_e_summands(shifts, M))]
+
+
+# the weight w of each catalog kind's G: G_k = w (H_k F_k - F^H_k), F^H the
+# summands of F_k weighted by harmonic numbers (`_closed_terms` with H).  For
+# `hyperoctahedral` and `an` these are (2k)! [t^k] (H_{2k} E^n - E_H E^(n-1))
+# and 2 (k!)^2 [t^k] (H_k E^(n+1) - E_H E^n), where E = E_0 and
+# E_H = sum_j H_j t^j/(j!)^2: the summands of e_n(k) are C(k,j)^2 e_(n-1)(j),
+# which E_H weights by H_(k-j)
+_G_WEIGHTS = {
+    "simplicial": lambda n: 1,
+    "hypercubic": lambda n: n,
+    "hyperoctahedral": lambda n: 1,
+    "an": lambda n: 2,
 }
 
 
 def _closed_FG(family, D):
     """F in ints, and a function that builds G in ints over L = lcm(1..D)
-    from the harmonic numbers L H_j of _harmonics.  F_k = c sum(r) for the
-    summands (c, r) of _closed_terms at u = 0, and G takes them with the
-    kind's (step, w) of _G_STEPS; the function takes the summands again, so
-    that F alone costs no harmonic sums."""
+    from the harmonic numbers L H_j of _harmonics.  F is _closed_terms at
+    u = 0, and G_k = w (H_k F_k - F^H_k) with the kind's w of _G_WEIGHTS and
+    F^H from _closed_terms with H.  F takes the sums of the shift chain
+    directly; G forms only the last factor's summands, from the sums stored
+    for the factors before it, so it runs no second convolution, and F alone
+    costs no harmonic sums."""
     origin = (0,) * family.n
-    F = [c * sum(r) for c, r in _closed_terms(family, origin, D)]
+    F = _closed_terms(family, origin, D)
 
     def build_G():
-        step, w = _G_STEPS[family.kind](family.n)
+        w = _G_WEIGHTS[family.kind](family.n)
         L, H = _harmonics(D)
-        G = [w * (H[k] * f - c * sum(map(mul, r, H[k // step :: -1])))
-             for k, (f, (c, r)) in enumerate(zip(F, _closed_terms(family, origin, D)))]
+        FH = _closed_terms(family, origin, D, H)
+        G = [w * (H[k] * f - x) for k, (f, x) in enumerate(zip(F, FH))]
         return RationalSeries([quo(x, L) for x in G])
 
     return RationalSeries(F), build_G
@@ -341,38 +356,41 @@ def _shifted_terms(family, weights, c, D):
             yield d, ell1, term * alpha ** m * gamma ** total * val
 
 
-def _closed_terms(family, u, D):
-    """[x^u] g^k for k = 0..D, for a catalog family and any u, as pairs
-    (c, r) with [x^u] g^k = c sum(r); a zero coefficient is (0, ()).  r is
-    the list of _e_terms summands for `hyperoctahedral` and `an`, and (1,)
-    otherwise.  S is sum(u) and E_c is the series of _e_terms."""
+def _closed_terms(family, u, D, H=None):
+    """[x^u] g^k for k = 0..D as ints, for a catalog family and any u.  Each
+    is c sum(r) over summands r: one, r = 1, for `simplicial` and
+    `hypercubic`, and for `an` and `hyperoctahedral` those of the last factor
+    of a shift chain, whose sum `_e_sums` stores.  Given harmonic numbers H,
+    each is c sum_i r_i H_(k/step - i) instead, step the spacing of the
+    nonzero terms of F; only G reads this, at u = 0."""
     kind, n, S = family.kind, family.n, sum(u)
+    weight = H or [1] * (D + 1)
     if kind == "hypercubic":
         # prod_i C(k, (k+|u_i|)/2), 0 unless k = u_i mod 2
         return [
-            (prod(comb(k, (k + abs(x)) // 2) for x in u), (1,))
-            if all((k - x) % 2 == 0 for x in u) else (0, ())
+            prod(comb(k, (k + abs(x)) // 2) for x in u) * weight[k // 2]
+            if all((k - x) % 2 == 0 for x in u) else 0
             for k in range(D + 1)
         ]
     if kind == "an":
         # g = sum_{i,j=0..n} x_i/x_j with x_0 = 1, so [x^u] g^k = (k!)^2 [z^k] of
         # the product over u_1..u_n and u_0 = -S, which is R_k for shift sum 0
-        return [(1, r) if r else (0, ()) for r in _e_terms(tuple(u) + (-S,), D)]
-    out = [(0, ())] * (D + 1)
+        return list(_e_column(tuple(u) + (-S,), D, H))
+    out = [0] * (D + 1)
     if kind == "simplicial":
         # b factors 1/(x_1..x_n) and u_i + b factors x_i: k = S + (n+1) b
         b0 = max(0, -min(u))
         for k in range(S + (n + 1) * b0, D + 1, n + 1):
             b = (k - S) // (n + 1)
-            out[k] = factorial(k) // (factorial(b) * prod(factorial(x + b) for x in u)), (1,)
+            out[k] = factorial(k) // (factorial(b) * prod(factorial(x + b) for x in u)) * weight[b]
     elif kind == "hyperoctahedral":
         # k! [z^k] prod_i z^{|u_i|} E_{|u_i|}(z^2) = C(k, w) R_{w+T} at
         # k = 2w + T, for the shifts |u_i|
         T = sum(map(abs, u))
         if T <= D:
-            R = _e_terms([abs(x) for x in u], (D + T) // 2)
+            R = _e_column([abs(x) for x in u], (D + T) // 2, H)
             for w in range((D - T) // 2 + 1):
-                out[2 * w + T] = comb(2 * w + T, w), R[w + T]
+                out[2 * w + T] = comb(2 * w + T, w) * R[w + T]
     else:
         raise ConfigError("no closed form for kind %r" % (kind,))
     return out
@@ -381,14 +399,13 @@ def _closed_terms(family, u, D):
 def vertex_coefficients(family, D, cs):
     """For each c in cs, the exact coefficients [x^{c v_1}] g^k, k = 0..D, of
     1/(1 - t g) along the first vertex v_1, as a list of D + 1 ints.  The
-    catalog families sum the pairs of _closed_terms; a custom family takes
+    catalog families take them from _closed_terms; a custom family takes
     them all from one enumeration of the relation lattice."""
     if any(c < 0 for c in cs):
         raise ConfigError("vertex multiples must be >= 0")
     v1 = family.vertices[0]
     if family.kind != "custom":
-        return [[a * sum(r) for a, r in _closed_terms(family, [c * x for x in v1], D)]
-                for c in cs]
+        return [_closed_terms(family, [c * x for x in v1], D) for c in cs]
     weights = _weights_to_degree(family, D)
     out = []
     for c in cs:

@@ -4,7 +4,7 @@ lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
 from typing import NamedTuple
 
-from .errors import DomainError, TheoremViolation
+from .errors import ConfigError, DomainError, TheoremViolation
 from .families import ab_coefficients, canonical_q
 from .series import PadicSeries, padic_log_unit, reduce_mod
 from .sigma import FrobLift
@@ -38,20 +38,33 @@ def check_lift_hypothesis(family, p):
         )
 
 
+def check_degree(D, p):
+    """t^sigma = t^p v has no terms below degree p, so neither v nor the
+    Frobenius matrix exists at a degree D < p."""
+    if D < p:
+        raise ConfigError("--degree %d is below p=%d: t^sigma = t^p v needs degree >= p" % (D, p))
+
+
 def reduced_q(periods, ctx):
-    """q(t) and the mirror map t(q) mod p^N.  q, exact in Q from the integer
+    """q(t) mod p^N to degree D, and the mirror map t(q) mod p^N to degree
+    D // p, at least 1 and at most D.  t^sigma composes t(q) with
+    gamma^(p-1) q^p, of valuation p, which reads only its coefficients to
+    degree D // p (`series._outer_terms`); the cut is exact, as coefficient
+    k of a reversion reads only q_1..q_k.  q, exact in Q from the integer
     recurrence of canonical_q, is reduced first and reverted in Z/p^N: the
     reversion of a p-integral t + O(t^2) is p-integral, so the
     ReductionError raised on q is the whole integrality check."""
     q = reduce_mod(canonical_q(periods), ctx)
-    return q, q.reverse()
+    return q, q.truncate(min(q.D, max(1, q.D // ctx.p))).reverse()
 
 
 def excellent_lift(family, periods, ctx):
-    """t^sigma = t(gamma^{p-1} q(t)^p), the unique lift with lambda1 = 0.
+    """t^sigma = t(gamma^{p-1} q(t)^p), the unique lift with lambda1 = 0,
+    with t(q) to the degree D // p that the composition reads (`reduced_q`).
     The theory makes it t^p mod p, so a failed check of `from_tsigma` is a
-    TheoremViolation here."""
+    TheoremViolation here.  A degree D < p is a ConfigError (`check_degree`)."""
     check_lift_hypothesis(family, ctx.p)
+    check_degree(periods.D, ctx.p)
     qp, tqp = reduced_q(periods, ctx)
     p = ctx.p
     tsigma = tqp.compose(qp ** p * pow(family.gamma, p - 1, ctx.modulus))
@@ -98,7 +111,9 @@ def frobenius_matrix(family, periods, lift, ctx):
 
     The second row is theta of the first plus the connection correction:
     (mu0, mu1) = (theta lambda0, theta lambda1) + c (lambda0, lambda1) N_theta(t^sigma),
-    c = theta(t^sigma)/t^sigma."""
+    c = theta(t^sigma)/t^sigma.  A degree D < p is a ConfigError
+    (`check_degree`)."""
+    check_degree(lift.tsigma.D, ctx.p)
     lam0, lam1 = lambda_pair(family, periods, lift, ctx)
     A, B = (reduce_mod(x, ctx) for x in ab_coefficients(periods))
     c = lift.theta_ratio()

@@ -89,7 +89,10 @@ def _facets(pts, n):
     maximal minors of the rows q_i - q_0 over their gcd, oriented by
     `_side`.  Each prefix's minors are formed once; a prefix whose minors
     vanish ends its branch, and a last point that puts the subset inside a
-    facet already found is skipped."""
+    facet already found is skipped.  The n - 1 points of a last prefix span
+    an (n-2)-flat, which lies in two facets only if it is a ridge, and a
+    ridge lies in exactly two, so a prefix found in two facets is not
+    extended further."""
     found = {}  # facet -> indices of the points on it
     levels = [list(combinations(range(n), k)) for k in range(n + 1)]
     plans = [
@@ -115,6 +118,8 @@ def _facets(pts, n):
         last = len(chosen) == n - 1
         through = [on for on in found.values() if on.issuperset(chosen)] if last else []
         for i in range(chosen[-1] + 1, len(pts)):
+            if len(through) == 2:
+                break
             if not any(i in on for on in through):
                 m = _wedge(minors, [x - y for x, y in zip(pts[i], q0)], plans[len(chosen) - 1])
                 if any(m) and (on := grow(chosen + (i,), m)):

@@ -153,6 +153,27 @@ def test_lift_excluded_prime_rejected(capsys):
     assert code == 2 and "divides" in err
 
 
+@pytest.mark.parametrize(
+    "argv,p",
+    [
+        (["lift", "--family", "hypercubic", "--n", "2", "--prime", "7", "--precision", "4",
+          "--degree", "3"], 7),
+        (["lift", "--family", "hypercubic", "--n", "2", "--prime", "7", "--precision", "4",
+          "--degree", "0"], 7),
+        (["verify", "frobenius", "--family", "hypercubic", "--n", "2", "--prime", "5",
+          "--degree", "3"], 5),
+    ],
+    ids=["lift-3", "lift-0", "verify-frobenius-3"],
+)
+def test_a_degree_below_p_names_degree_and_p(argv, p, capsys):
+    # t^sigma = t^p v has no terms below degree p, so neither the excellent
+    # lift nor the Frobenius matrix exists there
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: --degree %s is below p=%d: t^sigma = t^p v needs degree >= p\n" % (
+        argv[-1], p)
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(
         capsys, "verify", "dwork", "--family", "simplicial", "--n", "2",
@@ -427,6 +448,18 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("family=hypercubic\nwarp=9\n")
     code, _, err = run(capsys, "periods", "--config", str(cfg))
     assert code == 2
+
+
+@pytest.mark.parametrize("key", ["command", "config", "help", "suite"])
+def test_config_keys_must_name_flags_of_the_subcommand(key, tmp_path, capsys):
+    # namespace entries that are no flag of the subcommand: the subcommand
+    # itself, --config, --help and the positional suite of verify
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=hw\n" % key)
+    command = ["verify", "all"] if key == "suite" else ["periods", "--family", "hypercubic"]
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: unknown config keys: ['%s']\n" % key
 
 
 @pytest.mark.parametrize(

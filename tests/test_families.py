@@ -185,11 +185,11 @@ def test_cross_check_catches_a_wrong_closed_form():
 
 @pytest.mark.parametrize("kind,n", [kn for kn in CATALOG if kn[1] <= 3], ids=str)
 def test_a_wrong_G_weight_differs_from_enumeration(kind, n, monkeypatch):
-    # negative control of the (step, w) table: w + 1 in place of a kind's w
+    # negative control of the _G_WEIGHTS table: w + 1 in place of a kind's w
     # gives a G that the enumeration does not match
     family = FamilySpec.by_name(kind, n)
-    step, w = families._G_STEPS[kind](n)
-    monkeypatch.setitem(families._G_STEPS, kind, lambda n: (step, w + 1))
+    w = families._G_WEIGHTS[kind](n)
+    monkeypatch.setitem(families._G_WEIGHTS, kind, lambda n: w + 1)
     _, build_G = _closed_FG(family, 12)
     assert build_G().coeffs != generic_periods(family, 12)[1].coeffs
 
@@ -230,6 +230,78 @@ def test_closed_form_matches_e_series(kind, n):
     assert F.coeffs == Fe and G.coeffs == Ge
 
 
+# the zero-shift chain against the relation lattice: `an` n has F_k = R_k of
+# n + 1 zero shifts, and `hyperoctahedral` n has F_(2w) = C(2w, w) R_w of n;
+# `an` stops at lower degrees as n grows, where its enumeration gets slow
+CHAIN_CASES = [("an", 1, 40), ("an", 2, 24), ("an", 3, 12), ("an", 4, 6)]
+CHAIN_CASES += [("hyperoctahedral", n, 40) for n in (1, 2, 3, 4)]
+
+
+def chain_F(kind, n, D, sums):
+    """F from the sums R_0..R_M of z zero shifts, sums(z, M)."""
+    if kind == "an":
+        return list(sums(n + 1, D))
+    R, out = sums(n, D // 2), [0] * (D + 1)
+    for w in range(D // 2 + 1):
+        out[2 * w] = comb(2 * w, w) * R[w]
+    return out
+
+
+@lru_cache(maxsize=None)
+def relation_lattice_F(kind, n, D):
+    return generic_periods(FamilySpec.by_name(kind, n), D)[0].coeffs
+
+
+def binomial_power_chain(z, M, power):
+    """z steps of e(m) <- sum_j C(m, j)^power e(j) from e = (1, 0, .., 0)."""
+    e = [1] + [0] * M
+    for _ in range(z):
+        e = [sum(comb(m, j) ** power * e[j] for j in range(m + 1)) for m in range(M + 1)]
+    return e
+
+
+@pytest.mark.parametrize("kind,n,D", CHAIN_CASES)
+def test_chain_sums_match_the_relation_lattice(kind, n, D):
+    assert chain_F(kind, n, D, lambda z, M: families._e_sums((0,) * z, M)) == (
+        relation_lattice_F(kind, n, D))
+    assert chain_F(kind, n, D, lambda z, M: binomial_power_chain(z, M, 2)) == (
+        relation_lattice_F(kind, n, D))
+
+
+@pytest.mark.parametrize("kind,n,D", [c for c in CHAIN_CASES if c[:2] != ("hyperoctahedral", 1)])
+def test_an_unsquared_binomial_chain_differs_from_the_relation_lattice(kind, n, D):
+    # negative control of the comparison above: C(m, j) in place of C(m, j)^2.
+    # One zero shift gives R_m = 1 either way, so hyperoctahedral n=1 is left out
+    assert chain_F(kind, n, D, lambda z, M: binomial_power_chain(z, M, 1)) != (
+        relation_lattice_F(kind, n, D))
+
+
+def test_G_after_F_runs_only_the_last_factor(monkeypatch):
+    # F of `an` n builds the zero-shift chain's sums, n + 2 prefixes of which
+    # `an` n - 1 built all but one; G then forms the summands of the last
+    # factor only, from the stored sums, and computes no new sums
+    calls = []
+    summands = families._e_summands
+
+    def counted(shifts, M):
+        calls.append((shifts, M))
+        return summands(shifts, M)
+
+    monkeypatch.setattr(families, "_e_summands", counted)
+    families._e_sums.cache_clear()
+    D = 30
+    PeriodData(FamilySpec.a_n(2), D)
+    assert families._e_sums.cache_info().misses == 4
+    del calls[:]
+    periods = PeriodData(FamilySpec.a_n(3), D)
+    assert families._e_sums.cache_info().misses == 5
+    assert calls == [((0,) * 4, D)]
+    del calls[:]
+    assert periods.G.coeffs == e_series_FG(FamilySpec.a_n(3), D)[1]
+    assert families._e_sums.cache_info().misses == 5
+    assert calls == [((0,) * 4, D)]
+
+
 @pytest.mark.parametrize("n,D", [(1, 40), (2, 40), (3, 16), (3, 75)])
 def test_vertex_coefficients_hypercubic_closed_form(n, D):
     # g = prod (x_i + 1/x_i), so [x^{c(1,..,1)}] g^k = binom(k, (k+c)/2)^n;
@@ -264,10 +336,7 @@ def test_closed_vertex_coefficients_match_relation_lattice(kind, n, D):
     # the symmetry group moves every vertex to v_1, and the closed forms
     # hold for any exponent, so every vertex gives the same coefficients
     for v in family.vertices:
-        assert [
-            [a * sum(r) for a, r in _closed_terms(family, [c * x for x in v], D)]
-            for c in VERTEX_CS
-        ] == expected
+        assert [_closed_terms(family, [c * x for x in v], D) for c in VERTEX_CS] == expected
 
 
 def e_series(c, D, step):

@@ -165,10 +165,15 @@ def test_Lambda0_is_the_constant_term_of_Lambda_for_the_tp_lift(fam):
 @pytest.mark.parametrize("p", [5, 7])
 def test_reduced_q_reverts_in_Zp_like_over_Q(kind, p):
     # the mirror map reverted over Q and then reduced is the oracle for the
-    # reversion done in Z/p^N
+    # reversion done in Z/p^N at full degree; reduced_q reverts only the
+    # prefix to degree D // p = 6 that t^sigma reads, and gives its prefix
     periods = PeriodData(FamilySpec.by_name(kind, 2), 6 * p)
     ctx = PadicContext(p, 6)
-    assert reduced_q(periods, ctx)[1].coeffs == reduce_mod(mirror_map(periods), ctx).coeffs
+    full = reduce_mod(canonical_q(periods), ctx).reverse()
+    assert full.coeffs == reduce_mod(mirror_map(periods), ctx).coeffs
+    q, tq = reduced_q(periods, ctx)
+    assert q.D == 6 * p and tq.D == 6
+    assert tq.coeffs == full.coeffs[:7]
 
 
 def _stub_periods(p, D):
@@ -190,7 +195,12 @@ def test_reduced_q_rejects_non_integral_q():
 # outer coefficients c_0..c_(D//p); a Brent-Kung composition of L outer
 # coefficients forms at most k - 1 baby-step powers and m - 1 giant steps,
 # k = isqrt(L - 1) + 1 and m = ceil(L / k), as packed products: 8 for 22
-# coefficients, against 23 for all 148.
+# coefficients, against 23 for all 148.  The same cut bounds the reversion
+# of q, which t^sigma reads to degree D // p = 21: its Newton steps run at
+# degrees 1, 2, 5, 10 and 21, and only those at 21 reach the _PACK_MIN = 12
+# residues of a packed product, so the last step's composition, its two
+# correction products and the final check form at most 2 * 8 + 2 (71
+# products when q is reverted to degree 147).
 
 
 def _brent_kung_products(L):
@@ -214,6 +224,8 @@ def test_pull_back_forms_only_the_products_of_the_cut_outer_series(monkeypatch):
     del calls[:]
     reduced_q(periods, ctx)
     reversion = len(calls)
+    assert 0 < reversion <= 2 * _brent_kung_products(D // p + 1) + 2
+    assert max(calls) <= D // p + 1
     del calls[:]
     assert excellent_lift(fam, periods, ctx).tsigma == lift.tsigma
     assert len(calls) - reversion <= 4 + _brent_kung_products(D // p + 1)
