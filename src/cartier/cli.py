@@ -9,7 +9,9 @@ import argparse
 import json
 import sys
 
-from . import harness
+# read as module attributes: a lazily loaded module (see `cartier/__init__.py`)
+# runs only when a command calls into it
+from . import families, frobenius, harness, hasse_witt, laurent, polytope, series, sigma
 from .errors import (
     ConfigError,
     DomainError,
@@ -17,14 +19,7 @@ from .errors import (
     ReductionError,
     TheoremViolation,
 )
-from .families import FamilySpec, PeriodData, canonical_q, mirror_map
-from .frobenius import excellent_lift, frobenius_matrix
-from .hasse_witt import cy_hasse_witt, hasse_witt_matrix, level_points
-from .laurent import LaurentPoly
 from .padic import PadicContext
-from .polytope import Polytope, RegionSpec
-from .series import PadicSeries, reduce_mod
-from .sigma import FrobLift
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -203,11 +198,11 @@ def get_family(args):
         if not getattr(args, "g_file", None):
             raise ConfigError("--family custom requires --g-file")
         with open(args.g_file) as fh:
-            g = LaurentPoly.from_text(fh.read())
-        return FamilySpec.custom(g)
+            g = laurent.LaurentPoly.from_text(fh.read())
+        return families.FamilySpec.custom(g)
     if getattr(args, "g_file", None):
         raise ConfigError("--g-file is read only with --family custom")
-    return FamilySpec.by_name(kind, args.n)
+    return families.FamilySpec.by_name(kind, args.n)
 
 
 def make_lift(spec, family, ctx, Dt):
@@ -225,7 +220,7 @@ def make_lift(spec, family, ctx, Dt):
             raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
         if 0 <= k <= Dt:
             coeffs[k] = c
-    return FrobLift.from_tsigma(ctx, PadicSeries(ctx, coeffs), kind="explicit")
+    return sigma.FrobLift.from_tsigma(ctx, series.PadicSeries(ctx, coeffs), kind="explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +232,10 @@ def cmd_periods(args):
     D = args.degree
     if D < 0:
         raise ConfigError("degree must be >= 0")
-    periods = PeriodData(family, D)
+    periods = families.PeriodData(family, D)
     if D >= 1:
-        q = canonical_q(periods)
-        tq = mirror_map(periods)
+        q = families.canonical_q(periods)
+        tq = families.mirror_map(periods)
     else:
         # q = t + O(t^2) cannot be represented (or reverted) at degree 0
         q = periods.F * 0
@@ -275,9 +270,9 @@ SQUARE = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 def square_example_f(ctx, Dt):
     """f = 1 - x1 - x2 + (1-t) x1 x2 on the unit square SQUARE."""
-    one = PadicSeries.one(ctx, Dt)
-    t = PadicSeries.t(ctx, Dt)
-    return LaurentPoly(2, dict(zip(SQUARE, (one, -one, -one, one - t))))
+    one = series.PadicSeries.one(ctx, Dt)
+    t = series.PadicSeries.t(ctx, Dt)
+    return laurent.LaurentPoly(2, dict(zip(SQUARE, (one, -one, -one, one - t))))
 
 
 def square_example_region(P, k):
@@ -287,7 +282,7 @@ def square_example_region(P, k):
         for i, (a, c) in enumerate(P.facets)
         if c == 1 and tuple(a) in ((1, 0), (0, 1))
     ]
-    return RegionSpec.from_strict_facets(P, strict, list(range(1, k + 1)))
+    return polytope.RegionSpec.from_strict_facets(P, strict, list(range(1, k + 1)))
 
 
 def _hw_text(hw):
@@ -330,20 +325,21 @@ def cmd_hw(args):
     if k >= p:
         raise DomainError("level k=%d requires k < p=%d" % (k, p))
     Dt = args.degree if args.degree is not None else 3 * p * p
+    sigma.check_degree(Dt, p)
     if square:
         if args.lift == "excellent":
             raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
-        P = Polytope(SQUARE)
+        P = polytope.Polytope(SQUARE)
         region = square_example_region(P, k)
-        ctx = _hw_context(args, level_points(P, k, region)[1])
+        ctx = _hw_context(args, hasse_witt.level_points(P, k, region)[1])
         lift = make_lift(args.lift, None, ctx, Dt)
-        hw = hasse_witt_matrix(square_example_f(ctx, Dt), lift, k, region, ctx)
+        hw = hasse_witt.hasse_witt_matrix(square_example_f(ctx, Dt), lift, k, region, ctx)
     else:
         # the CY matrices have l basis elements at level l <= 2, so L_k = k - 1
         ctx = _hw_context(args, k - 1)
         family = get_family(args)
         lift = make_lift(args.lift, family, ctx, Dt)
-        hw = cy_hasse_witt(family, lift, k, ctx, Dt, basis=args.basis)
+        hw = hasse_witt.cy_hasse_witt(family, lift, k, ctx, Dt, basis=args.basis)
     if args.format == "json" or args.format is None:
         _emit(args, hw.to_json())
     else:
@@ -358,10 +354,10 @@ def cmd_lift(args):
     Dt = args.degree if args.degree is not None else 3 * p * p
     ctx = PadicContext(p, args.precision)
     family = get_family(args)
-    periods = PeriodData(family, Dt)
-    lift = excellent_lift(family, periods, ctx)
-    data = frobenius_matrix(family, periods, lift, ctx)
-    q = reduce_mod(canonical_q(periods), ctx)
+    periods = families.PeriodData(family, Dt)
+    lift = frobenius.excellent_lift(family, periods, ctx)
+    data = frobenius.frobenius_matrix(family, periods, lift, ctx)
+    q = series.reduce_mod(families.canonical_q(periods), ctx)
     blocks = [
         ("tsigma", lift.tsigma),
         ("q", q),
@@ -380,16 +376,16 @@ def cmd_lift(args):
             "precision": args.precision,
             "degree": Dt,
         }
-        for name, series in blocks:
-            obj[name] = _series_dict(series.coeffs)
+        for name, block in blocks:
+            obj[name] = _series_dict(block.coeffs)
         _emit(args, json.dumps(obj, indent=2, sort_keys=True))
     else:
         lines = [
             "family %s n=%d prime=%d precision=%d degree=%d"
             % (family.kind, family.n, p, args.precision, Dt)
         ]
-        for name, series in blocks:
-            lines.append("%s %s" % (name, _series_text(series.coeffs)))
+        for name, block in blocks:
+            lines.append("%s %s" % (name, _series_text(block.coeffs)))
         _emit(args, "\n".join(lines))
     return EXIT_OK
 

@@ -4,10 +4,10 @@ lambda0/lambda1 of the Cartier action on 1/f, and the full 2x2 matrix."""
 
 from typing import NamedTuple
 
-from .errors import ConfigError, DomainError, TheoremViolation
+from .errors import DomainError, TheoremViolation
 from .families import ab_coefficients, canonical_q
 from .series import PadicSeries, padic_log_unit, reduce_mod
-from .sigma import FrobLift
+from .sigma import FrobLift, check_degree
 
 
 class FrobeniusData(NamedTuple):
@@ -36,13 +36,6 @@ def check_lift_hypothesis(family, p):
             "p=%d divides gamma*#G*index = %d for %s n=%d"
             % (p, prod, family.kind, family.n)
         )
-
-
-def check_degree(D, p):
-    """t^sigma = t^p v has no terms below degree p, so neither v nor the
-    Frobenius matrix exists at a degree D < p."""
-    if D < p:
-        raise ConfigError("--degree %d is below p=%d: t^sigma = t^p v needs degree >= p" % (D, p))
 
 
 def reduced_q(periods, ctx):

@@ -14,22 +14,11 @@ from functools import cache
 from math import comb
 from typing import NamedTuple
 
+# read as module attributes: a lazily loaded module (see `cartier/__init__.py`)
+# runs only when a command calls into it
+from . import families, frobenius, hasse_witt, series, sigma
 from .errors import ConfigError, TheoremViolation
-from .families import (
-    FamilySpec,
-    PeriodData,
-    pq_polynomial,
-    vertex_coefficients,
-)
-from .frobenius import (
-    excellent_lift,
-    frobenius_matrix,
-    structure_residual,
-)
-from .hasse_witt import cy_hasse_witt
 from .padic import PadicContext, ord_p, unit_inverse
-from .series import PadicSeries, padic_log_unit, reduce_mod
-from .sigma import FrobLift
 
 GUARD = 4
 
@@ -91,7 +80,9 @@ def _report(check_id, params, target, excess, conjecture=False, notes=(), contro
 
 # the catalog spec of (kind, n), built once: specs are never changed after
 # construction, so the checks share them
-get_family = cache(FamilySpec.by_name)
+@cache
+def get_family(kind, n):
+    return families.FamilySpec.by_name(kind, n)
 
 # (family, D) -> PeriodData: a miss is served by truncating the same family's
 # data at a larger degree, which is exact, and builds only when D is above
@@ -109,7 +100,7 @@ def get_periods(family, D):
             key=lambda cached: cached.D,
             default=None,
         )
-        periods = base.truncate(D) if base and base.D > D else PeriodData(family, D)
+        periods = base.truncate(D) if base and base.D > D else families.PeriodData(family, D)
         _PERIOD_CACHE[family, D] = periods
     return periods
 
@@ -119,10 +110,10 @@ def get_lift(kind, family, ctx, Dt):
     """The t^p lift, or the excellent lift of `family` from its periods at
     degree Dt, built once per argument tuple."""
     if kind == "tp":
-        return FrobLift.tp(ctx, Dt)
+        return sigma.FrobLift.tp(ctx, Dt)
     if kind != "excellent":
         raise ConfigError("unknown lift kind %r" % (kind,))
-    return excellent_lift(family, get_periods(family, Dt), ctx)
+    return frobenius.excellent_lift(family, get_periods(family, Dt), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +125,7 @@ def _lift_and_F(family, lift_kind, ctx, Dt):
     """The lift, F mod p^N and F(t^sigma) at degree Dt, built once per
     argument tuple."""
     lift = get_lift(lift_kind, family, ctx, Dt)
-    F = reduce_mod(get_periods(family, Dt).F, ctx)
+    F = series.reduce_mod(get_periods(family, Dt).F, ctx)
     return lift, F, lift.on_series(F)
 
 
@@ -144,8 +135,8 @@ def _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target):
     t^(Dt+1) and this is the excess of hi - (F/F^sigma) sigma(lo): the
     ratio congruence, with no series inverted."""
     lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
-    lo = lift.on_series(PadicSeries(ctx, lo, Dt))
-    return (F * lo - PadicSeries(ctx, hi, Dt) * Fs).min_excess_ord(target)
+    lo = lift.on_series(series.PadicSeries(ctx, lo, Dt))
+    return (F * lo - series.PadicSeries(ctx, hi, Dt) * Fs).min_excess_ord(target)
 
 
 def _truncation_excess(family, p, s, m, lift_kind, Dt, target, bump=()):
@@ -261,34 +252,34 @@ def verify_simple_example(p, s, variant="generic"):
     notes = []
     ctx = PadicContext(p, target + GUARD)
 
-    def series(coeffs):
-        return PadicSeries(ctx, coeffs, K + L)
+    def as_series(coeffs):
+        return series.PadicSeries(ctx, coeffs, K + L)
 
     # diff(cur, prev): the residual from cur = alpha_{kp^s,lp^s}, prev = alpha_{kp^{s-1},lp^{s-1}}
     if variant == "generic":
-        sigma = FrobLift.tp(ctx, K + L)
+        lift = sigma.FrobLift.tp(ctx, K + L)
 
         def diff(cur, prev):
-            return series(cur) - sigma.on_series(series(prev))
+            return as_series(cur) - lift.on_series(as_series(prev))
     elif variant == "t=-1":
         notes.append("specialization t=-1, f = 1 - x - y + 2xy")
 
         def diff(cur, prev):
             at_minus_one = [sum(c * (-1) ** e for e, c in enumerate(a)) for a in (cur, prev)]
-            return PadicSeries(ctx, [at_minus_one[0] - at_minus_one[1]])
+            return series.PadicSeries(ctx, [at_minus_one[0] - at_minus_one[1]])
     elif variant == "general-lift":
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
         unit = 1 + p
-        sigma = FrobLift.from_tsigma(ctx, series([0] * p + [unit]), kind="explicit")
+        lift = sigma.FrobLift.from_tsigma(ctx, as_series([0] * p + [unit]), kind="explicit")
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
-        logu = -padic_log_unit(ctx, unit)
+        logu = -series.padic_log_unit(ctx, unit)
         notes.append("lift t^sigma = t^p (1+p) with correction log(t^p/t^sigma) theta(a)")
 
         def diff(cur, prev):
-            base = series(prev)
-            return series(cur) - (sigma.on_series(base) + sigma.on_series(base.theta()) * logu)
+            base = as_series(prev)
+            return as_series(cur) - (lift.on_series(base) + lift.on_series(base.theta()) * logu)
     else:
         raise ConfigError("unknown variant %r" % (variant,))
     excess = min(
@@ -320,7 +311,7 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     if Dt < p ** s * Q:
         return _report(check_id, params, target, None)
     ctx = PadicContext(p, target + GUARD)
-    hi, lo = vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
+    hi, lo = families.vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
     excess = _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target)
     lift = get_lift(lift_kind, family, ctx, Dt)
     notes = ["vertex direction %r" % (family.vertices[0],)]
@@ -363,7 +354,7 @@ def verify_straub(p, s):
     check_id = "straub/p%d-s%d" % (p, s)
     ctx = PadicContext(p, target + GUARD)
     excess = min(
-        PadicSeries(ctx, [_layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))])
+        series.PadicSeries(ctx, [_layer_diagonal(d * p ** s) - _layer_diagonal(d * p ** (s - 1))])
         .min_excess_ord(target)
         for d in multiples
     )
@@ -382,17 +373,18 @@ def verify_hw_congruences(family, p, Dt=None):
     level-2 matrix agrees with the Cartier matrix mod p^2."""
     if Dt is None:
         Dt = 3 * p * p
+    sigma.check_degree(Dt, p)
     params = dict(family=family.kind, n=family.n, p=p, Dt=Dt)
     check_id = "hw-congruences/%s-n%d-p%d" % (family.kind, family.n, p)
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
     lift = get_lift("tp", family, ctx, Dt)
     notes = []
-    hw1m = cy_hasse_witt(family, lift, 1, ctx, Dt)
-    e1 = (hw1m.hw - PadicSeries(ctx, periods.F._c[:p], Dt)).min_excess_ord(1)
-    hw2m = cy_hasse_witt(family, lift, 2, ctx, Dt)
+    hw1m = hasse_witt.cy_hasse_witt(family, lift, 1, ctx, Dt)
+    e1 = (hw1m.hw - series.PadicSeries(ctx, periods.F._c[:p], Dt)).min_excess_ord(1)
+    hw2m = hasse_witt.cy_hasse_witt(family, lift, 2, ctx, Dt)
     hw2 = hw2m.hw
-    W2 = reduce_mod(periods.W, hw2.ctx)
+    W2 = series.reduce_mod(periods.W, hw2.ctx)
     # matrix entries built through a t^p division carry padding in the top
     # p coefficients; compare below that degree only
     e2 = (hw2 - W2.invert() ** (p - 1)).truncate(Dt - p).min_excess_ord(1)
@@ -406,10 +398,10 @@ def verify_hw_congruences(family, p, Dt=None):
         % ("equals" if same else "differs from")
     )
     # equivalent form hw^(1) = F(t)^{1-p} mod p
-    eF = (hw1m.hw - reduce_mod(periods.F, ctx).invert() ** (p - 1)).min_excess_ord(1)
+    eF = (hw1m.hw - series.reduce_mod(periods.F, ctx).invert() ** (p - 1)).min_excess_ord(1)
     notes.append("hw^(1) vs F^{1-p} mod p excess %d" % eF)
     # the Cartier matrix reduces to HW^(2) mod p^2 in the matched basis
-    data = frobenius_matrix(family, periods, lift, ctx)
+    data = frobenius.frobenius_matrix(family, periods, lift, ctx)
     eL = min(
         (data.Lambda[i][j] - hw2m.entries[i][j]).truncate(Dt - p).min_excess_ord(2)
         for i in range(2) for j in range(2)
@@ -437,10 +429,10 @@ PHI_5 = {
 def _eval_phi(phi, X, ctx, Dt):
     """phi(X, t) for a series X and Y = t (realized as coefficient shifts)."""
     amax = max(a for a, _ in phi)
-    powers = [PadicSeries.one(ctx, Dt)]
+    powers = [series.PadicSeries.one(ctx, Dt)]
     for _ in range(amax):
         powers.append(powers[-1] * X)
-    acc = PadicSeries.zero(ctx, Dt)
+    acc = series.PadicSeries.zero(ctx, Dt)
     for (a, b), c in sorted(phi.items()):
         acc = acc + powers[a].shift(b) * c
     return acc
@@ -462,7 +454,7 @@ def verify_modular_polynomial(p, Dt=None, control=False):
     ctx = PadicContext(p, target + 2)
     family = get_family("hypercubic", 2)
     if control:
-        X = PadicSeries(ctx, [0] * p + [1], Dt)
+        X = series.PadicSeries(ctx, [0] * p + [1], Dt)
     else:
         X = get_lift("excellent", family, ctx, Dt).tsigma
     excess = _eval_phi(phi, X, ctx, Dt).min_excess_ord(target)
@@ -554,12 +546,12 @@ def verify_frobenius_structure(family, p, lift_kind="excellent", Dt=None, contro
     ctx = PadicContext(p, 2 + GUARD)
     periods = get_periods(family, Dt)
     lift = get_lift(lift_kind, family, ctx, Dt)
-    data = frobenius_matrix(family, periods, lift, ctx)
+    data = frobenius.frobenius_matrix(family, periods, lift, ctx)
     target = ctx.N
     if control:
-        bump = PadicSeries.constant(ctx, p ** (ctx.N - 1), Dt)
+        bump = series.PadicSeries.constant(ctx, p ** (ctx.N - 1), Dt)
         data.Lambda[0][0] = data.Lambda[0][0] + bump
-    R = structure_residual(data)
+    R = frobenius.structure_residual(data)
     excess = min(
         R[i][j].truncate(Dt - p).min_excess_ord(target)
         for i in range(2) for j in range(2)
@@ -603,10 +595,10 @@ def verify_pq(p, s, n, Dt=None):
     def cleared(q):
         # t^q P_q(t) as a series
         coeffs = [0] * (Dt + 1)
-        for e, c in pq_polynomial(n, q).items():
+        for e, c in families.pq_polynomial(n, q).items():
             if e + q <= Dt:
                 coeffs[e + q] = c
-        return PadicSeries(ctx, coeffs)
+        return series.PadicSeries(ctx, coeffs)
 
     # multiply both sides by F(t^sigma) t^{p^s} (t^sigma)^{p^{s-1}}, which
     # clears every negative power and every denominator

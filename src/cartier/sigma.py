@@ -4,6 +4,14 @@ from .errors import ConfigError, DomainError
 from .series import PadicSeries, RationalSeries
 
 
+def check_degree(D, p):
+    """t^sigma = t^p v has no terms below degree p, so neither v nor the
+    Frobenius matrix exists at a degree D < p, and a t^p division leaves
+    every coefficient of a Hasse-Witt entry there undetermined."""
+    if D < p:
+        raise ConfigError("--degree %d is below p=%d: t^sigma = t^p v needs degree >= p" % (D, p))
+
+
 class FrobLift:
     """A lift of Frobenius acting on coefficients.
 

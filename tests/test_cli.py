@@ -162,12 +162,16 @@ def test_lift_excluded_prime_rejected(capsys):
           "--degree", "0"], 7),
         (["verify", "frobenius", "--family", "hypercubic", "--n", "2", "--prime", "5",
           "--degree", "3"], 5),
+        (["hw", "--family", "hypercubic", "--n", "2", "--prime", "5", "--degree", "3"], 5),
+        (["verify", "hw", "--family", "hypercubic", "--n", "2", "--prime", "5",
+          "--degree", "3"], 5),
     ],
-    ids=["lift-3", "lift-0", "verify-frobenius-3"],
+    ids=["lift-3", "lift-0", "verify-frobenius-3", "hw-3", "verify-hw-3"],
 )
 def test_a_degree_below_p_names_degree_and_p(argv, p, capsys):
     # t^sigma = t^p v has no terms below degree p, so neither the excellent
-    # lift nor the Frobenius matrix exists there
+    # lift nor the Frobenius matrix exists there, and a t^p division leaves
+    # every Hasse-Witt entry undetermined
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_USAGE and out == ""
     assert err == "error: --degree %s is below p=%d: t^sigma = t^p v needs degree >= p\n" % (

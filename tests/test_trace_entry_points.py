@@ -2,8 +2,10 @@
 entry point it wraps, so a renamed or merely inherited method fails here
 rather than in a traced benchmark run."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -40,7 +42,9 @@ def test_every_trace_entry_point_resolves():
 
 def test_every_traced_module_is_loaded_with_the_cli():
     # Tracer.install looks each module up in sys.modules right after
-    # `import cartier.cli`, so it must be loaded even if no command calls it
+    # `import cartier.cli`: `import cartier` registers every module there,
+    # and a module runs on its first attribute read, so it must be registered
+    # even if no command reads it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     loaded = subprocess.run(
@@ -49,3 +53,39 @@ def test_every_traced_module_is_loaded_with_the_cli():
     ).stdout.split()
     traced = {"cartier." + module for _, module, _ in _spans().ENTRY_POINTS}
     assert sorted(traced - set(loaded)) == []
+
+
+# loads the tracer from argv[1], wraps the lazily registered modules, runs
+# `cartier` on the JSON argv of argv[2] and writes the span metrics to stderr
+TRACED_RUN = """
+import importlib.util, json, sys, time
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import cartier.cli
+tracer = spans.Tracer("t")
+tracer.install()
+start = time.perf_counter()
+code = cartier.cli.main(json.loads(sys.argv[2]))
+sys.stdout.flush()
+sys.stderr.write(json.dumps(tracer.summary(time.perf_counter() - start)["metrics"]))
+sys.exit(code)
+"""
+
+
+def test_the_tracer_wraps_lazily_loaded_modules():
+    # install() reads each wrapped module for the first time, so the wrappers
+    # must be in place in every module that runs then, and the output unchanged
+    case = json.loads((ROOT / "perfbench" / "reference.json").read_text())["lift"][0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SPANS), json.dumps(case["argv"])],
+        capture_output=True, env=env,
+    )
+    assert done.returncode == case["exit"]
+    assert hashlib.sha256(done.stdout).hexdigest() == case["sha256"]
+    metrics = json.loads(done.stderr)
+    assert metrics["frobenius.excellent_lift.calls"] == 1
+    assert metrics["series.padic.mul.calls"] > 0
+    assert metrics["expansion.expand_cy.calls"] == 0
