@@ -220,7 +220,7 @@ def make_lift(spec, family, ctx, Dt):
             raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
         if 0 <= k <= Dt:
             coeffs[k] = c
-    return sigma.FrobLift.from_tsigma(ctx, series.PadicSeries(ctx, coeffs), kind="explicit")
+    return sigma.FrobLift.from_tsigma(ctx, series.PadicSeries(ctx, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +275,10 @@ def square_example_f(ctx, Dt):
     return laurent.LaurentPoly(2, dict(zip(SQUARE, (one, -one, -one, one - t))))
 
 
-def square_example_region(P, k):
-    """mu = the unit square minus its upper and right edges."""
-    strict = [
-        i
-        for i, (a, c) in enumerate(P.facets)
-        if c == 1 and tuple(a) in ((1, 0), (0, 1))
-    ]
-    return polytope.RegionSpec.from_strict_facets(P, strict, list(range(1, k + 1)))
+def square_example_region(P):
+    """mu = the unit square P minus its upper and right edges: the indices
+    of the facets x1 <= 1 and x2 <= 1, which mu leaves open."""
+    return {i for i, (a, c) in enumerate(P.facets) if c == 1 and tuple(a) in ((1, 0), (0, 1))}
 
 
 def _hw_text(hw):
@@ -330,7 +326,7 @@ def cmd_hw(args):
         if args.lift == "excellent":
             raise ConfigError("the square example has no catalog excellent lift; use tp or explicit")
         P = polytope.Polytope(SQUARE)
-        region = square_example_region(P, k)
+        region = square_example_region(P)
         ctx = _hw_context(args, hasse_witt.level_points(P, k, region)[1])
         lift = make_lift(args.lift, None, ctx, Dt)
         hw = hasse_witt.hasse_witt_matrix(square_example_f(ctx, Dt), lift, k, region, ctx)

@@ -6,7 +6,7 @@ integer grading functional ell, strictly positive on the cone.
 """
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from .errors import ConfigError, ExpansionError, PrecisionError
 from .laurent import cartier_poly, poly_pow
@@ -268,20 +268,13 @@ def cartier_rational(elem, lift, K, ctx):
         coeff = Fraction(
             elem.prefactor
             * Fraction(
-                _factorial(m - 1) * comb(r + cm - 1, r)
+                factorial(m - 1) * comb(r + cm - 1, r)
             )
         )
         if Qr:
             out.append(RationalElement(r + cm, Qr, fs, coeff))
         Pr = Pr * Pg
         r += 1
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
     return out
 
 

@@ -115,8 +115,8 @@ class FamilySpec:
         return cls("an", n, g, 2 * factorial(n + 1))
 
     @classmethod
-    def custom(cls, g, group_order=1):
-        return cls("custom", g.n, g, group_order)
+    def custom(cls, g):
+        return cls("custom", g.n, g, 1)
 
     @classmethod
     def by_name(cls, name, n):
@@ -366,12 +366,13 @@ def _closed_terms(family, u, D, H=None):
     kind, n, S = family.kind, family.n, sum(u)
     weight = H or [1] * (D + 1)
     if kind == "hypercubic":
-        # prod_i C(k, (k+|u_i|)/2), 0 unless k = u_i mod 2
-        return [
-            prod(comb(k, (k + abs(x)) // 2) for x in u) * weight[k // 2]
-            if all((k - x) % 2 == 0 for x in u) else 0
-            for k in range(D + 1)
-        ]
+        # prod_i C(k, (k+|u_i|)/2), nonzero only at k >= max |u_i| with
+        # k = u_i mod 2 for every i, so nowhere when the u_i differ in parity
+        out = [0] * (D + 1)
+        if len({x % 2 for x in u}) == 1:
+            for k in range(max(map(abs, u)), D + 1, 2):
+                out[k] = prod(comb(k, (k + abs(x)) // 2) for x in u) * weight[k // 2]
+        return out
     if kind == "an":
         # g = sum_{i,j=0..n} x_i/x_j with x_0 = 1, so [x^u] g^k = (k!)^2 [z^k] of
         # the product over u_1..u_n and u_0 = -S, which is R_k for shift sum 0

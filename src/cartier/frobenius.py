@@ -62,7 +62,7 @@ def excellent_lift(family, periods, ctx):
     p = ctx.p
     tsigma = tqp.compose(qp ** p * pow(family.gamma, p - 1, ctx.modulus))
     try:
-        return FrobLift.from_tsigma(ctx, tsigma, kind="excellent")
+        return FrobLift.from_tsigma(ctx, tsigma)
     except DomainError as exc:
         raise TheoremViolation(str(exc)) from None
 

@@ -271,7 +271,7 @@ def verify_simple_example(p, s, variant="generic"):
         if s != 1:
             raise ConfigError("the general-lift variant is stated for s=1")
         unit = 1 + p
-        lift = sigma.FrobLift.from_tsigma(ctx, as_series([0] * p + [unit]), kind="explicit")
+        lift = sigma.FrobLift.from_tsigma(ctx, as_series([0] * p + [unit]))
         # the correction factor is log(t^p/t^sigma) = -log(1+p): expanding
         # h(b e^x) around b = t^sigma forces x = log(t^p/t^sigma)
         logu = -series.padic_log_unit(ctx, unit)

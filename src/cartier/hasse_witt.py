@@ -76,12 +76,13 @@ class HasseWittMatrix:
         return json.dumps(obj, sort_keys=True)
 
 
-def level_points(P, k, region):
-    """The points of level k, ordered by the least level each lies in, and
-    L_k = sum over l < k of (m_k - m_l), m_l the number of level-l points:
-    the power of p that divides det HW^(k).  Each level's points must lie in
-    the next level's."""
-    levels = [lattice_points(P, lev, region) for lev in range(1, k + 1)]
+def level_points(P, k, open_facets):
+    """The points of level k of the region mu = P without the facets listed
+    in open_facets (`lattice_points`), ordered by the least level each lies
+    in, and L_k = sum over l < k of (m_k - m_l), m_l the number of level-l
+    points: the power of p that divides det HW^(k).  Each level's points
+    must lie in the next level's."""
+    levels = [lattice_points(P, lev, open_facets) for lev in range(1, k + 1)]
     first = {}
     for lev, pts in enumerate(levels, 1):
         missing = first.keys() - set(pts)
@@ -96,14 +97,15 @@ def level_points(P, k, region):
     return ordered, sum(len(ordered) - len(pts) for pts in levels[:-1])
 
 
-def hasse_witt_matrix(f, lift, k, region, ctx):
+def hasse_witt_matrix(f, lift, k, open_facets, ctx):
     """Matrix of the Cartier operator on the level-k part, in the monomial
-    basis x^u, u in (k mu), level-major order.
+    basis x^u, u in (k mu), level-major order, mu the Newton polytope of f
+    without the facets listed in open_facets.
 
     Entry (i, j) is the coefficient of x^(u_j) in Phi(x^(u_i) * F^(k)).
     The coefficients of f are PadicSeries over ctx."""
     p = ctx.p
-    points, L_k = level_points(newton_polytope(f), k, region)
+    points, L_k = level_points(newton_polytope(f), k, open_facets)
     Fk = F_k_polynomial(f, lift, k, ctx, points)
     zero = PadicSeries.zero(ctx, next(iter(f.terms.values())).D)
     point_set = set(points)

@@ -49,10 +49,6 @@ class LaurentPoly:
     def one(cls, n, one=1):
         return cls(n, {(0,) * n: one})
 
-    @classmethod
-    def monomial(cls, u, c=1):
-        return cls(len(u), {tuple(u): c})
-
     def support(self):
         return sorted(self.terms)
 
@@ -141,16 +137,11 @@ class LaurentPoly:
     def constant_term(self, default=0):
         return self.terms.get((0,) * self.n, default)
 
-    def to_text(self):
-        lines = []
-        for u in sorted(self.terms):
-            lines.append("%s : %s" % (",".join(str(e) for e in u), self.terms[u]))
-        return "\n".join(lines)
-
     @classmethod
-    def from_text(cls, text, n=None):
+    def from_text(cls, text):
         """One term 'e1,..,en : c' per line, with int exponents and a
-        rational c; a malformed line raises ConfigError."""
+        rational c; n is the length of the first exponent, and a malformed
+        line raises ConfigError."""
         terms = []
         for line in text.strip().splitlines():
             if not line.strip():
@@ -161,12 +152,10 @@ class LaurentPoly:
                 c = Fraction(coeff.strip())
             except (ValueError, ZeroDivisionError):
                 raise ConfigError("polynomial line %r is not 'e1,..,en : c'" % line) from None
-            if n is None:
-                n = len(u)
             terms.append((u, c.numerator if c.denominator == 1 else c))
-        if n is None:
+        if not terms:
             raise ConfigError("empty polynomial literal")
-        return cls(n, terms)
+        return cls(len(terms[0][0]), terms)
 
 
 def mul_classes(f, g, p, classes):

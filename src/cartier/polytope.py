@@ -1,5 +1,6 @@
-"""Newton polytopes: facet inequalities, reflexivity, region lattice
-points and the support-lattice index.
+"""Newton polytopes: facet inequalities, reflexivity, the lattice points of
+a region mu (Delta with some facets removed, given by their indices) and
+the support-lattice index.
 
 A facet normal is the vector of signed maximal minors of the differences
 q_i - q_0 of n points, formed one row at a time (`_wedge`) so that subsets
@@ -46,15 +47,6 @@ class Polytope:
 
     def is_reflexive(self):
         return all(c == 1 for _, c in self.require_facets())
-
-    def contains(self, u, scale=1, strict=False, strict_facets=None):
-        """Is u in scale*Delta (strict: in the interior / off listed facets)?"""
-        for idx, (a, c) in enumerate(self.require_facets()):
-            v = sum(map(mul, a, u))
-            s = strict if strict_facets is None else (idx in strict_facets)
-            if v > scale * c or (s and v == scale * c):
-                return False
-        return True
 
 
 def signed_minors(rows):
@@ -155,60 +147,17 @@ def _extreme_points(pts, facets, n):
             if len(_pivots([a for a, c in facets if sum(map(mul, a, p)) == c], n)) == n]
 
 
-class RegionSpec:
-    """The open set mu: interior of Delta, all of Delta, or explicit lists of
-    the lattice points of (k mu) per level."""
-
-    __slots__ = ("kind", "custom_points")
-
-    def __init__(self, kind, custom_points=None):
-        if kind not in ("interior", "full", "custom"):
-            raise ConfigError("unknown region kind %r" % (kind,))
-        self.kind = kind
-        if kind == "custom":
-            if not custom_points:
-                raise ConfigError("custom region needs explicit point lists")
-            self.custom_points = {int(k): sorted(map(tuple, v)) for k, v in custom_points.items()}
-        else:
-            self.custom_points = None
-
-    @classmethod
-    def interior(cls):
-        return cls("interior")
-
-    @classmethod
-    def full(cls):
-        return cls("full")
-
-    @classmethod
-    def custom(cls, points_by_level):
-        return cls("custom", points_by_level)
-
-    @classmethod
-    def from_strict_facets(cls, polytope, strict_facet_indices, levels):
-        """Build the extensional lists for mu = Delta minus the listed facets."""
-        strict = set(strict_facet_indices)
-        return cls.custom({k: _scan(polytope, k, strict_facets=strict) for k in levels})
-
-
-def _scan(P, k, strict=False, strict_facets=None):
-    """The lattice points of k Delta, k >= 1, that `contains` admits, in
-    lexicographic order: the box of k Delta scanned by `product`."""
-    box = [range(min(v[i] for v in P.vertices) * k, max(v[i] for v in P.vertices) * k + 1)
-           for i in range(P.n)]
-    return [u for u in product(*box)
-            if P.contains(u, scale=k, strict=strict, strict_facets=strict_facets)]
-
-
-def lattice_points(P, k, region):
-    """All lattice points of (k mu), sorted lexicographically."""
+def lattice_points(P, k, open_facets):
+    """The lattice points of k mu, k >= 1, in lexicographic order, for mu the
+    polytope Delta = P without the facets whose indices are in open_facets:
+    the box of k Delta scanned by `product`, a point kept when it satisfies
+    <a_i, u> <= k c_i on every facet i, strictly on the open ones."""
     if k < 1:
         raise ConfigError("level k must be >= 1")
-    if region.kind == "custom":
-        if k not in region.custom_points:
-            raise ConfigError("custom region has no point list for level %d" % k)
-        return list(region.custom_points[k])
-    return _scan(P, k, strict=(region.kind == "interior"))
+    bounds = [(a, k * c + (i not in open_facets)) for i, (a, c) in enumerate(P.require_facets())]
+    box = [range(min(v[i] for v in P.vertices) * k, max(v[i] for v in P.vertices) * k + 1)
+           for i in range(P.n)]
+    return [u for u in product(*box) if all(sum(map(mul, a, u)) < b for a, b in bounds)]
 
 
 def newton_polytope(f):

@@ -349,20 +349,12 @@ class RationalSeries(_Series):
         self._c = cs
 
     @classmethod
-    def zero(cls, D):
-        return cls([], D)
-
-    @classmethod
     def one(cls, D):
         return cls([1], D)
 
     @classmethod
     def t(cls, D):
         return cls([0, 1], D)
-
-    @classmethod
-    def constant(cls, c, D):
-        return cls([c], D)
 
     def _new(self, coeffs, D):
         return RationalSeries(coeffs, D)

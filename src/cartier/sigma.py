@@ -16,14 +16,13 @@ class FrobLift:
     """A lift of Frobenius acting on coefficients.
 
     Scalars (elements of Z_p) are fixed; series in t are composed with
-    t^sigma.  kind is one of 'tp', 'explicit', 'excellent'.
-    A given t^sigma becomes a lift only through `from_tsigma`, which checks it.
+    t^sigma, which alone determines the lift.  A given t^sigma becomes a
+    lift only through `from_tsigma`, which checks it.
     """
 
-    __slots__ = ("kind", "ctx", "tsigma", "vsigma", "_vinv")
+    __slots__ = ("ctx", "tsigma", "vsigma", "_vinv")
 
-    def __init__(self, kind, ctx, tsigma, vsigma):
-        self.kind = kind
+    def __init__(self, ctx, tsigma, vsigma):
         self.ctx = ctx
         self.tsigma = tsigma
         self.vsigma = vsigma
@@ -33,17 +32,17 @@ class FrobLift:
     def tp(cls, ctx, D):
         ts = PadicSeries(ctx, [0] * ctx.p + [1], D)
         v = PadicSeries.one(ctx, D)
-        return cls("tp", ctx, ts, v)
+        return cls(ctx, ts, v)
 
     @classmethod
-    def from_tsigma(cls, ctx, tsigma, kind="excellent"):
+    def from_tsigma(cls, ctx, tsigma):
         """The lift of t^sigma = t^p v; a DomainError names the first degree
         at which t^sigma != t^p mod p, so no such series becomes a lift."""
         p = ctx.p
         for i, c in enumerate(tsigma.coeffs):
             if (c - (1 if i == p else 0)) % p:
                 raise DomainError("t^sigma != t^p mod p at degree %d" % i)
-        return cls(kind, ctx, tsigma, tsigma.shift_div(p))
+        return cls(ctx, tsigma, tsigma.shift_div(p))
 
     @property
     def vinv(self):
@@ -55,11 +54,12 @@ class FrobLift:
     def on_series(self, s):
         """Apply sigma to an element of Z_p[[t]].  t^sigma = t^p v has
         valuation p, so s(t^sigma) to degree D reads only the coefficients
-        s_0..s_(D//p): `compose` keeps those and no others."""
+        s_0..s_(D//p): `compose` keeps those and no others.  When v is 1,
+        s(t^p) to s's degree is s with its exponents scaled by p."""
         if not isinstance(s, PadicSeries):
             raise ConfigError("sigma acts on PadicSeries coefficients")
         self.ctx.same(s.ctx)
-        if self.kind == "tp":
+        if self.vsigma._c == [1]:
             p = self.ctx.p
             c = s._c[: s.D // p + 1]
             out = [0] * (p * len(c) - p + 1)

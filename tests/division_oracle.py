@@ -7,14 +7,15 @@ from cartier.laurent import LaurentPoly
 from cartier.polytope import lattice_points, newton_polytope
 
 
-def extended_basis_division(A, f, b, k, region):
+def extended_basis_division(A, f, b, k, open_facets):
     """Euclidean division A = P f + Q with Supp(P) in (k-1)mu and
-    Supp(Q) in (k mu) minus (b + (k-1)mu)."""
+    Supp(Q) in (k mu) minus (b + (k-1)mu), mu the Newton polytope of f
+    without the facets listed in open_facets."""
     P_delta = newton_polytope(f)
     b = tuple(b)
     # a DomainError unless the coefficient of x^b in f is a unit
     fb_inv = invert_coefficient(f.coeff(b))
-    lower = set(lattice_points(P_delta, k - 1, region)) if k > 1 else set()
+    lower = set(lattice_points(P_delta, k - 1, open_facets)) if k > 1 else set()
     shifted = {tuple(u[i] + b[i] for i in range(f.n)): u for u in lower}
     # process candidates in increasing grading order: eliminating x^{u+b}
     # only creates terms of strictly larger grade, so each shifted point is
@@ -36,7 +37,7 @@ def extended_basis_division(A, f, b, k, region):
             candidates, key=lambda u: (sum(l * e for l, e in zip(ell, u)), u)
         )
         c = Q.coeff(pick) * fb_inv
-        mono = LaurentPoly.monomial(shifted[pick], c)
+        mono = LaurentPoly(f.n, {shifted[pick]: c})
         Pq = Pq + mono
         Q = Q - mono * f
     return Pq, Q

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from cartier import harness
+from cartier.cli import square_example_region
 from cartier.errors import DomainError
 from cartier.expansion import (
     RationalElement,
@@ -31,7 +32,7 @@ from cartier.frobenius import check_lift_hypothesis, excellent_lift, lambda_pair
 from cartier.hasse_witt import hasse_witt_matrix
 from cartier.laurent import LaurentPoly
 from cartier.padic import PadicContext
-from cartier.polytope import RegionSpec, newton_polytope
+from cartier.polytope import newton_polytope
 from cartier.series import (
     PadicSeries,
     RationalSeries,
@@ -86,14 +87,6 @@ def _square_f(ctx, Dt):
     return LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): -one, (1, 1): one - t})
 
 
-def _half_open_region(P, k):
-    strict = [
-        i for i, (a, c) in enumerate(P.facets)
-        if c == 1 and tuple(a) in ((1, 0), (0, 1))
-    ]
-    return RegionSpec.from_strict_facets(P, strict, list(range(1, k + 1)))
-
-
 @pytest.mark.parametrize("p", [3, 5])
 def test_square_family_hasse_witt(p):
     Dt = 4 * p
@@ -101,9 +94,9 @@ def test_square_family_hasse_witt(p):
     f = _square_f(ctx, Dt)
     P = newton_polytope(f)
     lift = FrobLift.tp(ctx, Dt)
-    hw1 = hasse_witt_matrix(f, lift, 1, _half_open_region(P, 1), ctx)
+    hw1 = hasse_witt_matrix(f, lift, 1, square_example_region(P), ctx)
     assert hw1.entries == [[PadicSeries.one(ctx, Dt)]]
-    hw2 = hasse_witt_matrix(f, lift, 2, _half_open_region(P, 2), ctx)
+    hw2 = hasse_witt_matrix(f, lift, 2, square_example_region(P), ctx)
     assert hw2.L_k == 3
     C = comb(2 * p - 2, p - 1)
     # upper-triangular with diagonal 1, -C, -C, -C * sum binom(p-1,m)^2 (1-t)^m

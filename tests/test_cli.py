@@ -347,6 +347,10 @@ def test_verify_json_golden_bytes(suite, grid, digest, capsys):
         # level 1, whose region polynomial has scalar coefficients
         ("hw --family hyperoctahedral --n 2 --prime 7 --level 1 --format json",
          "ed0a555f94d41aac5d6f1587697fb6183e0e970452120eeac958407500a69a6b"),
+        # the half-open square at level 3, recorded while regions were
+        # stored as per-level point lists
+        ("hw --family square --prime 5 --level 3",
+         "1b33fedde0a4d834443536b810749533ae42696fff4ce2be1b84801fd0e50cab"),
     ],
 )
 def test_hw_golden_bytes(argv, digest, capsys):
@@ -515,6 +519,17 @@ def test_explicit_lift_must_be_t_to_the_p_mod_p(tokens, code, tmp_path, capsys):
         assert out == "" and err.startswith("error: ") and err.endswith("at degree 6\n")
     else:
         assert json.loads(out)["level"] == 2
+
+
+def test_explicit_t_to_the_p_prints_the_tp_bytes(tmp_path, capsys):
+    # a lift is its t^sigma: t^7 read from a file is the t^p lift
+    path = tmp_path / "lift.txt"
+    path.write_text("7:1\n")
+    argv = ["hw", "--family", "hyperoctahedral", "--n", "2", "--prime", "7"]
+    outs = [run(capsys, *argv, "--lift", lift) for lift in ("tp", "explicit:%s" % path)]
+    assert [code for code, _, _ in outs] == [0, 0] and outs[0][1] == outs[1][1]
+    assert hashlib.sha256(outs[1][1].encode()).hexdigest() == (
+        "d6098df11add13304cdab9ec7c5d2704e375b7b35f4194ce88648509d4ab66b8")
 
 
 def test_out_file(tmp_path, capsys):

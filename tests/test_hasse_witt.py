@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from cartier import hasse_witt, laurent, series
+from cartier.cli import square_example_region
 from cartier.errors import ConfigError, DomainError, TheoremViolation
 from cartier.exactla import det
 from cartier.families import FamilySpec
@@ -17,7 +18,7 @@ from cartier.hasse_witt import (
 )
 from cartier.laurent import LaurentPoly, cartier_poly, poly_pow
 from cartier.padic import PadicContext
-from cartier.polytope import RegionSpec, lattice_points, newton_polytope
+from cartier.polytope import lattice_points, newton_polytope
 from cartier.series import PadicSeries
 from cartier.sigma import FrobLift
 from division_oracle import extended_basis_division
@@ -52,7 +53,7 @@ def test_level1_interval_matrix_is_identity():
         ctx = PadicContext(p, 3)
         one = PadicSeries.one(ctx, 0)
         f = LaurentPoly(1, {(0,): one, (1,): -one})
-        hw = hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 1, RegionSpec.full(), ctx)
+        hw = hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 1, (), ctx)
         assert hw.basis == [(0,), (1,)]
         assert hw.L_k == 0
         for i in range(2):
@@ -67,20 +68,12 @@ def _square_f(ctx, Dt):
     return LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): -one, (1, 1): one - t})
 
 
-def _half_open_region(P, k):
-    strict = [
-        i for i, (a, c) in enumerate(P.facets)
-        if c == 1 and tuple(a) in ((1, 0), (0, 1))
-    ]
-    return RegionSpec.from_strict_facets(P, strict, list(range(1, k + 1)))
-
-
 def test_square_family_level2_structure():
     p, Dt = 3, 12
     ctx = PadicContext(p, 5)
     f = _square_f(ctx, Dt)
     P = newton_polytope(f)
-    region = _half_open_region(P, 2)
+    region = square_example_region(P)
     lift = FrobLift.tp(ctx, Dt)
     hw = hasse_witt_matrix(f, lift, 2, region, ctx)
     assert hw.L_k == 3
@@ -98,7 +91,7 @@ def _assert_square_det_divisible(monkeypatch, k, N, Dt, L_k):
     p = 5
     ctx = PadicContext(p, N)
     f = _square_f(ctx, Dt)
-    region = _half_open_region(newton_polytope(f), k)
+    region = square_example_region(newton_polytope(f))
     lift = FrobLift.tp(ctx, Dt)
     hw = hasse_witt_matrix(f, lift, k, region, ctx)
     assert hw.L_k == L_k
@@ -138,7 +131,7 @@ def test_extended_basis_division_identity():
     t = PadicSeries.t(ctx, Dt)
     f = _square_f(ctx, Dt)
     P_delta = newton_polytope(f)
-    region = RegionSpec.full()
+    region = ()  # all of Delta
     b = (1, 1)
     A = LaurentPoly(
         2, {(2, 2): one, (1, 0): 5 * t, (0, 0): one + t, (2, 1): 3 * one}
@@ -159,7 +152,7 @@ def test_extended_basis_division_needs_unit_pivot():
     one = PadicSeries.one(ctx, Dt)
     f = LaurentPoly(2, {(0, 0): one, (1, 1): t})  # coefficient at b is not a unit
     with pytest.raises(DomainError):
-        extended_basis_division(LaurentPoly.one(2, one), f, (1, 1), 2, RegionSpec.full())
+        extended_basis_division(LaurentPoly.one(2, one), f, (1, 1), 2, ())
 
 
 def test_cy_level1_matches_direct_decimation():
@@ -265,7 +258,8 @@ def test_powers_over_series_make_no_scalar_products(monkeypatch):
 def test_point_levels_nested_regions_pass():
     ctx = PadicContext(3, 2)
     P = newton_polytope(_square_f(ctx, 6))
-    for region in (_half_open_region(P, 3), RegionSpec.interior(), RegionSpec.full()):
+    # the half-open square, the interior and all of Delta
+    for region in (square_example_region(P), range(len(P.facets)), ()):
         points, L_k = level_points(P, 3, region)
         levels = [lattice_points(P, k, region) for k in (1, 2, 3)]
         assert L_k == sum(len(levels[2]) - len(levels[l]) for l in (0, 1))
@@ -278,11 +272,11 @@ def test_point_levels_nested_regions_pass():
 def test_point_levels_rejects_unnested_region():
     ctx = PadicContext(3, 3)
     one = PadicSeries.one(ctx, 0)
-    f = LaurentPoly(2, {(0, 0): one, (1, 0): -one, (0, 1): -one})
-    # (1, 0) is a level-1 point but not a level-2 one
-    region = RegionSpec.custom({1: [(0, 0), (1, 0)], 2: [(0, 0), (2, 0), (0, 2)]})
-    with pytest.raises(ConfigError, match="not nested"):
-        hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 2, region, ctx)
+    # f = x - x^2 - xy: its polytope conv{(1,0),(2,0),(1,1)} misses the
+    # origin, so (1, 0) is a level-1 point but not a level-2 one
+    f = LaurentPoly(2, {(1, 0): one, (2, 0): -one, (1, 1): -one})
+    with pytest.raises(ConfigError, match=r"not nested: \(1, 0\) of level 1 is not in level 2"):
+        hasse_witt_matrix(f, FrobLift.tp(ctx, 0), 2, (), ctx)
 
 
 def _shifted_image(F, u, p):

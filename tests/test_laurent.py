@@ -68,9 +68,14 @@ def test_cartier_projection_formula(f, g):
     assert cartier_poly(f * g.scale_exponents(p), p) == cartier_poly(f, p) * g
 
 
-def test_text_roundtrip():
+def test_from_text_reads_one_term_per_line():
     f = LaurentPoly(2, {(1, -2): 3, (0, 0): -5})
-    assert LaurentPoly.from_text(f.to_text()) == f
+    assert LaurentPoly.from_text("1,-2 : 3\n\n0,0 : -5\n") == f
+    # n is the length of the first exponent, so a shorter later one is an error
+    with pytest.raises(ConfigError, match="wrong dimension"):
+        LaurentPoly.from_text("1,0 : 1\n1 : 2")
+    with pytest.raises(ConfigError, match="empty polynomial literal"):
+        LaurentPoly.from_text("\n")
 
 
 # Products over Z/p^N series coefficients: packed_term_mul against a

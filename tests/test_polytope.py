@@ -2,16 +2,21 @@
 
 import pytest
 
+from cartier.cli import SQUARE, square_example_region
 from cartier.errors import ConfigError, DomainError, InfiniteIndexError
 from cartier.families import FamilySpec
 from cartier.laurent import LaurentPoly
 from cartier.polytope import (
     Polytope,
-    RegionSpec,
     lattice_points,
     newton_polytope,
     support_lattice_index,
 )
+
+
+def _every_facet(P):
+    """The open facets of the interior of P."""
+    return range(len(P.facets))
 
 
 def test_square_polytope():
@@ -28,10 +33,10 @@ def test_square_polytope():
 def test_lattice_point_counts():
     # [-1,1]^2 has 9 lattice points, 1 interior; 2*Delta has 25
     P = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    assert len(lattice_points(P, 1, RegionSpec.full())) == 9
-    assert lattice_points(P, 1, RegionSpec.interior()) == [(0, 0)]
-    assert len(lattice_points(P, 2, RegionSpec.full())) == 25
-    assert len(lattice_points(P, 2, RegionSpec.interior())) == 9
+    assert len(lattice_points(P, 1, ())) == 9
+    assert lattice_points(P, 1, _every_facet(P)) == [(0, 0)]
+    assert len(lattice_points(P, 2, ())) == 25
+    assert len(lattice_points(P, 2, _every_facet(P))) == 9
 
 
 def test_simplex_counts():
@@ -40,8 +45,8 @@ def test_simplex_counts():
     assert P.is_reflexive()
     # a polytope with the origin on its boundary is not
     assert not Polytope([(0, 0), (2, 0), (0, 2)]).is_reflexive()
-    assert len(lattice_points(P, 1, RegionSpec.full())) == 4
-    assert lattice_points(P, 1, RegionSpec.interior()) == [(0, 0)]
+    assert len(lattice_points(P, 1, ())) == 4
+    assert lattice_points(P, 1, _every_facet(P)) == [(0, 0)]
 
 
 def test_non_full_dimensional():
@@ -54,24 +59,21 @@ def test_non_full_dimensional():
 def test_half_open_square_region():
     # mu = unit square minus upper and right edges: 1 point at level 1,
     # 4 at level 2 (the pattern behind L(2) = 3)
-    P = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-    strict = [
-        i for i, (a, c) in enumerate(P.facets)
-        if c == 1 and tuple(a) in ((1, 0), (0, 1))
-    ]
-    region = RegionSpec.from_strict_facets(P, strict, [1, 2])
+    P = Polytope(SQUARE)
+    region = square_example_region(P)
+    assert sorted(P.facets[i] for i in region) == [((0, 1), 1), ((1, 0), 1)]
     assert lattice_points(P, 1, region) == [(0, 0)]
     assert lattice_points(P, 2, region) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # control: closing either open edge puts its two corners back at level 1
+    for i in region:
+        assert len(lattice_points(P, 1, region - {i})) == 2
 
 
-def test_custom_region_guard():
-    with pytest.raises(ConfigError):
-        RegionSpec("weird")
-    region = RegionSpec.custom({1: [(0, 0)]})
+def test_lattice_points_need_a_positive_level():
     P = Polytope([(1, 0), (0, 1), (-1, -1)])
-    assert lattice_points(P, 1, region) == [(0, 0)]
-    with pytest.raises(ConfigError):
-        lattice_points(P, 2, region)
+    assert lattice_points(P, 1, ()) == [(-1, -1), (0, 0), (0, 1), (1, 0)]
+    with pytest.raises(ConfigError, match="level k must be >= 1"):
+        lattice_points(P, 0, ())
 
 
 def test_support_lattice_index_oracles():
@@ -101,5 +103,5 @@ def test_catalog_polytopes_reflexive():
         FamilySpec.hyperoctahedral(3),
     ):
         assert fam.polytope.is_reflexive()
-        pts = lattice_points(fam.polytope, 1, RegionSpec.interior())
+        pts = lattice_points(fam.polytope, 1, _every_facet(fam.polytope))
         assert pts == [(0,) * fam.n]

@@ -34,6 +34,36 @@ def test_tp_lift_matches_composition_with_t_to_the_p(D):
         assert not got._c or got._c[-1]
 
 
+def _compose_calls(monkeypatch):
+    """Count the PadicSeries compositions made from here on."""
+    calls = []
+    compose = PadicSeries.compose
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return compose(self, *args, **kwargs)
+
+    monkeypatch.setattr(PadicSeries, "compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_a_given_t_to_the_p_takes_the_tp_path(p, monkeypatch):
+    # t^sigma = t^p read from a series, as `--lift explicit:FILE` does, pulls
+    # back exactly as FrobLift.tp and composes nothing
+    ctx = PadicContext(p, 4)
+    D = 3 * p * p
+    s = PadicSeries(ctx, [(3 * i + 1) % 11 for i in range(D + 1)], D)
+    want = FrobLift.tp(ctx, D).on_series(s)
+    t = PadicSeries.t(ctx, D)
+    calls = _compose_calls(monkeypatch)
+    got = FrobLift.from_tsigma(ctx, t ** p).on_series(s)
+    assert (got.D, got.coeffs) == (want.D, want.coeffs) and calls == []
+    # control: t^sigma = (1 + p) t^p composes, and pulls s back elsewhere
+    other = FrobLift.from_tsigma(ctx, t ** p * (1 + p)).on_series(s)
+    assert len(calls) == 1 and other != want
+
+
 def test_tp_theta_ratio_is_p():
     ctx = PadicContext(5, 3)
     lift = FrobLift.tp(ctx, 10)
@@ -44,7 +74,7 @@ def test_explicit_lift_consistency():
     ctx = PadicContext(3, 4)
     D = 15
     v = PadicSeries(ctx, [1, 3, 9], D)
-    lift = FrobLift.from_tsigma(ctx, v.shift(ctx.p), kind="explicit")
+    lift = FrobLift.from_tsigma(ctx, v.shift(ctx.p))
     assert lift.vsigma == v
     # composing t with the lift gives t^sigma itself
     t = PadicSeries.t(ctx, D)
@@ -57,7 +87,7 @@ def test_explicit_lift_consistency():
 def test_explicit_lift_rejects_non_unit_v():
     ctx = PadicContext(3, 4)
     with pytest.raises(DomainError, match="at degree 3$"):
-        FrobLift.from_tsigma(ctx, PadicSeries(ctx, [3, 1], 8).shift(3), kind="explicit")
+        FrobLift.from_tsigma(ctx, PadicSeries(ctx, [3, 1], 8).shift(3))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
