@@ -19,7 +19,7 @@ from .errors import (
     ReductionError,
     TheoremViolation,
 )
-from .padic import PadicContext
+from .padic import GUARD, PadicContext
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -33,15 +33,32 @@ _FLAG_PARAMS = {
 }
 
 
+# the verify suites in `harness.SUITES` order, each with the parameter names
+# of its check: the parser reads them here, so only `verify` runs `harness`
+# (tests/test_cli.py compares this table with the checks' signatures)
+_SUITE_PARAMS = {
+    "dwork": ("family", "p", "s", "m", "lift_kind", "Dt", "control"),
+    "super": ("family", "p", "s", "m", "Dt", "lift_kind"),
+    "simple": ("p", "s", "variant"),
+    "cy-super": ("family", "p", "s", "Q", "Dt", "lift_kind"),
+    "straub": ("p", "s"),
+    "hw": ("family", "p", "Dt"),
+    "modular": ("p", "Dt", "control"),
+    "fixed-point": ("p",),
+    "frobenius": ("family", "p", "lift_kind", "Dt", "control"),
+    "pq": ("p", "s", "n", "Dt"),
+}
+
+
 def _takes(suite):
-    """The parameter names of the suite's check, read without importing inspect."""
-    code = harness.SUITES[suite].__code__
-    return code.co_varnames[: code.co_argcount]
+    """The parameter names of the suite's check."""
+    return _SUITE_PARAMS[suite]
 
 
 def _read_by(param):
     """Help text naming the verify suites whose check takes `param`."""
-    return "read by %s" % ", ".join(name for name in harness.SUITES if param in _takes(name))
+    named = (name for name, params in _SUITE_PARAMS.items() if param in params)
+    return "read by %s" % ", ".join(named)
 
 
 def build_parser():
@@ -87,7 +104,7 @@ def build_parser():
     common(sp, ("text", "json"), "output format: text or json (default text)")
 
     sp = sub.add_parser("verify", help="run congruence checks")
-    sp.add_argument("suite", choices=("all", *harness.SUITES))
+    sp.add_argument("suite", choices=("all", *_SUITE_PARAMS))
     sp.add_argument("--family", help=_read_by("family"))
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--prime", type=int)
@@ -96,7 +113,7 @@ def build_parser():
     sp.add_argument("--m", type=int, default=None, help=_read_by("m"))
     sp.add_argument("--q-exponent", type=int, default=1, dest="q_exponent", help=_read_by("Q"))
     sp.add_argument("--lift", choices=("tp", "excellent"), default=None, help=_read_by("lift_kind"))
-    sp.add_argument("--grid", choices=tuple(harness.GRIDS), default="desk")
+    sp.add_argument("--grid", choices=("desk", "smoke"), default="desk")
     sp.add_argument("--strict-precision", action="store_true", dest="strict_precision")
     sp.add_argument("--g-file", help="polynomial literal for --family custom")
     common(sp, ("json", "text", "junit"), "output format: json, text or junit (default json)")
@@ -206,19 +223,26 @@ def get_family(args):
 
 
 def make_lift(spec, family, ctx, Dt):
-    """The Frobenius lift of a --lift value: `harness.get_lift` builds tp and
-    excellent, and explicit:FILE reads t^sigma from 'degree:int' tokens."""
+    """The Frobenius lift of a --lift value: `sigma.get_lift` builds tp and
+    excellent, and explicit:FILE reads t^sigma from 'degree:int' tokens, one
+    per degree >= 0; terms above Dt are not read."""
     if not spec.startswith("explicit:"):
-        return harness.get_lift(spec, family, ctx, Dt)
+        return sigma.get_lift(spec, family, ctx, Dt)
     with open(spec.split(":", 1)[1]) as fh:
         toks = fh.read().split()
     coeffs = [0] * (Dt + 1)
+    seen = set()
     for tok in toks:
         try:
             k, c = map(int, tok.split(":"))
         except ValueError:
             raise ConfigError("explicit lift: token %r is not 'degree:int'" % tok) from None
-        if 0 <= k <= Dt:
+        if k < 0:
+            raise ConfigError("explicit lift: token %r has a negative degree" % tok)
+        if k in seen:
+            raise ConfigError("explicit lift: token %r repeats degree %d" % (tok, k))
+        seen.add(k)
+        if k <= Dt:
             coeffs[k] = c
     return sigma.FrobLift.from_tsigma(ctx, series.PadicSeries(ctx, coeffs))
 
@@ -298,7 +322,7 @@ def _hw_context(args, L_k):
     """Z/p^N for `hw`: --precision, by default k + GUARD raised to L_k + k,
     so that det HW^(k) / p^L_k keeps k digits."""
     k = args.level
-    N = args.precision if args.precision is not None else max(k + harness.GUARD, L_k + k)
+    N = args.precision if args.precision is not None else max(k + GUARD, L_k + k)
     return PadicContext(args.prime, N)
 
 
@@ -350,6 +374,7 @@ def cmd_lift(args):
     Dt = args.degree if args.degree is not None else 3 * p * p
     ctx = PadicContext(p, args.precision)
     family = get_family(args)
+    sigma.check_degree(Dt, p)
     periods = families.PeriodData(family, Dt)
     lift = frobenius.excellent_lift(family, periods, ctx)
     data = frobenius.frobenius_matrix(family, periods, lift, ctx)

@@ -506,6 +506,29 @@ class PeriodData:
         return view
 
 
+# (family, D) -> PeriodData: a miss is served by truncating the same family's
+# data at a larger degree, which is exact, and builds only when D is above
+# every cached degree; `harness._desk_checks` runs its primes in descending
+# order, so each family is built once, at its largest D.  A FamilySpec
+# compares and hashes by its g and group order, so specs of any kind with the
+# same g and group order share the store.
+_PERIOD_CACHE = {}
+
+
+def get_periods(family, D):
+    """The PeriodData of a family at degree D, cached by (family, D)."""
+    periods = _PERIOD_CACHE.get((family, D))
+    if periods is None:
+        base = max(
+            (cached for (f, _), cached in _PERIOD_CACHE.items() if f == family),
+            key=lambda cached: cached.D,
+            default=None,
+        )
+        periods = base.truncate(D) if base and base.D > D else PeriodData(family, D)
+        _PERIOD_CACHE[family, D] = periods
+    return periods
+
+
 def ab_coefficients(periods):
     """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G.
     Cramer's rule on those two equations, whose determinant is -W, gives

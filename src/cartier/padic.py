@@ -7,6 +7,10 @@ from fractions import Fraction
 
 from .errors import ConfigError, InvertError, ReductionError
 
+# guard digits: the p-adic digits a computation carries beyond those its
+# result needs (the verify checks and the default `hw` precision)
+GUARD = 4
+
 
 def _is_odd_prime(p):
     if p < 3 or p % 2 == 0:

@@ -1,5 +1,10 @@
 """Frobenius lifts sigma, determined by t^sigma = t^p * v with v a unit."""
 
+from functools import cache
+
+# read as module attributes: a lazily loaded module (see `cartier/__init__.py`)
+# runs only when a command calls into it, so the t^p lift runs neither
+from . import families, frobenius
 from .errors import ConfigError, DomainError
 from .series import PadicSeries, RationalSeries
 
@@ -80,3 +85,15 @@ class FrobLift:
     def theta_ratio(self):
         """theta(t^sigma)/t^sigma as a PadicSeries (equals p + theta(v)/v)."""
         return self.vsigma.theta() * self.vinv + self.ctx.p
+
+
+@cache
+def get_lift(kind, family, ctx, Dt):
+    """The t^p lift, or the excellent lift of `family` from its periods at
+    degree Dt, built once per argument tuple: the one dispatcher of the two,
+    for the verify checks and `hw --lift` alike."""
+    if kind == "tp":
+        return FrobLift.tp(ctx, Dt)
+    if kind != "excellent":
+        raise ConfigError("unknown lift kind %r" % (kind,))
+    return frobenius.excellent_lift(family, families.get_periods(family, Dt), ctx)

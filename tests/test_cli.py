@@ -14,6 +14,7 @@ import pytest
 
 from cartier import cli, harness
 from cartier.families import FamilySpec
+from cartier.padic import GUARD
 
 
 def run(capsys, *argv):
@@ -110,7 +111,7 @@ def test_hw_precision_must_exceed_L_k(argv, L_k, capsys):
     assert code == 0
     obj = json.loads(out)
     k = obj["level"]
-    assert obj["L_k"] == L_k and obj["precision"] == max(k + harness.GUARD, L_k + k)
+    assert obj["L_k"] == L_k and obj["precision"] == max(k + GUARD, L_k + k)
     # an explicit precision of at most L_k is a usage error naming the least that works
     code, out, err = run(capsys, *argv.split(), "--precision", str(L_k))
     assert code == cli.EXIT_USAGE and out == ""
@@ -165,8 +166,12 @@ def test_lift_excluded_prime_rejected(capsys):
         (["hw", "--family", "hypercubic", "--n", "2", "--prime", "5", "--degree", "3"], 5),
         (["verify", "hw", "--family", "hypercubic", "--n", "2", "--prime", "5",
           "--degree", "3"], 5),
+        (["lift", "--family", "hypercubic", "--n", "2", "--prime", "7", "--degree", "-3"], 7),
+        (["verify", "frobenius", "--family", "hypercubic", "--prime", "5", "--degree", "-1"], 5),
+        (["verify", "modular", "--prime", "5", "--degree", "-1"], 5),
     ],
-    ids=["lift-3", "lift-0", "verify-frobenius-3", "hw-3", "verify-hw-3"],
+    ids=["lift-3", "lift-0", "verify-frobenius-3", "hw-3", "verify-hw-3", "lift-neg3",
+         "verify-frobenius-neg1", "verify-modular-neg1"],
 )
 def test_a_degree_below_p_names_degree_and_p(argv, p, capsys):
     # t^sigma = t^p v has no terms below degree p, so neither the excellent
@@ -477,11 +482,17 @@ def test_config_keys_must_name_flags_of_the_subcommand(key, tmp_path, capsys):
         ("g-file", "1,0:1\n0,1 1\n", "0,1 1"),
         ("config", "family=hypercubic\nprime=abc\n", "prime=abc"),
         ("explicit-lift", "3:1 5:x\n", "5:x"),
+        ("explicit-lift", "3:1 -1:5\n", "'-1:5' has a negative degree"),
+        ("explicit-lift", "3:1 3:8\n", "'3:8' repeats degree 3"),
     ],
-    ids=["g-file-coefficient", "g-file-colon", "config-int", "explicit-lift-token"],
+    ids=["g-file-coefficient", "g-file-colon", "config-int", "explicit-lift-token",
+         "explicit-lift-negative-degree", "explicit-lift-repeated-degree"],
 )
 def test_malformed_input_is_a_usage_error(source, text, bad, tmp_path, capsys):
-    # each names the bad line or token and exits 2, without a traceback
+    # each names the bad line or token and exits 2, without a traceback; an
+    # explicit lift token is neither dropped nor overwritten, which would
+    # change t^sigma silently (the control, a valid file, is
+    # test_explicit_t_to_the_p_prints_the_tp_bytes)
     path = tmp_path / "input.txt"
     path.write_text(text)
     argv = {
@@ -551,10 +562,53 @@ DEFAULT_FORMAT_RUNS = {
 }
 
 
-def _help(command, dest="format"):
+def _action(command, dest):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if a.dest == dest).help
+    return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def _help(command, dest="format"):
+    return _action(command, dest).help
+
+
+@pytest.mark.parametrize("dropped", [None, "straub"], ids=["table", "missing-suite-control"])
+def test_the_parser_table_is_the_harness_suites(dropped, monkeypatch):
+    # the parser reads the suites and their parameter names from a table in
+    # cli, not from harness; a table missing one suite must not match
+    if dropped:
+        table = {name: params for name, params in cli._SUITE_PARAMS.items() if name != dropped}
+        monkeypatch.setattr(cli, "_SUITE_PARAMS", table)
+    checks = [
+        (name, tuple(inspect.signature(check).parameters))
+        for name, check in harness.SUITES.items()
+    ]
+    matches = (
+        _action("verify", "suite").choices == ("all", *harness.SUITES)
+        and list(cli._SUITE_PARAMS.items()) == checks
+    )
+    assert matches == (dropped is None)
+    assert _action("verify", "grid").choices == tuple(harness.GRIDS)
+
+
+@pytest.mark.parametrize(
+    "command,prefix",
+    [
+        ((), "5cced966c03cab88"),
+        (("periods",), "a978bfeab62523c9"),
+        (("hw",), "e12e3d0c95448017"),
+        (("lift",), "4454ddda5068980b"),
+        (("verify",), "f929a5be4c579a80"),
+    ],
+    ids=["top-level", "periods", "hw", "lift", "verify"],
+)
+def test_help_bytes(command, prefix, monkeypatch, capsys):
+    # --help at 80 columns prints the bytes it printed while the parser read
+    # the suites from harness
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run(capsys, *command, "--help")
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(prefix)
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULT_FORMAT_RUNS))

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from cartier import families, harness
+from cartier import families, harness, sigma
 from cartier.errors import ConfigError, DomainError, ReductionError
 from cartier.expansion import expand_cy
 from cartier.families import (
@@ -432,9 +432,9 @@ def test_vertex_coefficients_reject_negative_multiples():
 
 @pytest.fixture
 def empty_stores(monkeypatch):
-    """The harness stores of periods and lifts, emptied."""
-    monkeypatch.setattr(harness, "_PERIOD_CACHE", {})
-    harness.get_lift.cache_clear()
+    """The stores of periods and lifts, emptied."""
+    monkeypatch.setattr(families, "_PERIOD_CACHE", {})
+    sigma.get_lift.cache_clear()
     harness._lift_and_F.cache_clear()
 
 
@@ -443,10 +443,10 @@ def test_W_is_built_only_when_read(empty_stores):
     # Wronskian unbuilt; hw-congruences reads W, which fills the cache
     family = FamilySpec.hypercubic(2)
     assert harness.verify_dwork(family, 3, 1, 1, Dt=27).status == harness.PASS
-    (periods,) = harness._PERIOD_CACHE.values()
+    (periods,) = families._PERIOD_CACHE.values()
     assert "W" not in vars(periods)
     assert harness.verify_hw_congruences(family, 3, Dt=27).status == harness.PASS
-    assert harness._PERIOD_CACHE == {(family, 27): periods}
+    assert families._PERIOD_CACHE == {(family, 27): periods}
     W = vars(periods)["W"]
     assert periods.W is W
 
@@ -495,8 +495,8 @@ def test_truncate_never_extends():
 
 @pytest.fixture
 def period_builds(monkeypatch, empty_stores):
-    """The (kind, n, D) of each period build, with the harness stores
-    emptied."""
+    """The (kind, n, D) of each period build, with the period and lift
+    stores emptied."""
     builds = []
     build = families._periods
 
@@ -513,7 +513,7 @@ def _spec(kind, n):
 
 
 def _largest_cached_degree(family):
-    return max(d for f, d in harness._PERIOD_CACHE if f == family)
+    return max(d for f, d in families._PERIOD_CACHE if f == family)
 
 
 def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
@@ -529,11 +529,11 @@ def test_desk_builds_each_family_once_at_its_largest_degree(period_builds):
 
 def test_a_request_above_every_cached_degree_builds(period_builds):
     family = FamilySpec.hypercubic(2)
-    small = harness.get_periods(family, 27)
-    large = harness.get_periods(family, 147)
+    small = families.get_periods(family, 27)
+    large = families.get_periods(family, 147)
     assert period_builds == [("hypercubic", 2, 27), ("hypercubic", 2, 147)]
-    assert harness.get_periods(family, 27) is small
-    assert harness.get_periods(family, 75).D == 75
+    assert families.get_periods(family, 27) is small
+    assert families.get_periods(family, 75).D == 75
     assert len(period_builds) == 2
     assert large.D == 147
 
@@ -559,9 +559,9 @@ def test_stores_keep_the_group_order_in_the_key(period_builds):
     catalog = FamilySpec.simplicial(2)
     custom = FamilySpec.custom(catalog.g)
     ctx = PadicContext(3, 4)
-    assert harness.get_lift("excellent", custom, ctx, 27).vsigma != 1
+    assert sigma.get_lift("excellent", custom, ctx, 27).vsigma != 1
     with pytest.raises(DomainError, match="divides"):
-        harness.get_lift("excellent", catalog, ctx, 27)
+        sigma.get_lift("excellent", catalog, ctx, 27)
     with pytest.raises(DomainError, match="divides"):
         harness.verify_dwork(catalog, 3, 1, lift_kind="excellent", Dt=27)
 

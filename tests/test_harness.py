@@ -17,6 +17,7 @@ from cartier.errors import ConfigError, DomainError
 from cartier.families import FamilySpec
 from cartier.frobenius import check_lift_hypothesis
 from cartier.series import PadicSeries, reduce_mod
+from cartier.sigma import get_lift
 from coefficient_oracle import (
     expansion_diagonal,
     pq_from_expansion,
@@ -144,8 +145,8 @@ def test_ratio_excess_matches_the_inverted_form(monkeypatch):
     assert len(calls) == 154
     unlifted = swapped = 0
     for family, lift_kind, ctx, Dt, hi, lo, target in calls:
-        lift = harness.get_lift(lift_kind, family, ctx, Dt)
-        F = reduce_mod(harness.get_periods(family, Dt).F, ctx)
+        lift = get_lift(lift_kind, family, ctx, Dt)
+        F = reduce_mod(families.get_periods(family, Dt).F, ctx)
         lam = F * lift.on_series(F).invert()
 
         def inverted(hi, lo, sigma=lift.on_series):
@@ -280,14 +281,15 @@ def test_junit_bytes_of_each_status():
 
 def test_cli_import_leaves_xml_out():
     # only --format junit reads xml.etree, so a cold command does not import
-    # it; building the parser runs harness, which `import cartier.cli` only
-    # registers
+    # it; a verify command runs harness, which `import cartier.cli` only
+    # registers and no other command runs
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, types, cartier.cli\n"
-        "cartier.cli.build_parser()\n"
+        "import contextlib, io, sys, types, cartier.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cartier.cli.main(['verify', 'straub', '--prime', '5', '--s', '1']) == 0\n"
         "assert type(sys.modules['cartier.harness']) is types.ModuleType\n"
         "print(*sys.modules)"
     )

@@ -59,16 +59,18 @@ def test_every_submodule_is_registered_and_none_runs_on_import():
 
 
 def test_building_the_parser_runs_only_what_it_reads():
+    # the verify choices and help texts come from a table in cli, so the
+    # parser runs no harness
     assert _ran("from cartier import cli\ncli.build_parser()") == {
-        "cartier", "cartier.cli", "cartier.errors", "cartier.padic", "cartier.harness",
+        "cartier", "cartier.cli", "cartier.errors", "cartier.padic",
     }
 
 
 @pytest.mark.parametrize(
     "workload,unread",
     [
-        ("lift", {"cartier.hasse_witt", "cartier.expansion"}),
-        ("hw", {"cartier.frobenius", "cartier.expansion"}),
+        ("lift", {"cartier.harness", "cartier.hasse_witt", "cartier.expansion"}),
+        ("hw", {"cartier.harness", "cartier.frobenius", "cartier.expansion"}),
         ("smoke", {"cartier.expansion"}),
     ],
 )
@@ -76,6 +78,19 @@ def test_a_command_runs_no_module_it_does_not_read(workload, unread):
     ran = _ran(_main(REFERENCE[workload][0]["argv"]))
     assert "cartier.series" in ran
     assert ran & unread == set()
+
+
+def test_only_verify_runs_the_harness():
+    # the control of the harness entries above: verify runs it
+    assert "cartier.harness" in _ran(_main(REFERENCE["smoke"][0]["argv"]))
+
+
+def test_a_check_that_reads_no_store_runs_neither_families_nor_sigma():
+    # harness reads the period and lift stores from `families` and `sigma`
+    # only when a check calls them
+    ran = _ran(_main(["verify", "straub", "--prime", "5", "--s", "1"]))
+    assert "cartier.harness" in ran
+    assert ran & {"cartier.families", "cartier.sigma"} == set()
 
 
 def test_reading_an_attribute_runs_the_module():

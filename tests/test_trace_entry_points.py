@@ -89,3 +89,20 @@ def test_the_tracer_wraps_lazily_loaded_modules():
     assert metrics["frobenius.excellent_lift.calls"] == 1
     assert metrics["series.padic.mul.calls"] > 0
     assert metrics["expansion.expand_cy.calls"] == 0
+
+
+def test_the_tracer_counts_the_period_and_lift_requests_of_a_check():
+    # the stores live in `families` and `sigma`; the tracer wraps them under
+    # the names `harness.get_periods` and `harness.get_lift`, and must still
+    # count each request a check makes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = "verify frobenius --family hypercubic --n 2 --prime 3 --lift tp --degree 21".split()
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SPANS), json.dumps(argv)],
+        capture_output=True, env=env,
+    )
+    assert done.returncode == 0
+    metrics = json.loads(done.stderr)
+    assert metrics["harness.period_requests"] == metrics["harness.period_builds"] == 1
+    assert metrics["harness.lift_requests"] == 1
