@@ -11,7 +11,7 @@ import sys
 
 # read as module attributes: a lazily loaded module (see `cartier/__init__.py`)
 # runs only when a command calls into it
-from . import families, frobenius, harness, hasse_witt, laurent, polytope, series, sigma
+from . import catalog, families, frobenius, harness, hasse_witt, laurent, polytope, series, sigma
 from .errors import (
     ConfigError,
     DomainError,
@@ -216,10 +216,10 @@ def get_family(args):
             raise ConfigError("--family custom requires --g-file")
         with open(args.g_file) as fh:
             g = laurent.LaurentPoly.from_text(fh.read())
-        return families.FamilySpec.custom(g)
+        return catalog.FamilySpec.custom(g)
     if getattr(args, "g_file", None):
         raise ConfigError("--g-file is read only with --family custom")
-    return families.FamilySpec.by_name(kind, args.n)
+    return catalog.FamilySpec.by_name(kind, args.n)
 
 
 def make_lift(spec, family, ctx, Dt):

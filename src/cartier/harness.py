@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 # read as module attributes: a lazily loaded module (see `cartier/__init__.py`)
 # runs only when a command calls into it
-from . import families, frobenius, hasse_witt, series, sigma
+from . import catalog, families, frobenius, hasse_witt, series, sigma
 from .errors import ConfigError, TheoremViolation
 from .padic import GUARD, PadicContext, ord_p, unit_inverse
 
@@ -80,7 +80,7 @@ def _report(check_id, params, target, excess, conjecture=False, notes=(), contro
 # construction, so the checks share them
 @cache
 def get_family(kind, n):
-    return families.FamilySpec.by_name(kind, n)
+    return catalog.FamilySpec.by_name(kind, n)
 
 
 def __getattr__(name):
@@ -118,6 +118,24 @@ def _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target):
     return (F * lo - series.PadicSeries(ctx, hi, Dt) * Fs).min_excess_ord(target)
 
 
+def _degree(Dt, default):
+    """The working degree of a ratio check: default when Dt is None.  A
+    negative degree is a usage error; a degree in [0, the truncation order)
+    gives a PRECISION_LIMITED report (`_below_truncation`)."""
+    if Dt is None:
+        return default
+    if Dt < 0:
+        raise ConfigError("--degree %d is negative" % Dt)
+    return Dt
+
+
+def _below_truncation(check_id, params, target, Dt, order, conjecture=False, notes=()):
+    """The PRECISION_LIMITED report of a check whose working degree Dt lies
+    below the truncation order it compares."""
+    notes = (*notes, "Dt=%d below the truncation order %d" % (Dt, order))
+    return _report(check_id, params, target, None, conjecture=conjecture, notes=notes)
+
+
 def _truncation_excess(family, p, s, m, lift_kind, Dt, target, bump=()):
     """The ratio excess of the truncations hi = F_{mp^s} and lo =
     F_{mp^{s-1}} of F mod p^N.  bump continues hi from t^{mp^s} on
@@ -133,15 +151,13 @@ def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
     ratio congruence of `_ratio_excess` on the truncations of F."""
     if s < 1 or m < 1:
         raise ConfigError("s >= 1 and m >= 1 required")
-    if Dt is None:
-        Dt = 3 * p * p
+    Dt = _degree(Dt, 3 * p * p)
     params = dict(family=family.kind, n=family.n, p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
     check_id = "dwork/%s-n%d-p%d-s%d-m%d-%s" % (
         family.kind, family.n, p, s, m, lift_kind
     )
     if Dt < m * p ** s:
-        return _report(check_id, params, s, None,
-                       notes=["Dt=%d below the truncation order %d" % (Dt, m * p ** s)])
+        return _below_truncation(check_id, params, s, Dt, m * p ** s)
     if not control:
         excess = _truncation_excess(family, p, s, m, lift_kind, Dt, s)
         return _report(check_id, params, s, excess)
@@ -180,8 +196,7 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     simplicial n = 2 at m = 2 for p = 5, s = 2)."""
     if m is None:
         m = family.n + 1 if family.kind == "simplicial" else 2
-    if Dt is None:
-        Dt = 3 * p * p
+    Dt = _degree(Dt, 3 * p * p)
     target = 2 * s
     params = dict(family=family.kind, n=family.n, p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
     check_id = "super-conjecture/%s-n%d-p%d-s%d-m%d-%s" % (
@@ -191,7 +206,7 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     if lift_kind != "excellent":
         notes.append("non-excellent lift: failure here is expected but not asserted")
     if Dt < m * p ** s:
-        return _report(check_id, params, target, None, conjecture=True)
+        return _below_truncation(check_id, params, target, Dt, m * p ** s, True, notes)
     excess = _truncation_excess(family, p, s, m, lift_kind, Dt, target)
     return _report(check_id, params, target, excess, conjecture=True, notes=notes)
 
@@ -281,14 +296,13 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     if s < 1 or Q < 1:
         raise ConfigError("s >= 1 and Q >= 1 required")
     target = 2 * s if lift_kind == "excellent" else 1
-    if Dt is None:
-        Dt = max(3 * p * p, p ** s * Q + 2 * p)
+    Dt = _degree(Dt, max(3 * p * p, p ** s * Q + 2 * p))
     params = dict(family=family.kind, n=family.n, p=p, s=s, Q=Q, lift=lift_kind, Dt=Dt)
     check_id = "cy-supercongruence/%s-n%d-p%d-s%d-Q%d-%s" % (
         family.kind, family.n, p, s, Q, lift_kind
     )
     if Dt < p ** s * Q:
-        return _report(check_id, params, target, None)
+        return _below_truncation(check_id, params, target, Dt, p ** s * Q)
     ctx = PadicContext(p, target + GUARD)
     hi, lo = families.vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
     excess = _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target)
@@ -556,14 +570,13 @@ def verify_pq(p, s, n, Dt=None):
     `tests/coefficient_oracle.py`."""
     if s < 1:
         raise ConfigError("s >= 1 required")
-    if Dt is None:
-        Dt = 3 * p * p
+    Dt = _degree(Dt, 3 * p * p)
     target = 2 * s
     params = {"family": "hypercubic", "n": n, "p": p, "s": s, "Dt": Dt,
               "interpretation": "literal"}
     check_id = "pq/n%d-p%d-s%d" % (n, p, s)
     if Dt < p ** s:
-        return _report(check_id, params, target, None)
+        return _below_truncation(check_id, params, target, Dt, p ** s)
     Q, Qp = p ** s, p ** (s - 1)
     # every factor j of the falling product has j <= 2k - Q <= -1, so a
     # reading that skips zero factors is the literal one

@@ -79,6 +79,15 @@ class LaurentPoly:
         )
 
     def __add__(self, other):
+        return self._merged(other, False)
+
+    def __sub__(self, other):
+        return self._merged(other, True)
+
+    def _merged(self, other, subtract):
+        """self + other, or self - other when subtract, in one pass over
+        other's terms: a term of other alone is negated, no negated copy of
+        other is built."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.n != other.n:
@@ -86,7 +95,10 @@ class LaurentPoly:
         out = dict(self.terms)
         for u, c in other.terms.items():
             s = out.get(u)
-            s = c if s is None else s + c
+            if s is None:
+                s = -c if subtract else c
+            else:
+                s = s - c if subtract else s + c
             if s:
                 out[u] = s
             elif u in out:
@@ -99,9 +111,6 @@ class LaurentPoly:
         p = LaurentPoly(self.n)
         p.terms = {u: -c for u, c in self.terms.items()}
         return p
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):

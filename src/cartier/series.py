@@ -45,12 +45,14 @@ with about 5 nonzero pairs each, and packing each of those on its own made
 coefficients are all PadicSeries of one D packs at the level of the whole
 product instead (`packed_term_mul`): each coefficient is packed once, each
 pair of terms is one small bigint product summed unreduced per output
-monomial, and each output coefficient is unpacked once.  Given exponent
-classes mod p, it forms only the pairs of terms whose exponent sums lie in
-them: `pair_partners` buckets the other operand's terms by class once, and
-the one pair loop draws each term's partners from it (the LaurentPoly
-schoolbook loop draws from it too).  `RationalSeries` always uses the
-schoolbook loop.
+monomial, and each output coefficient is unpacked once.  Each exponent
+tuple is read once as one int in a radix wide enough for every sum, so a
+pair's exponent sum is one int addition and each output monomial is read
+back once.  Given exponent classes mod p, it forms only the pairs of terms
+whose exponent sums lie in them: `pair_partners` buckets the other
+operand's terms by class once, and the one pair loop draws each term's
+partners from it (the LaurentPoly schoolbook loop draws from it too).
+`RationalSeries` always uses the schoolbook loop.
 
 The p-adic measurements live here and in `padic` only: `padic.ord_p` is
 the valuation, `PadicSeries.min_excess_ord` the excess over a target power
@@ -63,7 +65,7 @@ import struct
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import gcd, isqrt
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     ConfigError,
@@ -448,18 +450,18 @@ def _packed_mul(a, b, n, m):
 
 
 def pair_partners(items, keep):
-    """The pairing of a term product: a map u -> the items (v, y) of the
-    other operand that the term at u is paired with.  With keep None that
-    is every item; with keep = (p, classes) only the v with u + v in one of
-    the exponent classes mod p (tuples, reduced here), the items bucketed
-    by class once."""
+    """The pairing of a term product: a map u -> the items of the other
+    operand that the term at u is paired with, each a tuple whose first
+    entry is its exponent v.  With keep None that is every item; with
+    keep = (p, classes) only the v with u + v in one of the exponent classes
+    mod p (tuples, reduced here), the items bucketed by class once."""
     if keep is None:
         return lambda u: items
     p, classes = keep
     classes = {tuple(e % p for e in c) for c in classes}
     buckets = {}
-    for v, y in items:
-        buckets.setdefault(tuple(e % p for e in v), []).append((v, y))
+    for item in items:
+        buckets.setdefault(tuple(e % p for e in item[0]), []).append(item)
 
     def partners(u):
         out = []
@@ -482,7 +484,14 @@ def packed_term_mul(a, b, keep=None):
     sum is unpacked once and zero sums are dropped.  A sum has at most
     min(len(a), len(b)) pairs, as u fixes v, each contributing at most
     min(la, lb) products of residues per slot, la and lb the longest
-    stored lengths, so no carry crosses a slot."""
+    stored lengths, so no carry crosses a slot.
+
+    Each exponent tuple is read once as one int in radix B = 4R + 1, R the
+    largest |exponent| of either operand, a's with the offset 2R added to
+    every digit: a pair's exponent sum is then one int addition whose
+    digits, each a coordinate of the sum plus 2R, lie in [0, 4R] < B, so
+    distinct sums have distinct keys, and each output key is read back
+    once."""
     if not a or not b:
         return None
     first = next(iter(a.values()))
@@ -492,23 +501,34 @@ def packed_term_mul(a, b, keep=None):
     for c in chain(a.values(), b.values()):
         if type(c) is not PadicSeries or c.D != D:
             return None
-        ctx.same(c.ctx)
+        if c.ctx is not ctx:
+            ctx.same(c.ctx)
     la = max(len(c._c) for c in a.values())
     lb = max(len(c._c) for c in b.values())
     w = _slot_bytes(ctx.modulus, min(len(a), len(b)) * min(la, lb))
-    partners = pair_partners([(v, _pack(c._c, w)) for v, c in b.items()], keep)
+    R = max(map(abs, chain.from_iterable(chain(a, b))))
+    B = 4 * R + 1
+    radix = [B ** i for i in range(len(next(iter(a))))]
+    offset = 2 * R * sum(radix)
+    partners = pair_partners(
+        [(v, sum(map(mul, v, radix)), _pack(c._c, w)) for v, c in b.items()], keep
+    )
     sums = {}
     for u, c in a.items():
-        x = _pack(c._c, w)
-        for v, y in partners(u):
-            uv = tuple(map(add, u, v))
-            sums[uv] = sums.get(uv, 0) + x * y
-    n = min(la + lb - 1, D + 1)
+        x, ku = _pack(c._c, w), offset + sum(map(mul, u, radix))
+        for _, kv, y in partners(u):
+            k = ku + kv
+            sums[k] = sums.get(k, 0) + x * y
+    m = min(la + lb - 1, D + 1)
     out = {}
-    for uv, z in sums.items():
-        s = PadicSeries(ctx, _unpack(z, n, w), D)
+    for k, z in sums.items():
+        s = PadicSeries(ctx, _unpack(z, m, w), D)
         if s._c:
-            out[uv] = s
+            uv = []
+            for _ in radix:
+                k, d = divmod(k, B)
+                uv.append(d - 2 * R)
+            out[tuple(uv)] = s
     return out
 
 

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from cartier import harness
+from cartier.catalog import FamilySpec
 from cartier.cli import square_example_region
 from cartier.errors import DomainError
 from cartier.expansion import (
@@ -23,7 +24,6 @@ from cartier.expansion import (
     grading_functional,
 )
 from cartier.families import (
-    FamilySpec,
     PeriodData,
     ab_coefficients,
     canonical_q,

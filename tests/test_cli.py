@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cartier import cli, harness
-from cartier.families import FamilySpec
+from cartier.catalog import FamilySpec
 from cartier.padic import GUARD
 
 
@@ -181,6 +181,34 @@ def test_a_degree_below_p_names_degree_and_p(argv, p, capsys):
     assert code == cli.EXIT_USAGE and out == ""
     assert err == "error: --degree %s is below p=%d: t^sigma = t^p v needs degree >= p\n" % (
         argv[-1], p)
+
+
+# the ratio suites' flags, with the truncation order each compares at them
+_RATIO_SUITES = {
+    "dwork": ("--family simplicial --n 2 --prime 5 --s 1", 5),
+    "super": ("--family hypercubic --n 2 --prime 5 --s 1 --lift tp", 10),
+    "cy-super": ("--family hypercubic --n 2 --prime 5 --s 1", 5),
+    "pq": ("--prime 5 --s 1 --n 2", 5),
+}
+
+
+@pytest.mark.parametrize("suite", list(_RATIO_SUITES))
+def test_a_negative_degree_is_a_usage_error_in_the_ratio_suites(suite, capsys):
+    flags, order = _RATIO_SUITES[suite]
+    argv = ["verify", suite, *flags.split(), "--format", "json", "--degree"]
+    code, out, err = run(capsys, *argv, "-1")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: --degree -1 is negative\n"
+    # control: a degree in [0, the truncation order) is a precision limit,
+    # and the report says why; `super` is conjecture-flagged, so it exits 0
+    for degree in (0, order - 1):
+        code, out, err = run(capsys, *argv, str(degree))
+        (report,) = json.loads(out)
+        assert report["status"] == "PRECISION_LIMITED" and err == ""
+        assert report["notes"][-1] == "Dt=%d below the truncation order %d" % (degree, order)
+        assert code == (cli.EXIT_OK if suite == "super" else cli.EXIT_FAIL)
+    if suite == "super":
+        assert report["notes"][0].startswith("non-excellent lift")
 
 
 def test_verify_single_check(capsys):

@@ -7,10 +7,10 @@ from math import comb, factorial
 import pytest
 
 from cartier import families, harness, sigma
+from cartier.catalog import FamilySpec
 from cartier.errors import ConfigError, DomainError, ReductionError
 from cartier.expansion import expand_cy
 from cartier.families import (
-    FamilySpec,
     PeriodData,
     _closed_FG,
     _closed_terms,

@@ -7,7 +7,8 @@ import pytest
 
 from cartier import frobenius
 from cartier.errors import DomainError, ReductionError, TheoremViolation
-from cartier.families import FamilySpec, PeriodData, canonical_q, mirror_map
+from cartier.catalog import FamilySpec
+from cartier.families import PeriodData, canonical_q, mirror_map
 from cartier.frobenius import (
     check_lift_hypothesis,
     excellent_lift,

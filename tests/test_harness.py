@@ -14,7 +14,7 @@ import pytest
 
 from cartier import families, harness, hasse_witt
 from cartier.errors import ConfigError, DomainError
-from cartier.families import FamilySpec
+from cartier.catalog import FamilySpec
 from cartier.frobenius import check_lift_hypothesis
 from cartier.series import PadicSeries, reduce_mod
 from cartier.sigma import get_lift

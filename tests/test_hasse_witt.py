@@ -9,7 +9,7 @@ from cartier import hasse_witt, laurent, series
 from cartier.cli import square_example_region
 from cartier.errors import ConfigError, DomainError, TheoremViolation
 from cartier.exactla import det
-from cartier.families import FamilySpec
+from cartier.catalog import FamilySpec
 from cartier.hasse_witt import (
     F_k_polynomial,
     cy_hasse_witt,

@@ -14,7 +14,8 @@ import pytest
 from cartier import polytope
 from cartier.errors import DomainError, InfiniteIndexError
 from cartier.exactla import det
-from cartier.families import FamilySpec, relation_mu
+from cartier.catalog import FamilySpec
+from cartier.families import relation_mu
 from cartier.laurent import LaurentPoly
 
 KINDS = ("simplicial", "hypercubic", "hyperoctahedral", "an")

@@ -219,3 +219,58 @@ def test_restricted_product_is_the_filtered_product(p, n, kind, data):
         _assert_terms(packed_term_mul(f.terms, g.terms, (p, classes)), want)
     every = list(itertools.product(range(p), repeat=n))
     assert mul_classes(f, g, p, every) == f * g
+
+
+# The exponent keys of packed_term_mul: one int per exponent tuple in radix
+# 4R + 1, R the largest |exponent| of either operand.
+
+
+@given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_int_keys_match_the_pairwise_oracle_at_wide_exponents(p, n, data):
+    ctx = PadicContext(p, 3)
+    f = data.draw(series_poly(ctx, n, _PACK_MIN, span=50))
+    g = data.draw(series_poly(ctx, n, _PACK_MIN, span=50))
+    if not (f and g):
+        return
+    _assert_packed_product(f, g)
+    classes = data.draw(st.lists(st.tuples(*[st.integers(-2 * p, 2 * p)] * n), max_size=4))
+    want = _filtered(_pairwise_oracle(f, g), p, classes)
+    _assert_terms(packed_term_mul(f.terms, g.terms, (p, classes)), want)
+    _assert_terms(mul_classes(f, g, p, classes).terms, want)
+
+
+@pytest.mark.parametrize("R", [1, 3, 50])
+def test_int_keys_keep_sums_at_plus_and_minus_2R_apart(R):
+    # the sums reach 2R and -2R in every coordinate, and (2R, -2R, -2R) and
+    # (-2R, -2R + 1, -2R) differ by 4R in one digit and -1 in the next: in
+    # radix 4R they would share a key
+    ctx = PadicContext(5, 2)
+    s = PadicSeries(ctx, list(range(1, _PACK_MIN + 2)), 2 * _PACK_MIN)
+    top, bottom, mixed = (R, R, R), (-R, -R, -R), (R, -R, -R)
+    f = LaurentPoly(3, dict.fromkeys([top, bottom, mixed, (-R, -R + 1, -R)], s))
+    g = LaurentPoly(3, dict.fromkeys([top, bottom, mixed], s))
+    product = packed_term_mul(f.terms, g.terms)
+    assert {(2 * R,) * 3, (-2 * R,) * 3, (2 * R, -2 * R, -2 * R), (-2 * R, -2 * R + 1, -2 * R)} <= (
+        product.keys())
+    _assert_packed_product(f, g)
+    _assert_packed_product(g, f)
+    every = list(itertools.product(range(5), repeat=3))
+    _assert_terms(packed_term_mul(f.terms, g.terms, (5, every)), _pairwise_oracle(f, g))
+
+
+@given(f=polys, g=polys)
+@settings(max_examples=60)
+def test_subtraction_adds_the_negation_over_int_coefficients(f, g):
+    assert f - g == f + (-g)
+    assert g - f == -(f - g)
+
+
+@given(n=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_subtraction_adds_the_negation_over_series_coefficients(n, data):
+    ctx = PadicContext(7, 2)
+    f = data.draw(series_poly(ctx, n, (3, _PACK_MIN), span=2))
+    g = data.draw(series_poly(ctx, n, (3, _PACK_MIN), span=2))
+    _assert_terms((f - g).terms, (f + (-g)).terms)
+    assert not (f - f)

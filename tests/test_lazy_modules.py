@@ -86,11 +86,25 @@ def test_only_verify_runs_the_harness():
 
 
 def test_a_check_that_reads_no_store_runs_neither_families_nor_sigma():
-    # harness reads the period and lift stores from `families` and `sigma`
-    # only when a check calls them
+    # harness reads the period and lift stores from `families` and `sigma`,
+    # and the family specs from `catalog`, only when a check calls them
     ran = _ran(_main(["verify", "straub", "--prime", "5", "--s", "1"]))
     assert "cartier.harness" in ran
-    assert ran & {"cartier.families", "cartier.sigma"} == set()
+    assert ran & {"cartier.catalog", "cartier.families", "cartier.sigma"} == set()
+
+
+def test_hw_builds_its_spec_without_the_period_code():
+    # `catalog` builds the family spec and `families` holds the period data,
+    # which `hw` under the t^p lift never reads
+    ran = _ran(_main(REFERENCE["hw"][0]["argv"]))
+    assert "cartier.catalog" in ran
+    assert "cartier.families" not in ran
+
+
+def test_lift_runs_the_catalog_and_the_period_code():
+    # the control of the entry above: the excellent lift reads the periods
+    ran = _ran(_main(REFERENCE["lift"][0]["argv"]))
+    assert {"cartier.catalog", "cartier.families"} <= ran
 
 
 def test_reading_an_attribute_runs_the_module():

@@ -4,7 +4,7 @@ import pytest
 
 from cartier.cli import SQUARE, square_example_region
 from cartier.errors import ConfigError, DomainError, InfiniteIndexError
-from cartier.families import FamilySpec
+from cartier.catalog import FamilySpec
 from cartier.laurent import LaurentPoly
 from cartier.polytope import (
     Polytope,
