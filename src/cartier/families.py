@@ -12,9 +12,9 @@ along the first vertex, u = c v_1.  G takes F's summands again, weighted by
 the harmonic numbers, with one weight w per kind.  Both paths keep F in
 integers and G, built on first read, in integers over one common
 denominator.  For `an` and `hyperoctahedral` the coefficients are products
-of the series E_c(z) = sum_w z^w/(w!(w+c)!), taken in ints one factor at a
-time by a memoized chain of convolutions (`_e_sums`), which keeps the
-running sums of each sorted prefix of shifts; for c = 0 it is the
+of the series E_c(z) = sum_w z^w/(w!(w+c)!), taken in ints by a memoized
+chain over the sorted prefixes of shifts (`_e_sums`): closed forms for one
+and two factors, then one convolution per factor; for c = 0 that is the
 binomial-square convolution e_{j+1}(k) = sum_i C(k,i)^2 e_j(i), where
 e_j(k) = (k!)^2 [t^k] E_0^j, so `an` n starts from `an` n - 1, and G forms
 only the last factor's summands from the stored sums (`_e_summands`).  In
@@ -23,11 +23,13 @@ v_1 exponent shifted to ell_1 + c >= 0 is a monomial of g^k at x^{c v_1},
 and the weights are sums of multinomials, so these coefficients are exact
 ints too.
 
-G, l = G/F, W and q are cached properties of `PeriodData`; W, q, A, B and
-the mirror map are RationalSeries formulas in F and l.  A RationalSeries
-keeps an integral coefficient as an int, and for the catalog theta(l) is
-integral, so these products and recurrences run in ints; a family that is
-not p-integral keeps its exact value in Q and fails in reduce_mod.
+G, l = G/F, W and q are cached properties of `PeriodData`, l, W and q in
+one store per family (`_derived`); W, q and the mirror map are
+RationalSeries formulas in F and l.  A RationalSeries keeps an integral
+coefficient as an int, and for the catalog theta(l) is integral, so these
+products and recurrences run in ints; a family that is not p-integral keeps
+its exact value in Q and fails in reduce_mod.  A and B (`ab_coefficients`)
+are one formula in F and W for either ring.
 """
 
 from fractions import Fraction
@@ -55,11 +57,22 @@ def _e_sums(shifts, M):
     """R_m = m!(m-S)! [z^m] prod_i z^{max(u_i,0)} E_{|u_i|}(z), m = 0..M, as
     a tuple of ints, for a tuple of shifts u_i in decreasing order with
     S = sum(shifts) >= 0 and E_c(z) = sum_w z^w/(w!(w+c)!).  R_m is a sum of
-    products of two multinomials, so an int.  Each prefix of the shifts is
-    an entry of its own, built once and never changed, so the zero-shift
-    chain of `an` n - 1 is the start of that of `an` n."""
+    products of two multinomials, so an int.  One factor u gives R_m = 1 for
+    m >= max(u, 0), and two, u1 >= u2, give R_m = C(2m - u1 - u2, m - u2)
+    for m >= u1 + max(u2, 0), the sum of `_e_summands` by Vandermonde's
+    identity; R_m = 0 below.  Each further factor sums its summands.  Each
+    prefix of the shifts is an entry of its own, built once and never
+    changed, so the zero-shift chain of `an` n - 1 is the start of that of
+    `an` n."""
     if not shifts:
         return (1,) + (0,) * M
+    if len(shifts) == 1:
+        lo = min(max(shifts[0], 0), M + 1)
+        return (0,) * lo + (1,) * (M + 1 - lo)
+    if len(shifts) == 2:
+        u1, u2 = shifts
+        lo = min(u1 + max(u2, 0), M + 1)
+        return (0,) * lo + tuple(comb(2 * m - u1 - u2, m - u2) for m in range(lo, M + 1))
     return tuple(map(sum, _e_summands(shifts, M)))
 
 
@@ -367,6 +380,23 @@ def _periods(family, D):
     return _closed_FG(family, D)
 
 
+def _derived(build):
+    """A cached property of PeriodData kept in the store `_store` that all
+    views of the data share: built once at the largest degree read so far,
+    and cut from there for a lower one, which is exact as the series is
+    causal.  Data made without `__init__` gets a store of its own."""
+
+    def get(self):
+        store = vars(self).setdefault("_store", {})
+        s = store.get(build.__name__)
+        if s is None or s.D < self.D:
+            s = store[build.__name__] = build(self)
+        return s if s.D == self.D else s.truncate(self.D)
+
+    get.__doc__ = build.__doc__
+    return cached_property(get)
+
+
 class PeriodData:
     """F and G to degree D.  F is built with the data; G, l = G/F, the
     Wronskian W and the canonical coordinate q are cached properties, built
@@ -378,6 +408,7 @@ class PeriodData:
         self.F, self._build_G = _periods(family, D)
         if self.F[0] != 1:
             raise DomainError("F(0) != 1")
+        self._store = {}
 
     @cached_property
     def G(self):
@@ -386,7 +417,7 @@ class PeriodData:
             raise DomainError("G(0) != 0")
         return G
 
-    @cached_property
+    @_derived
     def l(self):
         """l = G/F = log(q/t), as (G L) F^-1 (1/L) over the lcm L of G's
         denominators, so that the product is taken in ints.  theta(l) is
@@ -394,28 +425,28 @@ class PeriodData:
         L = lcm(*(c.denominator for c in self.G._c))
         return self.G * L * self.F.invert() * Fraction(1, L)
 
-    @cached_property
+    @_derived
     def W(self):
         """The Wronskian W = F^2 + F thetaG - thetaF G = F^2 (1 + theta(G/F))."""
         return self.F * self.F * (self.l.theta() + 1)
 
-    @cached_property
+    @_derived
     def q(self):
         """q(t) = t exp(G(t)/F(t))."""
         return self.l.exp().shift(1)
 
     def truncate(self, D):
         """The same data at degree D <= self.D, without calling `__init__`:
-        every series already built cut at D, and G, if not built yet, cut
-        from self's on first read, so it is built once.  Any other series
-        first read later is built at D on the result.  This is exact, as each
-        derived series is causal over Q: its coefficient k reads only
-        coefficients <= k."""
+        every series already built cut at D, the store of l, W and q shared,
+        and G, if not built yet, cut from self's on first read, so it is
+        built once.  This is exact, as each series is causal over Q: its
+        coefficient k reads only coefficients <= k."""
         if D > self.D:
             raise ConfigError("cannot extend periods of degree %d to %d" % (self.D, D))
         view = PeriodData.__new__(PeriodData)
         vars(view).update(
-            (name, s.truncate(D)) for name, s in vars(self).items() if isinstance(s, RationalSeries))
+            (name, x.truncate(D) if isinstance(x, RationalSeries) else x)
+            for name, x in vars(self).items())
         view.D, view._build_G = D, lambda: self.G.truncate(D)
         return view
 
@@ -443,12 +474,11 @@ def get_periods(family, D):
     return periods
 
 
-def ab_coefficients(periods):
-    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G.
-    Cramer's rule on those two equations, whose determinant is -W, gives
-    B = thetaW/W; the equation for y = F then gives
-    A = (theta^2F - B thetaF)/F."""
-    F, W = periods.F, periods.W
+def ab_coefficients(F, W):
+    """A, B with theta^2 y = B theta y + A y for y = F and y = F log t + G,
+    from F and the Wronskian W, both over Q or both in Z/p^N.  Cramer's rule
+    on those two equations, whose determinant is -W, gives B = thetaW/W; the
+    equation for y = F then gives A = (theta^2F - B thetaF)/F."""
     B = W.theta() * W.invert()
     A = (F.theta().theta() - F.theta() * B) * F.invert()
     return A, B

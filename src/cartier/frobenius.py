@@ -108,7 +108,7 @@ def frobenius_matrix(family, periods, lift, ctx):
     (`check_degree`)."""
     check_degree(lift.tsigma.D, ctx.p)
     lam0, lam1 = lambda_pair(family, periods, lift, ctx)
-    A, B = (reduce_mod(x, ctx) for x in ab_coefficients(periods))
+    A, B = ab_coefficients(reduce_mod(periods.F, ctx), reduce_mod(periods.W, ctx))
     c = lift.theta_ratio()
     N = [[PadicSeries.zero(ctx, lam0.D), PadicSeries.one(ctx, lam0.D)], [A, B]]
     Ns = [[PadicSeries.zero(ctx, c.D), c], [c * lift.on_series(A), c * lift.on_series(B)]]

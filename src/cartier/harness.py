@@ -109,13 +109,12 @@ def _lift_and_F(family, lift_kind, ctx, Dt):
 
 
 def _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target):
-    """Excess over p^target of F sigma(lo) - hi F^sigma, for coefficient
-    lists hi and lo.  F^sigma has constant term 1, so it is a unit mod
-    t^(Dt+1) and this is the excess of hi - (F/F^sigma) sigma(lo): the
+    """Excess over p^target of F sigma(lo) - hi F^sigma, for series hi and
+    lo mod p^N at degree Dt.  F^sigma has constant term 1, so it is a unit
+    mod t^(Dt+1) and this is the excess of hi - (F/F^sigma) sigma(lo): the
     ratio congruence, with no series inverted."""
     lift, F, Fs = _lift_and_F(family, lift_kind, ctx, Dt)
-    lo = lift.on_series(series.PadicSeries(ctx, lo, Dt))
-    return (F * lo - series.PadicSeries(ctx, hi, Dt) * Fs).min_excess_ord(target)
+    return (F * lift.on_series(lo) - hi * Fs).min_excess_ord(target)
 
 
 def _degree(Dt, default):
@@ -136,14 +135,17 @@ def _below_truncation(check_id, params, target, Dt, order, conjecture=False, not
     return _report(check_id, params, target, None, conjecture=conjecture, notes=notes)
 
 
-def _truncation_excess(family, p, s, m, lift_kind, Dt, target, bump=()):
+def _truncation_excess(family, p, s, m, lift_kind, Dt, target, bump=0):
     """The ratio excess of the truncations hi = F_{mp^s} and lo =
-    F_{mp^{s-1}} of F mod p^N.  bump continues hi from t^{mp^s} on
-    (controls)."""
+    F_{mp^{s-1}} of F mod p^N, cut from F's residues at degree Dt >= mp^s.
+    bump is added to hi at t^{mp^s} (controls)."""
     ctx = PadicContext(p, target + GUARD)
-    F = _lift_and_F(family, lift_kind, ctx, Dt)[1].coeffs
+    F = _lift_and_F(family, lift_kind, ctx, Dt)[1]
     e = m * p ** s
-    return _ratio_excess(family, lift_kind, ctx, Dt, F[:e] + list(bump), F[: e // p], target)
+    hi, lo = (F.truncate(k - 1).truncate(Dt) for k in (e, e // p))
+    if bump:
+        hi = hi + series.PadicSeries.constant(ctx, bump, Dt).shift(e)
+    return _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target)
 
 
 def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
@@ -178,7 +180,7 @@ def verify_dwork(family, p, s, m=1, lift_kind="tp", Dt=None, control=False):
             "(the next coefficients are themselves divisible); bumped the "
             "t^%d coefficient by p^%d instead" % (s, e, s - 1)
         )
-    bad = _truncation_excess(family, p, s, m, lift_kind, Dt, s, bump=(bump,))
+    bad = _truncation_excess(family, p, s, m, lift_kind, Dt, s, bump=bump)
     return _report(check_id + "!truncation-control", params, s, bad, notes=notes, control=True)
 
 
@@ -196,6 +198,8 @@ def verify_super_conjecture(family, p, s, m=None, Dt=None, lift_kind="excellent"
     simplicial n = 2 at m = 2 for p = 5, s = 2)."""
     if m is None:
         m = family.n + 1 if family.kind == "simplicial" else 2
+    if s < 1 or m < 1:
+        raise ConfigError("s >= 1 and m >= 1 required")
     Dt = _degree(Dt, 3 * p * p)
     target = 2 * s
     params = dict(family=family.kind, n=family.n, p=p, s=s, m=m, lift=lift_kind, Dt=Dt)
@@ -304,7 +308,10 @@ def verify_cy_supercongruence(family, p, s, Q=1, Dt=None, lift_kind="excellent")
     if Dt < p ** s * Q:
         return _below_truncation(check_id, params, target, Dt, p ** s * Q)
     ctx = PadicContext(p, target + GUARD)
-    hi, lo = families.vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
+    hi, lo = (
+        series.PadicSeries(ctx, c, Dt)
+        for c in families.vertex_coefficients(family, Dt, (p ** s * Q, p ** (s - 1) * Q))
+    )
     excess = _ratio_excess(family, lift_kind, ctx, Dt, hi, lo, target)
     lift = sigma.get_lift(lift_kind, family, ctx, Dt)
     notes = ["vertex direction %r" % (family.vertices[0],)]

@@ -10,6 +10,10 @@ runs in ints.  Period data, computed in `families` as RationalSeries, is
 pushed into PadicSeries through reduce_mod at the last possible moment, so
 that any hidden p in a denominator raises ReductionError.
 
+Each residue is reduced once: only the public PadicSeries constructor
+tests types, to accept Fractions; `_new` reduces int results by c % p^N,
+and results that are residues already go to `PadicSeries._residues`.
+
 A composition outer(inner) to inner's degree bound D reads only the outer
 coefficients that reach degree D, c_0..c_(D//v) for v = ord_t(inner) >= 1:
 the Frobenius pull-back s(t^sigma), with v = p, reads D//p + 1 of them.
@@ -83,7 +87,10 @@ class _Series:
     """Truncation of a power series at degree D over a coefficient ring.
 
     A ring class supplies its constructor and
-      _new(coeffs, D)   a series of the same ring (and context)
+      _new(coeffs, D)   a series of the same ring (and context) from the
+                        ring's unreduced results
+      _kept(coeffs, D)  the same from coefficients already in the ring's
+                        normal form, such as those a series stores
       _scalar(x)        the coefficient a scalar x stands for, None if x is
                         not a scalar of the ring
       _same(other)      raises unless other shares the ring's context
@@ -108,7 +115,7 @@ class _Series:
         raise IndexError("degree %d outside 0..%d" % (i, self.D))
 
     def truncate(self, D):
-        return self._new(self._c, D)
+        return self._kept(self._c, D)
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -196,7 +203,7 @@ class _Series:
         out = [inv0]
         for _ in range(self.D):
             out.append(reduce(-sum(map(mul, a1, reversed(out))) * inv0))
-        return self._new(out, self.D)
+        return self._kept(out, self.D)
 
     def _checked_inner(self, inner, outer_polynomial):
         if not isinstance(inner, type(self)):
@@ -212,9 +219,9 @@ class _Series:
         self._checked_inner(inner, outer_polynomial)
         D, v = inner.D, _valuation(inner)
         c = self._c[: _outer_terms(len(self._c), D, v)]
-        acc = self._new(c[-1:], D)
+        acc = self._kept(c[-1:], D)
         for k in range(len(c) - 2, -1, -1):
-            acc = self._new(acc._c, _step_degree(D, k, v)) * inner + c[k]
+            acc = self._kept(acc._c, _step_degree(D, k, v)) * inner + c[k]
         return acc
 
     def reverse(self):
@@ -247,7 +254,7 @@ class _Series:
                 x = r.derivative().truncate(h) * (1 - err.derivative().truncate(h))
                 # x read at degree bound d: its zeros above h meet only the
                 # coefficients of err below d_old + 1, which vanish
-                r = r - err * self._new(x._c, d)
+                r = r - err * self._kept(x._c, d)
         # each step is exact, so a step that lost a term shows here rather
         # than being patched by a further step
         if self.compose(r) != self._new([0, 1], D):
@@ -256,13 +263,13 @@ class _Series:
 
     def shift(self, k):
         """Multiply by t^k."""
-        return self._new([0] * k + self._c, self.D)
+        return self._kept([0] * k + self._c, self.D)
 
     def shift_div(self, k):
         """Divide by t^k; the k lowest coefficients must vanish."""
         if any(self._c[:k]):
             raise DomainError("series not divisible by t^%d" % k)
-        return self._new(self._c[k:], self.D)
+        return self._kept(self._c[k:], self.D)
 
     def theta(self):
         """t d/dt."""
@@ -318,6 +325,19 @@ def _rational(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _stored(cs, D):
+    """cs up to degree D without trailing zeros; cs itself when nothing is
+    dropped, never changed in place."""
+    if len(cs) > D + 1:
+        cs = cs[: D + 1]
+    if not cs or cs[-1]:
+        return cs
+    n = len(cs) - 1
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs[:n]
+
+
 def quo(x, d):
     """x / d exactly, for x and d int or Fraction: an int when it is one."""
     if type(x) is int and type(d) is int:
@@ -360,6 +380,8 @@ class RationalSeries(_Series):
 
     def _new(self, coeffs, D):
         return RationalSeries(coeffs, D)
+
+    _kept = _new
 
     @staticmethod
     def _scalar(x):
@@ -522,7 +544,7 @@ def packed_term_mul(a, b, keep=None):
     m = min(la + lb - 1, D + 1)
     out = {}
     for k, z in sums.items():
-        s = PadicSeries(ctx, _unpack(z, m, w), D)
+        s = first._new(_unpack(z, m, w), D)
         if s._c:
             uv = []
             for _ in radix:
@@ -539,8 +561,8 @@ class PadicSeries(_Series):
 
     def __init__(self, ctx, coeffs, D=None):
         """Cuts coeffs at degree D (default len(coeffs) - 1) and reduces
-        each coefficient mod p^N once, so the arithmetic passes its int
-        results in unreduced."""
+        each coefficient, an int or a Fraction, mod p^N; a p in a
+        denominator raises ReductionError."""
         if D is None:
             D = len(coeffs) - 1
         elif len(coeffs) > D + 1:
@@ -549,11 +571,17 @@ class PadicSeries(_Series):
             raise ConfigError("empty coefficient list")
         m = ctx.modulus
         cs = [c % m if type(c) is int else reduce_fraction(c, ctx) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.ctx = ctx
-        self.D = D
-        self._c = cs
+        self.ctx, self.D, self._c = ctx, D, _stored(cs, D)
+
+    @classmethod
+    def _residues(cls, ctx, cs, D):
+        """The series of residues cs in [0, p^N) at degree D, reducing
+        nothing; cs is never changed, so it may be another series' list."""
+        if D < 0:
+            raise ConfigError("empty coefficient list")
+        s = object.__new__(cls)
+        s.ctx, s.D, s._c = ctx, D, _stored(cs, D)
+        return s
 
     @classmethod
     def zero(cls, ctx, D):
@@ -572,10 +600,16 @@ class PadicSeries(_Series):
         return cls(ctx, [c], D)
 
     def _new(self, coeffs, D):
-        return PadicSeries(self.ctx, coeffs, D)
+        if len(coeffs) > D + 1:
+            coeffs = coeffs[: D + 1]
+        m = self.ctx.modulus
+        return PadicSeries._residues(self.ctx, [c % m for c in coeffs], D)
+
+    def _kept(self, coeffs, D):
+        return PadicSeries._residues(self.ctx, coeffs, D)
 
     def _scalar(self, x):
-        # an int passes unreduced: every result is reduced by the constructor
+        # an int passes unreduced: every result is reduced once, by `_new`
         if isinstance(x, int):
             return x
         return reduce_fraction(x, self.ctx) if isinstance(x, Fraction) else None
@@ -604,7 +638,7 @@ class PadicSeries(_Series):
             if la >= _PACK_MIN and lb >= _PACK_MIN:
                 self._same(other)
                 out = _packed_mul(a[:la], b[:lb], min(la + lb - 1, D + 1), self.ctx.modulus)
-                return PadicSeries(self.ctx, out, D)
+                return self._new(out, D)
         return _Series.__mul__(self, other)
 
     __rmul__ = __mul__
@@ -636,10 +670,10 @@ class PadicSeries(_Series):
             # block i // k is joined by giant^(i // k), of valuation >= (i // k) k v
             Di = _step_degree(D, i // k, k * v)
             block = sum(cj * x for cj, x in zip(c[i : i + k], packed))
-            blocks.append(PadicSeries(ctx, _unpack(block, Di + 1, w), Di))
+            blocks.append(self._new(_unpack(block, Di + 1, w), Di))
         acc = blocks.pop()
         for block in reversed(blocks):
-            acc = PadicSeries(ctx, acc._c, block.D) * giant + block
+            acc = self._kept(acc._c, block.D) * giant + block
         return acc
 
     def __repr__(self):
@@ -655,7 +689,8 @@ class PadicSeries(_Series):
         if N > self.ctx.N:
             raise ConfigError("cannot raise precision from %d to %d" % (self.ctx.N, N))
         ctx = self.ctx.with_precision(N)
-        return PadicSeries(ctx, self._c, self.D)
+        m = ctx.modulus
+        return PadicSeries._residues(ctx, [c % m for c in self._c], self.D)
 
     def min_excess_ord(self, target):
         """min over coefficients of (ord_p - target); >= 0 means divisible by
@@ -676,7 +711,7 @@ class PadicSeries(_Series):
             if c % pk != 0:
                 raise ReductionError("coefficient at t^%d not divisible by p^%d" % (i, k))
         ctx = self.ctx.with_precision(self.ctx.N - k)
-        return PadicSeries(ctx, [c // pk for c in self._c], self.D)
+        return PadicSeries._residues(ctx, [c // pk for c in self._c], self.D)
 
     def log(self):
         """p-adic log of 1 + e with every coefficient of e divisible by p:
@@ -696,7 +731,7 @@ class PadicSeries(_Series):
         guard = 1
         while p ** guard <= mstop:
             guard += 1
-        e = PadicSeries(self.ctx.with_precision(N + guard), self._c, D) - 1
+        e = PadicSeries._residues(self.ctx.with_precision(N + guard), self._c, D) - 1
         if any(c % p for c in e._c):
             raise DomainError("log requires all coefficients of a-1 divisible by p")
         acc, em = PadicSeries.zero(self.ctx, D), PadicSeries.one(e.ctx, D)

@@ -69,7 +69,7 @@ class FrobLift:
             c = s._c[: s.D // p + 1]
             out = [0] * (p * len(c) - p + 1)
             out[::p] = c
-            return PadicSeries(self.ctx, out, s.D)
+            return PadicSeries._residues(self.ctx, out, s.D)
         return s.compose(self.tsigma)
 
     def on_coeff(self, c):

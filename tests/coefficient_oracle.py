@@ -1,9 +1,10 @@
 """Second formulas for the coefficients that the `straub`, `simple` and `pq`
-suites compute, kept as oracles of `test_harness.py` and
-`test_families.py`: the raw 4-variable expansion behind
+suites and the period chain compute, kept as oracles of `test_harness.py`
+and `test_families.py`: the raw 4-variable expansion behind
 `harness._layer_diagonal`, the recurrence and diagonal closed form behind
-`harness._square_example_alpha`, and the expansion route behind
-`families.pq_polynomial`.  No library path uses them."""
+`harness._square_example_alpha`, the expansion route behind
+`families.pq_polynomial`, and the convolution chain behind the closed
+factors of `families._e_sums`.  No library path uses them."""
 
 from itertools import product
 from math import comb, factorial
@@ -83,3 +84,20 @@ def pq_from_expansion(n, Q):
         if c:
             out[2 * k - Q] = c
     return out
+
+
+def e_sums_by_convolution(shifts, M):
+    """R_0..R_M of `families._e_sums` by the convolution chain alone, one
+    factor at a time from R = (1, 0, .., 0): a shift u on the sums R' of
+    shifts summing to S' gives
+    R_m = sum_j C(m, j) C(m - S' - u, j - S') R'_j over j >= S' and
+    m - j >= max(u, 0)."""
+    R, S = [1] + [0] * M, 0
+    for u in shifts:
+        lo = max(u, 0)
+        R = [
+            sum(comb(m, j) * comb(m - S - u, j - S) * R[j] for j in range(S, m - lo + 1))
+            for m in range(M + 1)
+        ]
+        S += u
+    return tuple(R)

@@ -191,7 +191,7 @@ def test_excellent_lift_closed_form_and_lambda1():
                 )
                 assert lam1.is_zero(), (kind, n, pp)
                 assert lam0.coeffs[0] == 1
-                A, B = ab_coefficients(per)
+                A, B = ab_coefficients(per.F, per.W)
                 assert A[0] == 0 and B[0] == 0 and per.W[0] == 1
 
 
@@ -283,7 +283,7 @@ def test_picard_fuchs_residual_membership():
     fam = FamilySpec.hypercubic(2)
     ctx = PadicContext(p, 4)
     periods = PeriodData(fam, Dt)
-    Arat, Brat = ab_coefficients(periods)
+    Arat, Brat = ab_coefficients(periods.F, periods.W)
     A = reduce_mod(Arat, ctx)
     B = reduce_mod(Brat, ctx)
     E = expand_cy(fam.g, ctx, Dt, sup)

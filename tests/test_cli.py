@@ -211,6 +211,20 @@ def test_a_negative_degree_is_a_usage_error_in_the_ratio_suites(suite, capsys):
         assert report["notes"][0].startswith("non-excellent lift")
 
 
+@pytest.mark.parametrize("suite", ["super", "dwork"])
+@pytest.mark.parametrize("flag", ["--m", "--s"])
+def test_a_zero_m_or_s_is_a_usage_error_in_super_as_in_dwork(suite, flag, capsys):
+    argv = ["verify", suite, "--family", "hypercubic", "--n", "2", "--prime", "5", "--format", "json"]
+    other = "--s" if flag == "--m" else "--m"
+    code, out, err = run(capsys, *argv, other, "1", flag, "0")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == "error: s >= 1 and m >= 1 required\n"
+    # control: at --m 1 --s 1 the check runs and reports
+    code, out, err = run(capsys, *argv, "--m", "1", "--s", "1")
+    (report,) = json.loads(out)
+    assert code == cli.EXIT_OK and err == "" and report["status"] == "PASS"
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(
         capsys, "verify", "dwork", "--family", "simplicial", "--n", "2",

@@ -1,5 +1,6 @@
 """Period data for the catalog families against combinatorial oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -24,7 +25,7 @@ from cartier.families import (
 from cartier.laurent import LaurentPoly, poly_pow
 from cartier.padic import PadicContext
 from cartier.series import PadicSeries, RationalSeries, reduce_mod
-from coefficient_oracle import pq_from_expansion
+from coefficient_oracle import e_sums_by_convolution, pq_from_expansion
 from series_oracle import is_p_integral
 
 
@@ -78,7 +79,7 @@ def test_ab_oracle_hypercubic_n1():
     # so B = 12t^2/(1-4t^2) and A = 8t^2/(1-4t^2)
     D = 16
     periods = PeriodData(FamilySpec.hypercubic(1), D)
-    A, B = ab_coefficients(periods)
+    A, B = ab_coefficients(periods.F, periods.W)
     denom = RationalSeries([1, 0, -4], D)
     assert (B * denom) == RationalSeries([0, 0, 12], D)
     assert (A * denom) == RationalSeries([0, 0, 8], D)
@@ -86,8 +87,23 @@ def test_ab_oracle_hypercubic_n1():
 
 def test_ab_vanish_at_zero():
     for fam in (FamilySpec.hyperoctahedral(2), FamilySpec.simplicial(2)):
-        A, B = ab_coefficients(PeriodData(fam, 12))
+        periods = PeriodData(fam, 12)
+        A, B = ab_coefficients(periods.F, periods.W)
         assert A[0] == 0 and B[0] == 0
+
+
+@pytest.mark.parametrize("kind", ["simplicial", "hypercubic", "hyperoctahedral", "an"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ab_coefficients_on_residues_reduce_those_over_Q(kind, n):
+    # one formula in either ring: run on the residues of F and W, as
+    # frobenius_matrix does, it gives the reductions of A and B over Q
+    periods = PeriodData(FamilySpec.by_name(kind, n), 30)
+    over_Q = ab_coefficients(periods.F, periods.W)
+    for p in (3, 5, 7):
+        ctx = PadicContext(p, 4)
+        got = ab_coefficients(reduce_mod(periods.F, ctx), reduce_mod(periods.W, ctx))
+        assert all(type(s) is PadicSeries for s in got)
+        assert [s.coeffs for s in got] == [reduce_mod(s, ctx).coeffs for s in over_Q]
 
 
 def test_mirror_map_roundtrip():
@@ -276,9 +292,35 @@ def test_an_unsquared_binomial_chain_differs_from_the_relation_lattice(kind, n, 
         relation_lattice_F(kind, n, D))
 
 
+# one factor u >= 0, and two factors u1 >= u2 with u1 + u2 >= 0, as the
+# sorted shift chains of `_closed_terms` give them
+CLOSED_FACTORS = [(u1,) for u1 in range(7)] + [
+    (u1, u2) for u1 in range(7) for u2 in range(-u1, u1 + 1)
+]
+
+
+@pytest.mark.parametrize("M", [30, 5])
+def test_closed_factors_match_the_convolution(M):
+    # 7 one-factor and 49 two-factor chains; at M = 5 most lower bounds lie
+    # above M, so the sums are zero throughout
+    for shifts in CLOSED_FACTORS:
+        R = families._e_sums(shifts, M)
+        assert R == e_sums_by_convolution(shifts, M), shifts
+        # zero below the lower bound max(u1, 0) + max(u2, 0), nonzero from it
+        lo = sum(max(u, 0) for u in shifts)
+        assert R[:lo] == (0,) * min(lo, M + 1) and all(R[lo:]), shifts
+
+
+def test_longer_chains_convolve_from_the_closed_factors():
+    for shifts in [(0, 0, 0), (0, 0, 0, 0), (3, 1, -2), (2, 0, 0, -1), (1, 1, -1, -1)]:
+        assert families._e_sums(shifts, 40) == e_sums_by_convolution(shifts, 40), shifts
+
+
 def test_G_after_F_runs_only_the_last_factor(monkeypatch):
-    # F of `an` n builds the zero-shift chain's sums, n + 2 prefixes of which
-    # `an` n - 1 built all but one; G then forms the summands of the last
+    # F of `an` n reads the zero-shift chain's sums, whose prefixes of one
+    # and two factors are closed forms and whose longer prefixes are
+    # convolutions; `an` n - 1 built all but the last, so F of `an` 3 adds
+    # one entry and one convolution.  G then forms the summands of the last
     # factor only, from the stored sums, and computes no new sums
     calls = []
     summands = families._e_summands
@@ -291,14 +333,15 @@ def test_G_after_F_runs_only_the_last_factor(monkeypatch):
     families._e_sums.cache_clear()
     D = 30
     PeriodData(FamilySpec.a_n(2), D)
-    assert families._e_sums.cache_info().misses == 4
+    assert families._e_sums.cache_info().misses == 2
+    assert calls == [((0,) * 3, D)]
     del calls[:]
     periods = PeriodData(FamilySpec.a_n(3), D)
-    assert families._e_sums.cache_info().misses == 5
+    assert families._e_sums.cache_info().misses == 3
     assert calls == [((0,) * 4, D)]
     del calls[:]
     assert periods.G.coeffs == e_series_FG(FamilySpec.a_n(3), D)[1]
-    assert families._e_sums.cache_info().misses == 5
+    assert families._e_sums.cache_info().misses == 3
     assert calls == [((0,) * 4, D)]
 
 
@@ -464,7 +507,7 @@ CATALOG = [
 
 def period_readings(periods):
     """Everything the checks read off a PeriodData, as coefficient lists."""
-    A, B = ab_coefficients(periods)
+    A, B = ab_coefficients(periods.F, periods.W)
     series = [periods.F, periods.G, periods.W, canonical_q(periods), A, B]
     series += [RationalSeries(periods.F._c[:Nt], periods.D) for Nt in (1, 9, 25, periods.D)]
     return periods.D, [s.coeffs for s in series]
@@ -612,6 +655,59 @@ def test_a_truncated_view_reads_G_from_its_base(kind, n, G_builds):
     assert G_builds == [(kind, n, 75), (kind, n, 27), (kind, n, 40)]
 
 
+@pytest.fixture
+def series_builds(monkeypatch):
+    """A Counter of the RationalSeries inverts and exps run from here on."""
+    calls = Counter()
+    for name in ("invert", "exp"):
+        run = getattr(RationalSeries, name)
+
+        def counted(self, run=run, name=name):
+            calls[name] += 1
+            return run(self)
+
+        monkeypatch.setattr(RationalSeries, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n", [("hypercubic", 2), ("hyperoctahedral", 3), ("an", 2)])
+def test_views_cut_l_W_and_q_from_one_store(kind, n, series_builds):
+    family = FamilySpec.by_name(kind, n)
+    base = PeriodData(family, 147)
+    early = base.truncate(27)
+    top = base.truncate(75)
+    derived = [top.l, top.W, top.q]
+    # l inverts F once and q takes one exp; W needs neither
+    assert series_builds == {"invert": 1, "exp": 1}
+    views = [early] + [base.truncate(D) for D in (40, 60)]
+    got = [[s.coeffs for s in (v.l, v.W, v.q)] for v in views]
+    assert series_builds == {"invert": 1, "exp": 1}
+    for v, coeffs in zip(views, got):
+        fresh = PeriodData(family, v.D)
+        assert coeffs == [s.coeffs for s in (fresh.l, fresh.W, fresh.q)]
+        assert [s.D for s in (v.l, v.W, v.q)] == [v.D] * 3
+    assert [s.coeffs for s in derived] == [
+        s.coeffs for s in (PeriodData(family, 75).l, PeriodData(family, 75).W, PeriodData(family, 75).q)]
+    # control: a read above 75 builds anew, at its own degree, and is then
+    # the store's entry, which the lower views still agree with
+    series_builds.clear()
+    high = base.truncate(100)
+    assert high.q.D == 100 and series_builds == {"invert": 1, "exp": 1}
+    assert base._store["q"] is high.q and base._store["l"].D == 100
+    assert high.q.truncate(75).coeffs == derived[2].coeffs
+
+
+def test_data_built_without_init_keeps_a_store_of_its_own(series_builds):
+    # the tests build PeriodData stubs with __new__; each gets its own store
+    D = 12
+    a, b = PeriodData.__new__(PeriodData), PeriodData.__new__(PeriodData)
+    for stub, G in ((a, [0, 1]), (b, [0, 2])):
+        stub.D, stub.F, stub.G = D, RationalSeries.one(D), RationalSeries(G, D)
+    assert a.l.coeffs == [0, 1] + [0] * (D - 1)
+    assert b.l.coeffs == [0, 2] + [0] * (D - 1)
+    assert a.q != b.q and vars(a)["_store"] is not vars(b)["_store"]
+
+
 def q_series_oracle(F, G):
     """W, q, A, B and the mirror map by Q-series arithmetic, as the runtime
     built them before the integer period layer: W = F^2 + F thetaG - thetaF G,
@@ -627,7 +723,7 @@ def q_series_oracle(F, G):
 
 
 def integer_layer(periods):
-    A, B = ab_coefficients(periods)
+    A, B = ab_coefficients(periods.F, periods.W)
     return periods.W, canonical_q(periods), A, B, mirror_map(periods)
 
 

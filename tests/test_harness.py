@@ -150,7 +150,6 @@ def test_ratio_excess_matches_the_inverted_form(monkeypatch):
         lam = F * lift.on_series(F).invert()
 
         def inverted(hi, lo, sigma=lift.on_series):
-            hi, lo = (PadicSeries(ctx, c, Dt) for c in (hi, lo))
             return (hi - lam * sigma(lo)).min_excess_ord(target)
 
         excess = real(family, lift_kind, ctx, Dt, hi, lo, target)

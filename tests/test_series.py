@@ -19,6 +19,7 @@ from cartier.errors import (
 )
 import cartier.series as series_module
 from cartier.padic import PadicContext, ord_p
+from cartier.sigma import FrobLift
 from cartier.series import (
     _PACK_MIN,
     PadicSeries,
@@ -369,6 +370,69 @@ def test_padic_series_reduces_every_coefficient_once(a, b, k):
     ):
         assert _in_range(got)
         assert got.coeffs == want
+    _assert_residue_results(x, y)
+
+
+def _power_series_oracle(x, inner):
+    """The int coefficients of x(inner) to inner's degree, by Horner's rule
+    on dense int lists, unreduced."""
+    D = inner.D
+    acc = [0] * (D + 1)
+    for c in reversed(x.coeffs):
+        acc = [sum(acc[i] * inner[n - i] for i in range(n + 1)) for n in range(D + 1)]
+        acc[0] += c
+    return acc
+
+
+def _inverse_oracle(x):
+    """The int coefficients of 1/x mod p^N by the schoolbook recurrence."""
+    inv0 = pow(x[0], -1, _M)
+    out = [inv0]
+    for n in range(1, x.D + 1):
+        out.append(-sum(x[k] * out[n - k] for k in range(1, n + 1)) * inv0 % _M)
+    return out
+
+
+def _assert_residue_results(x, y):
+    """Truncation, shifts, invert, the t^p pull-back and compose store
+    residues in [0, p^N), the same list the public constructor makes of the
+    same ints; x and y are series with the same context."""
+    p, D = _CTX.p, x.D
+    unit = x.shift(1) + 1
+    inner = y.shift(1).truncate(D)
+    for got, ints in (
+        (x.truncate(D // 2), x.coeffs[: D // 2 + 1]),
+        (x.truncate(D + 3), x.coeffs + [0] * 3),
+        (x.shift(2), [0, 0] + x.coeffs[: max(D - 1, 0)]),
+        (x.shift(2).shift_div(2), x.coeffs[: max(D - 1, 0)] + [0] * min(2, D)),
+        (unit.invert(), _inverse_oracle(unit)),
+        (FrobLift.tp(_CTX, D).on_series(x), [x[i // p] if i % p == 0 else 0 for i in range(D + 1)]),
+        (x.compose(inner), _power_series_oracle(x, inner)),
+    ):
+        want = PadicSeries(_CTX, ints, got.D)
+        assert _in_range(got)
+        assert (got.D, got._c) == (want.D, want._c)
+
+
+def test_long_operands_store_residues_on_the_packed_paths():
+    # the packed product and the Brent-Kung composition start at _PACK_MIN
+    # stored residues, beyond the lists drawn above
+    rng = random.Random(5)
+    for D in (_PACK_MIN, 40):
+        x = PadicSeries(_CTX, [rng.randrange(-_M, 2 * _M) for _ in range(D + 1)])
+        y = PadicSeries(_CTX, [rng.randrange(-_M, 2 * _M) for _ in range(D + 1)])
+        _assert_residue_results(x, y)
+        assert _in_range(x * y)
+
+
+def test_the_public_constructor_still_rejects_a_p_in_a_denominator():
+    # control of the residue path: Fractions go through the type test
+    p = _CTX.p
+    with pytest.raises(ReductionError):
+        PadicSeries(_CTX, [Fraction(1, p)])
+    with pytest.raises(ReductionError):
+        reduce_mod(RationalSeries([1, Fraction(2, p * p)]), _CTX)
+    assert PadicSeries(_CTX, [Fraction(1, 2), 3 * _M + 1]).coeffs == [pow(2, -1, _M), 1]
 
 
 # Trimmed storage against a dense oracle: the coefficients of a series stop
